@@ -14,7 +14,6 @@ over the basis {|1>_1 |0>_2, |0>_1 |1>_2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -191,25 +190,3 @@ def evolved_signal_density(input_mode: int, mean_photons: float, theta: float,
     pump = CoherentSpec(mean_photons, phase)
     chi_t = theta / np.sqrt(mean_photons)
     return reduced_signal_density(evolve_closed_form(input_mode, pump, chi_t, basis))
-
-
-def save_density(rho: np.ndarray, path: str | Path) -> None:
-    """Serialize a 2x2 density matrix: header, then row-major i,j,re,im lines."""
-    if rho.shape != (2, 2):
-        raise ValueError("expected a 2x2 density matrix")
-    lines = ["2,2"]
-    for i in range(2):
-        for j in range(2):
-            lines.append(f"{i},{j},{rho[i, j].real:.17g},{rho[i, j].imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_density(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
-    if text[0].strip() != "2,2":
-        raise ValueError("unsupported density matrix header")
-    rho = np.zeros((2, 2), dtype=complex)
-    for line in text[1:]:
-        i, j, re_s, im_s = line.split(",")
-        rho[int(i), int(j)] = float(re_s) + 1j * float(im_s)
-    return rho

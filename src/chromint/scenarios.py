@@ -18,7 +18,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import shutil
+import tempfile
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -172,6 +176,34 @@ def default_config(scenario: str) -> ScenarioConfig:
     return ScenarioConfig(scenario=scenario, **SCENARIO_DEFAULTS[scenario])
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Values each annotated field type accepts.  bool is a subclass of int, so
+# it is excluded from the numeric types explicitly.
+_TYPE_CHECKS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: _is_number,
+    bool: lambda v: isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+    list: lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    dict: lambda v: isinstance(v, dict),
+}
+
+
+def _check_types(cfg: ScenarioConfig) -> None:
+    """Raise ConfigError naming the first field whose value has the wrong type."""
+    for name, kind in typing.get_type_hints(ScenarioConfig).items():
+        value = getattr(cfg, name)
+        if not _TYPE_CHECKS[kind](value):
+            expected = "list of numbers" if kind is list else kind.__name__
+            hint = (" (YAML reads 1e3 without a decimal point as a string)"
+                    if isinstance(value, str) else "")
+            raise ConfigError(f"{name} must be {expected}, got "
+                              f"{type(value).__name__} {value!r}{hint}")
+
+
 def config_from_mapping(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict) or "scenario" not in data:
         raise ConfigError("config must be a mapping with a 'scenario' key")
@@ -185,6 +217,7 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     merged = dict(SCENARIO_DEFAULTS[scenario])
     merged.update({k: v for k, v in data.items() if k != "scenario"})
     cfg = ScenarioConfig(scenario=scenario, **merged)
+    _check_types(cfg)
     validate_config(cfg)
     return cfg
 
@@ -461,30 +494,44 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
-    """Run one scenario into out_dir; returns the written manifest."""
-    out = Path(out_dir)
+    """Run one scenario into out_dir; returns the written manifest.
+
+    The scenario writes into a temporary sibling directory; only when it
+    has finished are its files moved into out_dir, the manifest last.  The
+    manifest lists exactly the data files this run wrote, and a run that
+    raises leaves out_dir as it was.
+    """
+    out = Path(out_dir).resolve()
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
         probe.write_text("")
         probe.unlink()
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     except OSError as exc:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
-    started = time.time()
-    results = _RUNNERS[cfg.scenario](cfg, out)
-    elapsed = time.time() - started
-    (out / "config.yaml").write_text(serialize_config(cfg))
-    data_files = sorted(p.name for p in out.iterdir()
-                        if p.suffix == ".csv")
-    manifest = {
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        "config_sha256": config_hash(cfg),
-        "versions": {"chromint": __version__, "numpy": np.__version__},
-        "wall_time_s": round(elapsed, 3),
-        "data_files": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                       for name in data_files},
-        "results": results,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    try:
+        started = time.time()
+        results = _RUNNERS[cfg.scenario](cfg, staging)
+        elapsed = time.time() - started
+        (staging / "config.yaml").write_text(serialize_config(cfg))
+        data_files = sorted(p.name for p in staging.iterdir() if p.suffix == ".csv")
+        manifest = {
+            "scenario": cfg.scenario,
+            "seed": cfg.seed,
+            "config_sha256": config_hash(cfg),
+            "versions": {"chromint": __version__, "numpy": np.__version__},
+            "wall_time_s": round(elapsed, 3),
+            "data_files": {name: hashlib.sha256((staging / name).read_bytes()).hexdigest()
+                           for name in data_files},
+            "results": results,
+        }
+        (staging / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True))
+        # a previous manifest must not vouch for files replaced below
+        (out / "manifest.json").unlink(missing_ok=True)
+        for name in data_files + ["config.yaml", "manifest.json"]:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return manifest

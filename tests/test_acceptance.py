@@ -26,24 +26,13 @@ from chromint.erasure import (
     pure_state_fidelity,
     rotation_output,
 )
-from chromint.fock import (
-    CoherentSpec,
-    FockBasis,
-    TrilinearHamiltonian,
-    default_pump_cutoff,
-    evolve_brute_force,
-    evolve_closed_form,
-    single_photon_with_pump,
-)
-from chromint.interferometry import (
-    InterferometerGeometry,
-    amplitudes,
-    coincidence_single_photon,
-    coincidence_thermal,
-    fringe_phase,
-    time_average_superposition,
-)
+from chromint.interferometry import InterferometerGeometry
 from chromint.scenarios import apply_overrides, default_config, run_scenario
+from chromint.selftest import (
+    check_fringe_identity,
+    check_oracle_equivalence,
+    check_phase_average,
+)
 from chromint.stochastic import ThermalFieldModel, estimate_g2, simulate_events
 
 warnings.filterwarnings("ignore")
@@ -124,22 +113,10 @@ def free_space_same(tmp_path_factory):
 
 def test_criterion_01_oracle_equivalence():
     started = time.time()
-    worst = 0.0
-    for n_mean in (1.0, 4.0, 16.0, 64.0):
-        basis = FockBasis(1, 1, default_pump_cutoff(n_mean))
-        ham = TrilinearHamiltonian(basis)
-        pump = CoherentSpec(n_mean, 0.3)
-        for theta in (math.pi / 8, math.pi / 4, math.pi / 2):
-            chi_t = theta / math.sqrt(n_mean)
-            for mode in (1, 2):
-                closed = evolve_closed_form(mode, pump, chi_t, basis)
-                brute = evolve_brute_force(
-                    single_photon_with_pump(mode, pump, basis), ham, chi_t)
-                worst = max(worst, float(np.max(np.abs(
-                    closed.amplitudes - brute.amplitudes))))
+    ok, detail = check_oracle_equivalence()
     elapsed = time.time() - started
-    report(1, "oracle-equivalence", worst <= 1e-10 and elapsed < 60.0,
-           f"max amplitude mismatch {worst:.2e} <= 1e-10, {elapsed:.1f}s < 60s")
+    report(1, "oracle-equivalence", ok and elapsed < 60.0,
+           f"{detail}, {elapsed:.1f}s < 60s")
 
 
 def test_criterion_02_erasure_scaling():
@@ -171,36 +148,11 @@ def test_criterion_03_color_rotation_limit():
 
 
 def test_criterion_04_fringe_identity():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(1000):
-        geo = InterferometerGeometry(LAM1, LAM2, LAM3, *rng.uniform(0.005, 0.25, 4))
-        res = coincidence_single_photon(amplitudes(geo), math.pi / 4)
-        worst = max(worst, abs(res.probability
-                               - 0.125 * (1 + math.cos(fringe_phase(geo)))))
-    report(4, "fringe-identity", worst <= 1e-12,
-           f"max |P - (1/8)(1+cos Delta)| = {worst:.2e} <= 1e-12 over 1000 geometries")
+    report(4, "fringe-identity", *check_fringe_identity())
 
 
 def test_criterion_05_phase_average():
-    rng = np.random.default_rng(55)
-    worst_cross = 0.0
-    worst_match = 0.0
-    for _ in range(20):
-        geo = InterferometerGeometry(LAM1, LAM2, LAM3, *rng.uniform(0.005, 0.25, 4))
-        amp = amplitudes(geo)
-        theta = rng.uniform(0.15, 1.4)
-        p, q = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
-        c = tuple(math.sqrt(x) * np.exp(1j * rng.uniform(0, 2 * math.pi)) for x in p)
-        d = tuple(math.sqrt(x) * np.exp(1j * rng.uniform(0, 2 * math.pi)) for x in q)
-        avg = time_average_superposition(amp, theta, 0.6, c, d, 16)
-        worst_cross = max(worst_cross, max(abs(t) for t in avg.terms[3:]))
-        therm = coincidence_thermal(amp, theta, tuple(p), tuple(q))
-        worst_match = max(worst_match, abs(avg.probability - therm.probability))
-    ok = worst_cross < 1e-10 and worst_match < 1e-3
-    report(5, "phase-average", ok,
-           f"16x16 grid cross-term residual {worst_cross:.2e} < 1e-10, "
-           f"thermal match {worst_match:.2e} < 1e-3")
+    report(5, "phase-average", *check_phase_average())
 
 
 def test_criterion_06_laser_visibility(laser_scan, laser_scan_vdeg08):

@@ -12,12 +12,10 @@ from chromint.erasure import (
     effective_rotation,
     erasure_overlap,
     evolved_signal_density,
-    load_density,
     post_select,
     pure_state_fidelity,
     reduced_signal_density,
     rotation_output,
-    save_density,
 )
 from chromint.fock import (
     CoherentSpec,
@@ -26,18 +24,22 @@ from chromint.fock import (
     TripleModeState,
     coherent_state,
     default_pump_cutoff,
+    evolve_brute_force,
     evolve_closed_form,
+    inner_product,
     single_photon_with_pump,
 )
 
 
 def brute_force_filtered(input_mode, n_mean, theta, phase=0.0):
-    """Independent pipeline: expm evolution, then the gamma-2 projector."""
+    """Independent pipeline: dense expm evolution, then the gamma-2 projector.
+
+    Dense expm costs O(dim^3), so this reference is kept to N <= 64."""
     basis = FockBasis(1, 1, default_pump_cutoff(n_mean))
     chi_t = theta / math.sqrt(n_mean)
     ham = TrilinearHamiltonian(basis)
     psi0 = single_photon_with_pump(input_mode, CoherentSpec(n_mean, phase), basis)
-    psi = expm(-1j * ham.matrix * chi_t) @ psi0.amplitudes
+    psi = expm(-1j * ham.matrix.toarray() * chi_t) @ psi0.amplitudes
     mask = basis.occupations()[:, 1] == 1
     kept = np.where(mask, psi, 0.0)
     prob = float(np.sum(np.abs(kept) ** 2))
@@ -106,16 +108,30 @@ def test_erasure_overlap_zero_conversion_is_empty():
 
 
 def test_erasure_overlap_exact_scaling_is_one_over_n():
-    """The exact modulus deficit decays ~1/N; the distinguishability
-    sqrt(1-ov^2) carries the 1/sqrt(N) law."""
-    deficits = {n: 1.0 - erasure_overlap(float(n), math.pi / 4) for n in (16, 64)}
-    ratio = deficits[64] / deficits[16]
-    assert ratio == pytest.approx(0.25, abs=0.02)
-    dist = {n: math.sqrt(1.0 - erasure_overlap(float(n), math.pi / 4) ** 2)
-            for n in (16, 64)}
-    assert dist[64] / dist[16] == pytest.approx(0.5, abs=0.02)
-    for n, d in deficits.items():
-        assert d * math.sqrt(n) < 1.0
+    """Oracle-checked ladder N = 4 .. 1024 at theta = pi/4: the exact modulus
+    deficit decays ~1/N; the distinguishability sqrt(1-ov^2) carries the
+    1/sqrt(N) law."""
+    theta = math.pi / 4
+    ns = [2 ** k for k in range(2, 11)]
+    overlaps = {}
+    for n in ns:
+        ov = erasure_overlap(float(n), theta)
+        basis = FockBasis(1, 1, default_pump_cutoff(n))
+        ham = TrilinearHamiltonian(basis)
+        pump = CoherentSpec(float(n))
+        chi_t = theta / math.sqrt(n)
+        a, b = (post_select(evolve_brute_force(
+                    single_photon_with_pump(mode, pump, basis), ham, chi_t), 2).state
+                for mode in (1, 2))
+        assert abs(inner_product(a, b)) == pytest.approx(ov, abs=1e-10)
+        assert (1.0 - ov) * math.sqrt(n) < 1.0
+        overlaps[n] = ov
+    for n in ns[2:-1]:
+        lo, hi = overlaps[n], overlaps[2 * n]
+        deficit_slope = math.log2((1.0 - hi) / (1.0 - lo))
+        dist_slope = 0.5 * math.log2((1.0 - hi ** 2) / (1.0 - lo ** 2))
+        assert -1.05 <= deficit_slope <= -0.95, (n, deficit_slope)
+        assert -0.525 <= dist_slope <= -0.475, (n, dist_slope)
 
 
 def test_erasure_overlap_monotone_and_saturating():
@@ -196,10 +212,3 @@ def test_detector_setting_validation():
 def test_color_qubit_norm_check():
     with pytest.raises(ValueError):
         ColorQubitState(1.0, 1.0)
-
-
-def test_density_serialization_roundtrip(tmp_path):
-    rho = evolved_signal_density(1, 16.0, 0.6, 0.2)
-    path = tmp_path / "rho.txt"
-    save_density(rho, path)
-    assert np.max(np.abs(load_density(path) - rho)) < 1e-16

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from chromint.fock import (
     BasisMismatchError,
@@ -18,8 +19,6 @@ from chromint.fock import (
     evolve_brute_force,
     evolve_closed_form,
     inner_product,
-    load_state,
-    save_state,
     single_photon_with_pump,
 )
 
@@ -68,39 +67,33 @@ def test_coherent_cutoff_too_small():
     assert err.value.leakage > 0
 
 
+def assert_hermitian(matrix):
+    assert abs(matrix - matrix.conj().T).nnz == 0
+
+
 def test_hamiltonian_hermitian_and_sector_structure():
     basis = FockBasis(1, 1, 12)
     ham = TrilinearHamiltonian(basis)
-    assert ham.is_hermitian()
+    assert sparse.issparse(ham.matrix)
+    assert_hermitian(ham.matrix)
     occ = basis.occupations()
     n12 = occ[:, 0] + occ[:, 1]
     n13 = occ[:, 0] - occ[:, 2]
-    nz = np.argwhere(np.abs(ham.matrix) > 0)
-    for i, j in nz:
-        assert n12[i] == n12[j]
-        assert n13[i] == n13[j]
+    rows, cols = ham.matrix.nonzero()
+    assert rows.size > 0
+    assert np.array_equal(n12[rows], n12[cols])
+    assert np.array_equal(n13[rows], n13[cols])
 
 
 def test_hamiltonian_multiphoton_signal_cutoffs():
     # two-photon signal sectors stay available for the superposition cases
     basis = FockBasis(2, 2, 8)
     ham = TrilinearHamiltonian(basis)
-    assert ham.is_hermitian()
+    assert_hermitian(ham.matrix)
     i = basis.index(2, 0, 3)
     j = basis.index(1, 1, 2)
     assert ham.matrix[j, i] == pytest.approx(1j * math.sqrt(2 * 1 * 3))
-
-
-def test_hamiltonian_mode_roles_permutation():
-    basis = FockBasis(3, 1, 1)
-    ham = TrilinearHamiltonian(basis, mode_roles=(3, 2, 1))
-    assert ham.is_hermitian()
-    # pump now lives on axis 1: (n1, n2, n3) -> (n1-1, n2+1, n3-1)
-    i = basis.index(2, 0, 1)
-    j = basis.index(1, 1, 0)
-    assert abs(ham.matrix[j, i]) == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        TrilinearHamiltonian(basis, mode_roles=(1, 1, 3))
+    assert ham.matrix[i, j] == pytest.approx(-1j * math.sqrt(2 * 1 * 3))
 
 
 def test_closed_form_identity_at_zero_coupling():
@@ -189,8 +182,7 @@ def test_unitarity_and_sector_expectations(chi_t, phase):
 
 
 def test_brute_force_sparse_path_above_dense_limit():
-    # dimension 2044 exceeds the dense-expm limit and exercises the
-    # sparse scaling-and-squaring action
+    # pump cutoff 510 (dimension 2044): the largest basis the fock tests evolve
     basis = FockBasis(1, 1, 510)
     ham = TrilinearHamiltonian(basis)
     n, chi_t = 100, 0.21
@@ -226,18 +218,6 @@ def test_inner_product_basis_mismatch():
     b = coherent_state(CoherentSpec(1.0), FockBasis(1, 1, 31))
     with pytest.raises(BasisMismatchError):
         inner_product(a, b)
-
-
-def test_state_save_load_roundtrip(tmp_path):
-    basis = FockBasis(1, 1, default_pump_cutoff(4.0))
-    state = evolve_closed_form(1, CoherentSpec(4.0, 1.1), 0.35, basis)
-    path = tmp_path / "state.txt"
-    save_state(state, path)
-    back = load_state(path)
-    assert back.basis == basis
-    assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-16
-    header = path.read_text().splitlines()[0]
-    assert header == "1,1,42"
 
 
 def test_validate_flags_pump_shell_leakage():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
+from chromint import scenarios
 from chromint.cli import main
 from chromint.scenarios import (
+    SCENARIOS,
     ConfigError,
     apply_overrides,
     config_from_mapping,
@@ -64,6 +67,32 @@ def test_overrides_coerce_types():
         apply_overrides(cfg, ["v_deg"])
 
 
+def test_every_default_config_loads():
+    for name in SCENARIOS:
+        cfg = default_config(name)
+        assert config_from_mapping(dataclasses.asdict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gate_ps", 999.5),
+    ("delay_points", 4.5),
+    ("pump_on", 0),
+    ("overlap_mean_photons", 4),
+])
+def test_config_field_types_checked(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({"scenario": "laser_delay_scan", key: value})
+
+
+def test_cli_rejects_exponent_string_for_int_field(tmp_path, capsys):
+    # YAML 1.1 reads 1e3 (no decimal point) as the string "1e3"
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("scenario: laser_delay_scan\ngate_ps: 1e3\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "gate_ps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validation_bounds():
     with pytest.raises(ConfigError):
         config_from_mapping({"scenario": "laser_fft", "v_deg": 1.5})
@@ -84,6 +113,32 @@ def test_overlap_scan_outputs(tmp_path):
     assert manifest["config_sha256"] == config_hash(cfg)
     saved = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert saved["seed"] == cfg.seed
+
+
+def test_manifest_lists_only_files_of_this_run(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "leftover.csv").write_text("stale\n")
+    cfg = apply_overrides(default_config("erasure_overlap_scan"),
+                          ["overlap_mean_photons=4"])
+    for _ in range(2):
+        manifest = run_scenario(cfg, out)
+        assert set(manifest["data_files"]) == {"overlap.csv"}
+    assert (out / "leftover.csv").read_text() == "stale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+def test_failed_run_leaves_no_csv_and_no_manifest(tmp_path, monkeypatch):
+    def crash(cfg, out):
+        (out / "partial.csv").write_text("x\n")
+        raise RuntimeError("runner failed")
+
+    monkeypatch.setitem(scenarios._RUNNERS, "erasure_overlap_scan", crash)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError):
+        run_scenario(default_config("erasure_overlap_scan"), out)
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
 
 def test_run_is_deterministic(tmp_path):
