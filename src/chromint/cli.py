@@ -83,10 +83,17 @@ def _cmd_scan(args) -> int:
         cfg = apply_overrides(cfg, [f"seed={args.seed}"])
     if key not in {f.name for f in dataclasses.fields(type(cfg))}:
         raise ConfigError(f"unknown sweep parameter {key!r}")
+    whole = type(getattr(cfg, key)) is int
+    run_cfgs = []
+    for value in np.linspace(lo, hi, num).tolist():
+        if whole and value.is_integer():
+            # an int field takes whole sweep values; any other value is
+            # left to the config type check
+            value = int(value)
+        run_cfgs.append((value, apply_overrides(cfg, [f"{key}={value!r}"])))
     out = Path(args.out)
     runs = []
-    for i, value in enumerate(np.linspace(lo, hi, num)):
-        run_cfg = apply_overrides(cfg, [f"{key}={value}"])
+    for i, (value, run_cfg) in enumerate(run_cfgs):
         run_dir = out / f"run_{i:03d}_{key}_{value:g}"
         manifest = run_scenario(run_cfg, run_dir)
         runs.append({"value": float(value), "dir": run_dir.name,

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -199,7 +200,7 @@ def _check_types(cfg: ScenarioConfig) -> None:
         if not _TYPE_CHECKS[kind](value):
             expected = "list of numbers" if kind is list else kind.__name__
             hint = (" (YAML reads 1e3 without a decimal point as a string)"
-                    if isinstance(value, str) else "")
+                    if isinstance(value, str) and kind in (int, float) else "")
             raise ConfigError(f"{name} must be {expected}, got "
                               f"{type(value).__name__} {value!r}{hint}")
 
@@ -239,8 +240,31 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 
 
+class _OverrideLoader(yaml.SafeLoader):
+    """Safe YAML that also reads exponent floats such as 2e9 as numbers.
+
+    PyYAML follows YAML 1.1, which reads 2e9 and 1.5e11 as strings; YAML 1.2
+    and Python read them as floats.
+    """
+
+
+_OverrideLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
+def _yaml_scalar(raw: str):
+    return yaml.load(raw, Loader=_OverrideLoader)
+
+
 def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig:
-    """Apply key=value strings, coercing to the field's default type."""
+    """Apply key=value strings, each value read as a YAML scalar.
+
+    A list field takes comma-separated scalars.  Types are not coerced:
+    the resolved config is type-checked like a loaded file, so pump_on=ture
+    or gate_ps=999.5 is a ConfigError naming the field.
+    """
     data = dataclasses.asdict(cfg)
     for item in overrides:
         if "=" not in item:
@@ -248,20 +272,12 @@ def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig
         key, _, raw = item.partition("=")
         if key not in data or key == "metadata":
             raise ConfigError(f"unknown override key {key!r}")
-        current = data[key]
         try:
-            if isinstance(current, bool):
-                data[key] = raw.lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int):
-                data[key] = int(float(raw))
-            elif isinstance(current, float):
-                data[key] = float(raw)
-            elif isinstance(current, list):
-                data[key] = [type(current[0])(float(x)) if current else float(x)
-                             for x in raw.split(",")]
+            if isinstance(data[key], list):
+                data[key] = [_yaml_scalar(x) for x in raw.split(",")]
             else:
-                data[key] = raw
-        except ValueError as exc:
+                data[key] = _yaml_scalar(raw)
+        except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse override {item!r}: {exc}") from exc
     return config_from_mapping(data)
 

@@ -153,8 +153,8 @@ def check_overlap_scaling() -> tuple[bool, str]:
 
 
 def check_poisson_independence() -> tuple[bool, str]:
-    # low occupancy (0.02 counts per gate) keeps the occupied-bin estimator
-    # in its unbiased regime
+    # two independent Poisson streams at 0.02 counts per gate: g2 = 1 at
+    # every offset within shot noise
     rng = substream(2024, 0, 0)
     duration_ps = 5_000_000_000
     streams = []

@@ -61,6 +61,13 @@ def test_overrides_coerce_types():
                                 "delay_points=12"])
     assert out.seed == 7 and out.v_deg == 0.8
     assert out.pump_on is False and out.delay_points == 12
+    # values are YAML scalars; exponent numbers without a point are floats
+    out = apply_overrides(default_config("gate_time_study"),
+                          ["duration_ps=1.5e11", "source_rate_hz=2e7",
+                           "gates_ps=100,1000", "theta=1e-05", "source_kind=thermal"])
+    assert out.duration_ps == 1.5e11 and out.source_rate_hz == 2e7
+    assert out.gates_ps == [100, 1000] and out.theta == 1e-05
+    assert out.source_kind == "thermal"
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["nonsense=1"])
     with pytest.raises(ConfigError):
@@ -90,6 +97,18 @@ def test_cli_rejects_exponent_string_for_int_field(tmp_path, capsys):
     cfg_path.write_text("scenario: laser_delay_scan\ngate_ps: 1e3\n")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "gate_ps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override", ["pump_on=ture", "gate_ps=999.5",
+                                      "delay_points=4.9"])
+def test_cli_override_is_type_checked(tmp_path, capsys, override):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("scenario: erasure_overlap_scan\n"
+                        "overlap_mean_photons: [4]\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--override", override]) == 2
+    assert override.partition("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -188,6 +207,22 @@ def test_cli_scan(tmp_path, capsys):
                  "--param", "overlap_theta=bad",
                  "--out", str(tmp_path / "s2")]) == 2
     capsys.readouterr()
+
+
+def test_cli_scan_int_field(tmp_path, capsys):
+    assert main(["scan", "--scenario", "erasure_overlap_scan",
+                 "--param", "delay_points=4:8:5",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    saved = [yaml.safe_load((tmp_path / "sweep" / r["dir"] / "config.yaml").read_text())
+             for r in sweep["runs"]]
+    assert [c["delay_points"] for c in saved] == [4, 5, 6, 7, 8]
+    # 4.5 is not a whole number of points: nothing runs
+    assert main(["scan", "--scenario", "erasure_overlap_scan",
+                 "--param", "delay_points=4:5:3",
+                 "--out", str(tmp_path / "s2")]) == 2
+    assert "delay_points" in capsys.readouterr().err
+    assert not (tmp_path / "s2").exists()
 
 
 def test_mutated_color_rotation_breaks_reduction_identity():

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -172,6 +173,75 @@ def test_partial_merge_equals_single_pass(ts_a, ts_b, gate, cuts_pct):
     assert np.array_equal(got.n_coincidence, single.n_coincidence)
     assert got.n_a == single.n_a and got.n_b == single.n_b
     assert got.n_bin == single.n_bin
+
+
+def dense_coincidences(ts_a, ts_b, taus, gate, duration_ps):
+    """Reference n_coinc: per-bin counts multiplied and summed, tau by tau."""
+    n_bin = -(-duration_ps // gate)
+    c_a = np.bincount(np.asarray(ts_a, dtype=np.int64) // gate, minlength=n_bin)
+    c_b = np.bincount(np.asarray(ts_b, dtype=np.int64) // gate, minlength=n_bin)
+    out = []
+    for tau in taus:
+        o = round(tau / gate)
+        lo, hi = max(0, -o), min(n_bin, n_bin - o)
+        out.append(int(np.dot(c_a[lo:hi], c_b[lo + o:hi + o])) if hi > lo else 0)
+    return np.array(out, dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 9_999), max_size=200),
+       st.lists(st.integers(0, 9_999), max_size=200),
+       st.sampled_from([1, 2, 7, 100, 250, 10_000, 25_000]),
+       st.lists(st.integers(-30_000, 30_000), max_size=6),
+       st.lists(st.integers(-9, 9), max_size=4))
+def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves):
+    duration_ps = 10_000
+    # multiples of half a gate exercise round-half-to-even; the repeat
+    # makes duplicates, and the draws are unsorted and of either sign
+    taus = raw_taus + [h * gate // 2 for h in halves] + raw_taus[:2] + [0]
+    a = EventStream("A", np.unique(np.array(ts_a, dtype=np.int64)), duration_ps, 0)
+    b = EventStream("B", np.unique(np.array(ts_b, dtype=np.int64)), duration_ps, 0)
+    curve = estimate_g2(a, b, taus, gate)
+    expected = dense_coincidences(a.timestamps, b.timestamps, taus, gate, duration_ps)
+    assert np.array_equal(curve.taus_ps, taus)
+    assert np.array_equal(curve.n_coincidence, expected)
+    assert (curve.n_a, curve.n_b, curve.n_bin) == (a.count, b.count,
+                                                   -(-duration_ps // gate))
+    if a.count and b.count:
+        assert np.allclose(curve.values,
+                           expected * curve.n_bin / (a.count * b.count), rtol=1e-12)
+    else:
+        assert np.all(np.isnan(curve.values))
+
+
+def test_g2_unbiased_at_high_occupancy():
+    # 0.4 counts per gate: many bins hold two or more events, and every
+    # pair of events still counts once
+    rng = substream(4242, 0, 0)
+    duration_ps, gate = 1_000_000_000, 1000
+    streams = [EventStream(d, np.unique(rng.integers(0, duration_ps, 400_000)),
+                           duration_ps, 4242)
+               for d in "AB"]
+    curve = estimate_g2(streams[0], streams[1], [0, 7000, -20_000], gate)
+    assert curve.n_a / curve.n_bin > 0.39
+    for value, nc in zip(curve.values, curve.n_coincidence):
+        assert abs(value - 1.0) < 5.0 / math.sqrt(nc)
+
+
+def test_g2_wide_sparse_grid_is_cheap():
+    rng = substream(77, 0, 0)
+    duration_ps, gate = 1_000_000_000, 1000
+    a, b = (EventStream(d, np.unique(rng.integers(0, duration_ps, 100_000)),
+                        duration_ps, 77)
+            for d in "AB")
+    taus = [-(duration_ps - gate), 0, duration_ps - gate]
+    started = time.perf_counter()
+    curve = estimate_g2(a, b, taus, gate)
+    # a walk over every offset of the 2 * 10^6-bin span would take minutes
+    assert time.perf_counter() - started < 5.0
+    assert np.array_equal(curve.n_coincidence,
+                          dense_coincidences(a.timestamps, b.timestamps, taus,
+                                             gate, duration_ps))
 
 
 def test_merge_rejects_unaligned_segment():
