@@ -12,7 +12,6 @@ minutes of wall time for the full set.
 import argparse
 import sys
 import time
-import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -29,7 +28,6 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true",
                         help="tiny durations, for smoke-testing the pipeline")
     args = parser.parse_args()
-    warnings.filterwarnings("ignore")
 
     jobs = [(name, []) for name in SCENARIOS]
     # pump-off comparison partners (blue curves of the fringe figures)

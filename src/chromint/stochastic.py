@@ -1,16 +1,22 @@
 """Monte Carlo photon event generation and coincidence analysis.
 
 Semiclassical model: each source carries a stochastic complex field envelope
-(slow phase walk for a laser, per-coherence-slot complex Gaussian for a
-thermally populated mode), detectors see the interfering intensity through
-the color-erasure couplings, and photon arrivals are an inhomogeneous
-Poisson process on a time grid fine enough to resolve the envelope.
+(modulus 1 and a random-walking phase for a laser, one complex Gaussian
+amplitude per coherence slot for a thermally populated mode), detectors see
+the interfering intensity through the color-erasure couplings, and photon
+arrivals are the inhomogeneous Poisson process with that intensity as rate.
+They are drawn exactly, in continuous time, by thinning (Lewis & Shedler,
+Naval Res. Logist. Q. 26, 403 (1979)): the envelope moduli are constant on
+pieces (the whole run, or one coherence slot), so candidates are drawn at a
+constant bound per piece, the envelopes are evaluated at the candidate
+times (exact Wiener increments in between), and each candidate is kept with
+probability rate/bound.  The cost follows the candidates, not a time grid.
 
 Randomness is drawn from named Philox counter streams keyed as
-(seed, trial*8 + role) with roles: 0 source-1 field, 1 source-2 field,
-2/3 detector A/B shot noise and placement, 4/5 detector A/B dark counts,
-6/7 detector A/B post-hoc thinning.  Identical (config, seed, trial) input
-therefore reproduces bit-identical event streams.
+(seed, trial*8 + role) with roles: 0/1 source-1/2 envelope, 2/3 detector
+A/B candidates (count, placement and acceptance), 4/5 detector A/B dark
+counts.  Identical (config, seed, trial) input therefore reproduces
+bit-identical event streams.
 
 Timestamps are integer picoseconds; simultaneous arrivals within 1 ps
 collapse to a single count (detector dead-time proxy).
@@ -40,14 +46,13 @@ from .erasure import DetectorSetting
 from .interferometry import InterferometerGeometry, detector_couplings
 
 PS_PER_S = 1_000_000_000_000
-_CHUNK = 1 << 20  # fixed: chunking must not alter the draw sequence
-_STEPS_PER_COHERENCE = 16
+_CHUNK = 1 << 20  # coherence slots per batch: bounds the thermal slot loop's memory
 
 
 def substream(seed: int, trial: int, role: int) -> Generator:
     """Philox counter stream for one (trial, role) pair under a master seed."""
-    if not 0 <= role < 8:
-        raise ValueError("role must be in 0..7")
+    if not 0 <= role < 6:
+        raise ValueError("role must be in 0..5")
     key = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((trial << 3) | role)]
     return Generator(Philox(key=key))
 
@@ -58,11 +63,11 @@ class ThermalFieldModel:
 
     mode "coherent" is a constant-intensity field whose phase random-walks
     with the configured coherence time (Lorentzian line, linewidth
-    1/(pi*coherence_time)); mode "thermal" redraws an independent complex
-    Gaussian amplitude each coherence slot, so slot intensities are
-    exponential (Bose-Einstein counts per slot).  carrier_offset_hz shifts
-    the field frequency; the offset difference of a source pair sets the
-    beat rate seen in g2(tau).
+    1/(pi*coherence_time)); mode "thermal" draws an independent complex
+    Gaussian amplitude for each coherence slot [k*tc, (k+1)*tc), so slot
+    intensities are exponential (Bose-Einstein counts per slot).
+    carrier_offset_hz shifts the field frequency; the offset difference of a
+    source pair sets the beat rate seen in g2(tau).
     """
 
     mean_rate: float
@@ -128,109 +133,116 @@ class G2Curve:
             raise ValueError("g2 values must be nonnegative")
 
 
-class _FieldState:
-    """Mutable per-source envelope state carried across simulation chunks."""
+class _Envelope:
+    """Field envelope of one source, drawn forward in time from its stream.
 
-    def __init__(self, source: ThermalFieldModel, dt: float, rng: Generator):
-        self.source = source
-        self.dt = dt
-        self.rng = rng
-        if source.mode == "coherent":
-            self.phase = float(rng.uniform(0.0, 2.0 * math.pi))
-            self.sigma = math.sqrt(dt / source.coherence_time)
-        else:
-            self.steps_per_slot = max(1, int(round(source.coherence_time / dt)))
-            self.current_slot = -1
-            self.current_value = 0.0 + 0.0j
+    A laser: modulus 1, phase random-walking with Wiener increments of
+    variance dt/coherence_time, plus the carrier.  A thermal source: one
+    complex Gaussian amplitude (exponential intensity, uniform phase) per
+    slot [k*tc, (k+1)*tc), times the carrier.
+    """
 
-    def _gaussian_slots(self, n: int) -> np.ndarray:
-        z = self.rng.standard_normal(2 * n)
-        return (z[0::2] + 1j * z[1::2]) / math.sqrt(2.0)
+    def __init__(self, source: ThermalFieldModel, rng: Generator):
+        self.source, self.rng = source, rng
+        self.time, self.phase = 0.0, float(rng.uniform(0.0, 2.0 * math.pi))
+        # intensity and phase of slot next_slot - 1 (a stand-in before slot 0)
+        self.next_slot, self.held = 0, np.zeros((2, 1))
 
-    def chunk(self, start_step: int, n: int) -> np.ndarray:
-        src = self.source
-        if src.mode == "coherent":
-            incr = self.rng.normal(0.0, self.sigma, size=n)
-            incr += 2.0 * math.pi * src.carrier_offset_hz * self.dt
-            phases = self.phase + np.cumsum(incr)
-            self.phase = float(phases[-1])
-            return np.exp(1j * phases)
-        slot_ids = (start_step + np.arange(n)) // self.steps_per_slot
-        first, last = int(slot_ids[0]), int(slot_ids[-1])
-        if self.current_slot < 0:
-            values = self._gaussian_slots(last - first + 1)
-            table_base = first
-        else:
-            fresh = self._gaussian_slots(last - self.current_slot)
-            values = np.concatenate(([self.current_value], fresh))
-            table_base = self.current_slot
-        self.current_slot = last
-        self.current_value = complex(values[-1])
-        env = values[slot_ids - table_base]
-        if src.carrier_offset_hz:
-            t = (start_step + np.arange(n)) * self.dt
-            env = env * np.exp(2j * math.pi * src.carrier_offset_hz * t)
-        return env
+    def slots(self, edges: np.ndarray) -> np.ndarray:
+        """Intensity and phase of the amplitude on each piece between the
+        sorted edges."""
+        if self.source.mode == "coherent":
+            return np.stack((np.ones(edges.size - 1), np.zeros(edges.size - 1)))
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        # column c of the table is slot next_slot - 1 + c
+        cols = np.floor(mids / self.source.coherence_time).astype(np.int64)
+        cols -= self.next_slot - 1
+        fresh = int(cols[-1])
+        table = np.hstack((self.held, [self.rng.standard_exponential(fresh),
+                                       self.rng.uniform(0.0, 2.0 * math.pi, fresh)]))
+        self.next_slot += fresh
+        self.held = table[:, -1:].copy()
+        return np.take(table, cols, axis=1)
+
+    def phases(self, times: np.ndarray) -> np.ndarray:
+        """Phase on top of the slot amplitude at each of the sorted times."""
+        carrier = 2.0 * math.pi * self.source.carrier_offset_hz
+        if self.source.mode == "thermal":
+            return carrier * times
+        steps = np.diff(times, prepend=self.time)
+        phases = carrier * steps
+        steps /= self.source.coherence_time
+        phases += np.sqrt(steps, out=steps) * self.rng.standard_normal(times.size)
+        np.cumsum(phases, out=phases)
+        phases += self.phase
+        if times.size:
+            self.time, self.phase = times[-1], phases[-1]
+        return phases
 
 
-def _time_step(sources: list[ThermalFieldModel]) -> float:
-    dt = math.inf
-    for s in sources:
-        if s.mode == "coherent":
-            dt = min(dt, s.coherence_time / _STEPS_PER_COHERENCE)
-        else:
-            dt = min(dt, s.coherence_time)
-    offsets = [s.carrier_offset_hz for s in sources]
-    beat = max(abs(o) for o in offsets) if offsets else 0.0
-    if len(offsets) == 2:
-        beat = max(beat, abs(offsets[0] - offsets[1]))
-    if beat > 0:
-        dt = min(dt, 1.0 / (16.0 * beat))
-    return max(dt, 1e-12)
+def _pieces(slot_lengths: list[float], duration: float):
+    """Edges of the pieces of [0, duration) on which every envelope modulus
+    is constant (the whole run without thermal sources), in batches of at
+    most _CHUNK of the shortest slots."""
+    tc = slot_lengths[0] if slot_lengths else duration
+    n_slots = math.ceil(duration / tc)
+    for k0 in range(0, n_slots, _CHUNK):
+        edges = np.arange(k0, min(k0 + _CHUNK, n_slots) + 1) * tc
+        for other in slot_lengths[1:]:
+            edges = np.union1d(edges, np.arange(math.floor(edges[0] / other) + 1,
+                                                math.ceil(edges[-1] / other)) * other)
+        yield np.minimum(edges, duration)  # pieces past the end are empty
+
+
+def _poisson_points(rng: Generator, rate: np.ndarray, edges: np.ndarray):
+    """Sorted points of a Poisson process of rate[j] on [edges[j], edges[j+1]),
+    and the piece j of each: sorted uniform points over the total expected
+    count, mapped back into the pieces through the cumulative count."""
+    lengths = np.diff(edges)
+    expected = rate * lengths
+    cumulative = np.concatenate(([0.0], np.cumsum(expected)))
+    x = np.sort(rng.uniform(size=rng.poisson(cumulative[-1]))) * cumulative[-1]
+    piece = np.searchsorted(cumulative, x, side="right") - 1
+    x -= cumulative[piece]
+    x /= expected[piece]
+    # x < 1 but for rounding; clipping keeps every point inside its piece
+    return edges[piece] + np.minimum(x, 1.0, out=x) * lengths[piece], piece
 
 
 def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | None,
                     geometry: InterferometerGeometry,
                     det_a: DetectorSetting, det_b: DetectorSetting,
                     duration: float, seed: int, trial: int = 0,
-                    standard_detection: bool = False,
-                    defer_efficiency: bool = False
+                    standard_detection: bool = False
                     ) -> tuple[EventStream, EventStream]:
     """Generate one event stream per detector for the configured setup.
 
-    The per-step detection rate of each detector is the semiclassical
-    intensity of the two interfering source fields through the detector
-    couplings; its interference part carries sqrt(v_deg) per detector so a
-    matched pair degrades the coincidence fringe by v_deg exactly once.
-    With standard_detection the conversion stage is bypassed and the two
-    colors beat only if their wavelengths coincide.
+    The detection rate of each detector is the semiclassical intensity of
+    the two interfering source fields through the detector couplings,
+    scaled by its efficiency; its interference part carries sqrt(v_deg)
+    per detector so a matched pair degrades the coincidence fringe by v_deg
+    exactly once.  With standard_detection the conversion stage is bypassed
+    and the two colors beat only if their wavelengths coincide.
 
-    Efficiency thins the signal rate at generation unless defer_efficiency
-    is set (then apply_efficiency reproduces the same thinning law
-    post hoc); dark counts are appended unthinned from their own streams.
+    Arrivals are drawn by thinning (see the module docstring): on each piece
+    where the envelope moduli m1, m2 are constant, the rate
+    b1*m1^2 + b2*m2^2 + 2*m1*m2*Re(c*exp(i*(phi1 - phi2))) is bounded by
+    b1*m1^2 + b2*m2^2 + 2*|c|*m1*m2.  A rate outside [0, bound] raises
+    RuntimeError.  Dark counts are merged in from their own streams.
     """
     sources = [source1] + ([source2] if source2 is not None else [])
-    tc_max = max(s.coherence_time for s in sources)
-    if duration < 100.0 * tc_max:
+    if duration < 100.0 * max(s.coherence_time for s in sources):
         warnings.warn(f"duration {duration:g}s is under 100 coherence times; "
                       "estimates may be statistically unstable", stacklevel=2)
-    dt = _time_step(sources)
-    n_steps = int(math.ceil(duration / dt))
     duration_ps = int(round(duration * PS_PER_S))
-
-    rng_f1 = substream(seed, trial, 0)
-    state1 = _FieldState(source1, dt, rng_f1)
-    state2 = _FieldState(source2, dt, substream(seed, trial, 1)) if source2 else None
-    rng_det = [substream(seed, trial, 2), substream(seed, trial, 3)]
 
     w1 = source1.mean_rate / 2.0
     w2 = source2.mean_rate / 2.0 if source2 else 0.0
     same_wavelength = abs(geometry.lambda1 - geometry.lambda2) <= 1e-12 * geometry.lambda1
 
+    # per detector: b1, b2, the swing 2|c| and arg(c), efficiency folded in
     det_consts = []
     for det, name in ((det_a, "A"), (det_b, "B")):
-        psi1 = geometry.path_phase(1, name)
-        psi2 = geometry.path_phase(2, name)
         if standard_detection:
             # no conversion stage: colors beat only when degenerate
             k1 = k2 = 1.0 + 0.0j
@@ -238,71 +250,58 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
         else:
             k1, k2 = detector_couplings(det)
             mix = source2 is not None
-        b1 = abs(k1) ** 2 * w1
-        b2 = abs(k2) ** 2 * w2
-        cross_coeff = 0.0
-        if mix:
-            cross_coeff = (math.sqrt(det.visibility_degradation)
-                           * k1 * np.conj(k2) * math.sqrt(w1 * w2)
-                           * np.exp(1j * (psi1 - psi2)))
-        det_consts.append((b1, b2, cross_coeff,
-                           1.0 if defer_efficiency else det.efficiency))
+        psi = geometry.path_phase(1, name) - geometry.path_phase(2, name)
+        cross = (math.sqrt(det.visibility_degradation) * k1 * np.conj(k2)
+                 * math.sqrt(w1 * w2) * np.exp(1j * psi)) if mix else 0.0j
+        eff = det.efficiency
+        det_consts.append((eff * abs(k1) ** 2 * w1, eff * abs(k2) ** 2 * w2,
+                           eff * 2.0 * abs(cross), float(np.angle(cross))))
+    beating = any(swing for _, _, swing, _ in det_consts)
 
+    envelopes = [_Envelope(s, substream(seed, trial, role))
+                 for role, s in enumerate(sources)]
+    rng_det = [substream(seed, trial, 2), substream(seed, trial, 3)]
+    slot_lengths = sorted({s.coherence_time for s in sources if s.mode == "thermal"})
     times = [[], []]
-    for start in range(0, n_steps, _CHUNK):
-        n = min(_CHUNK, n_steps - start)
-        e1 = state1.chunk(start, n)
-        i1 = np.abs(e1) ** 2
-        if state2 is not None:
-            e2 = state2.chunk(start, n)
-            i2 = np.abs(e2) ** 2
-            beat = e1 * np.conj(e2)
-        else:
-            i2 = 0.0
-            beat = None
-        for d, (b1, b2, cross_coeff, eff) in enumerate(det_consts):
-            rate = b1 * i1 + b2 * i2
-            if beat is not None and cross_coeff != 0.0:
-                rate = rate + 2.0 * np.real(cross_coeff * beat)
-            mu = np.clip(rate, 0.0, None) * (dt * eff)
-            counts = rng_det[d].poisson(mu)
-            total = int(counts.sum())
-            if total:
-                steps_idx = np.repeat(np.arange(n, dtype=np.float64), counts)
-                offs = rng_det[d].uniform(size=total)
-                t_s = (start + steps_idx + offs) * dt
-                times[d].append(np.floor(t_s * PS_PER_S).astype(np.int64))
+    for edges in _pieces(slot_lengths, duration):
+        fields = [env.slots(edges) for env in envelopes]
+        # without source 2, b2 and the swing are 0 and fields[-1] is a stand-in
+        (i1, p1), (i2, p2) = fields[0], fields[-1]
+        root = np.sqrt(i1 * i2)
+        candidates = [_poisson_points(rng, b1 * i1 + b2 * i2 + swing * root, edges)
+                      for rng, (b1, b2, swing, _) in zip(rng_det, det_consts)]
+        if beating:
+            # both envelopes at the merged, sorted candidate times of A and B
+            beat = np.concatenate([t for t, _ in candidates])
+            order = np.argsort(beat, kind="stable")
+            at = beat[order]
+            beat[order] = envelopes[0].phases(at) - envelopes[1].phases(at)
+            beat = np.split(beat, [candidates[0][0].size])
+        for d, (t, piece) in enumerate(candidates):
+            if beating:
+                b1, b2, swing, offset = det_consts[d]
+                base = b1 * i1[piece] + b2 * i2[piece]
+                swing = swing * root[piece]
+                bound = base + swing
+                rate = base + swing * np.cos(beat[d] + offset + p1[piece] - p2[piece])
+                # rate <= bound exactly; below 0 only by rounding when v_deg <= 1
+                if np.any(rate > bound) or np.any(rate < -1e-12 * bound):
+                    raise RuntimeError("detection rate outside [0, bound]: "
+                                       f"{rate.min():.6g} .. {rate.max():.6g}")
+                t = t[rng_det[d].uniform(size=t.size) * bound < rate]
+            times[d].append(np.floor(t * PS_PER_S).astype(np.int64))
 
     streams = []
     for d, (det, name) in enumerate(((det_a, "A"), (det_b, "B"))):
-        ts = np.concatenate(times[d]) if times[d] else np.empty(0, dtype=np.int64)
         rng_dark = substream(seed, trial, 4 + d)
-        n_dark = int(rng_dark.poisson(det.dark_count_rate * duration))
-        if n_dark:
-            dark_ts = np.floor(rng_dark.uniform(0.0, duration, size=n_dark)
-                               * PS_PER_S).astype(np.int64)
-            ts = np.concatenate([ts, dark_ts])
-        ts = np.unique(ts)
-        ts = ts[(ts >= 0) & (ts < duration_ps)]
+        dark = np.sort(rng_dark.uniform(
+            0.0, duration, size=rng_dark.poisson(det.dark_count_rate * duration)))
+        ts = np.concatenate(times[d] + [np.floor(dark * PS_PER_S).astype(np.int64)])
+        ts.sort(kind="stable")  # merges the two sorted runs
+        # arrivals within one picosecond collapse to one count
+        ts = ts[(np.diff(ts, prepend=-1) != 0) & (ts < duration_ps)]
         streams.append(EventStream(name, ts, duration_ps, seed))
     return streams[0], streams[1]
-
-
-def apply_efficiency(stream: EventStream, efficiency: float, seed: int,
-                     trial: int = 0) -> EventStream:
-    """Post-hoc thinning: keep each event independently with prob efficiency.
-
-    Uses the same seed-derived thinning substream role (6 for detector A,
-    7 for B) so a deferred-efficiency simulation plus this call is the
-    documented counterpart of thinning at generation.
-    """
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError("efficiency must lie in [0, 1]")
-    role = 6 if stream.detector_id == "A" else 7
-    rng = substream(seed, trial, role)
-    keep = rng.uniform(size=stream.count) < efficiency
-    return EventStream(stream.detector_id, stream.timestamps[keep],
-                       stream.duration_ps, stream.rng_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare, ks_2samp
+from scipy.stats import chisquare, ks_2samp, kstest
 
 from chromint.erasure import DetectorSetting
-from chromint.interferometry import SPEED_OF_LIGHT, InterferometerGeometry
+from chromint.interferometry import (
+    SPEED_OF_LIGHT,
+    InterferometerGeometry,
+    detector_couplings,
+)
 from chromint.stochastic import (
     CoincidencePartial,
     EventStream,
     G2Curve,
+    PS_PER_S,
     ThermalFieldModel,
-    apply_efficiency,
     estimate_g2,
     fit_fringe,
     fit_fringe_free_period,
@@ -289,20 +293,69 @@ def test_thermal_slot_counts_are_bose_einstein():
 
 
 def test_thinning_invariance():
+    # efficiency scales the rate and its bound alike: singles scale by eta
+    # and the distribution of g2(0) over seeds does not move
     s1, s2 = coherent_pair(rate=3e7, tc=100e-9)
-    det_eff = DetectorSetting(math.pi / 4, efficiency=0.6)
-    det_full = DetectorSetting(math.pi / 4, efficiency=0.6)
-    direct, deferred = [], []
-    for seed in range(40):
-        a1, b1 = quiet_simulate(s1, s2, GEO, det_eff, det_eff, 2e-3, seed=seed)
-        direct.append(estimate_g2(a1, b1, [0], 1000).values[0])
-        a2, b2 = quiet_simulate(s1, s2, GEO, det_full, det_full, 2e-3,
-                                seed=seed + 1000, defer_efficiency=True)
-        a2 = apply_efficiency(a2, 0.6, seed + 1000)
-        b2 = apply_efficiency(b2, 0.6, seed + 1000)
-        deferred.append(estimate_g2(a2, b2, [0], 1000).values[0])
-    _, p = ks_2samp(direct, deferred)
+    singles, g2 = {}, {}
+    for eta, seed0 in ((0.6, 0), (1.0, 1000)):
+        det = DetectorSetting(math.pi / 4, efficiency=eta)
+        singles[eta], g2[eta] = 0, []
+        for seed in range(seed0, seed0 + 40):
+            a, b = quiet_simulate(s1, s2, GEO, det, det, 2e-3, seed=seed)
+            singles[eta] += a.count + b.count
+            g2[eta].append(estimate_g2(a, b, [0], 1000).values[0])
+    # 80 streams of ~3e4 counts, super-Poissonian by the beat: the ratio's
+    # standard error is about 0.15%
+    assert abs(singles[0.6] / singles[1.0] / 0.6 - 1.0) < 0.01
+    _, p = ks_2samp(g2[0.6], g2[1.0])
     assert p > 0.01
+
+
+def test_constant_rate_interarrivals_are_exponential():
+    # one laser under standard detection has a constant rate, so thinning
+    # keeps every candidate and arrivals form a homogeneous Poisson process:
+    # exponential gaps, and arrival times uniform over the run
+    eta = 0.7
+    source = ThermalFieldModel(2e7, 318e-9, "coherent")
+    det = DetectorSetting(0.0, efficiency=eta)
+    a, b = simulate_events(source, None, GEO, det, det, 2e-3, seed=21,
+                           standard_detection=True)
+    rate = eta * 2e7 / 2
+    for s in (a, b):
+        gaps = np.diff(s.timestamps) / PS_PER_S
+        assert gaps.size > 10_000
+        assert kstest(gaps, "expon", args=(0.0, 1.0 / rate)).pvalue > 0.01
+        assert kstest(s.timestamps / s.duration_ps, "uniform").pvalue > 0.01
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(st.floats(0.0, math.pi / 2), st.floats(0.0, 2 * math.pi),
+       st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0),
+       st.floats(0.0, 3e-6), st.sampled_from(["coherent", "thermal"]),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_thinning_rate_within_bound(theta, phase_a, phase_b, v_deg, delay,
+                                    kind, standard, seed):
+    # by AM-GM the rate is never negative for v_deg <= 1, so simulate_events
+    # never raises; each detector counts its mean rate within 5 sigma, with
+    # the variance of the integrated intensity added to the shot noise
+    tc, duration, rate = (50e-9 if kind == "coherent" else 5e-9), 1e-3, 2e7
+    s1 = ThermalFieldModel(rate, tc, kind)
+    s2 = ThermalFieldModel(rate, tc, kind, 10e6)
+    dets = [DetectorSetting(theta, phase, output_filter=1, efficiency=0.5,
+                            visibility_degradation=v_deg)
+            for phase in (phase_a, phase_b)]
+    streams = simulate_events(s1, s2, GEO.with_delay(delay), *dets, duration,
+                              seed, standard_detection=standard)
+    for stream, det in zip(streams, dets):
+        # standard detection of two distinct colors has no beat term
+        k1, k2 = (1.0, 1.0) if standard else detector_couplings(det)
+        b1 = det.efficiency * abs(k1) ** 2 * rate / 2
+        b2 = det.efficiency * abs(k2) ** 2 * rate / 2
+        cross2 = 0.0 if standard else v_deg * b1 * b2
+        mean = (b1 + b2) * duration
+        excess = duration * tc * (4 * cross2 + (b1 ** 2 + b2 ** 2
+                                                if kind == "thermal" else 0.0))
+        assert abs(stream.count - mean) <= 5 * math.sqrt(mean + excess)
 
 
 def test_g2_decorrelates_beyond_coherence_time():
@@ -310,10 +363,14 @@ def test_g2_decorrelates_beyond_coherence_time():
     s1, s2 = coherent_pair(rate=4e7, tc=tc)
     det = DetectorSetting(math.pi / 4)
     curve = g2_vs_tau_scan(s1, s2, GEO, det, det, 0.05,
-                           [0, int(20 * tc * 1e12)], 1000, seed=2718)
-    near, far = curve.values
+                           [0, int(tc * 1e12), int(20 * tc * 1e12)], 1000,
+                           seed=2718)
+    near, one_tc, far = curve.values
     assert near > 1.2
     assert abs(far - 1.0) < 0.05
+    # the phase difference of the pair diffuses at 2/tc, so the beat
+    # correlation decays as exp(-tau/tc); the ratio's standard error is ~0.02
+    assert abs((one_tc - 1.0) / (near - 1.0) - math.exp(-1.0)) < 0.08
 
 
 # ---------------------------------------------------------------------------
