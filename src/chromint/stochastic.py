@@ -6,17 +6,27 @@ amplitude per coherence slot for a thermally populated mode), detectors see
 the interfering intensity through the color-erasure couplings, and photon
 arrivals are the inhomogeneous Poisson process with that intensity as rate.
 They are drawn exactly, in continuous time, by thinning (Lewis & Shedler,
-Naval Res. Logist. Q. 26, 403 (1979)): the envelope moduli are constant on
-pieces (the whole run, or one coherence slot), so candidates are drawn at a
-constant bound per piece, the envelopes are evaluated at the candidate
-times (exact Wiener increments in between), and each candidate is kept with
-probability rate/bound.  The cost follows the candidates, not a time grid.
+Naval Res. Logist. Q. 26, 403 (1979)): candidates come at an upper bound of
+the rate, each kept with probability rate/bound.  By AM-GM the cross term
+2|c|*sqrt(i1*i2)*cos(.) of source intensities i1, i2 is at most
+|c|*(i1 + i2), so each detector's bound has one linear term per source.  A
+laser's term is constant (i = 1), drawn per detector.  A thermal term, over
+both detectors, puts Poisson(a*i) candidates into a slot of intensity
+i ~ Exp(1): geometric (Bose-Einstein) with mean a (Mandel, Proc. Phys. Soc.
+74, 233 (1959)).  Only slots that receive one are drawn, by geometric skips
+of success a/(1 + a), with a zero-truncated geometric count, an intensity
+~ Gamma(count + 1, rate 1 + a) and a uniform phase; its candidates fall
+uniformly in it and split between the detectors by their weights.  A slot
+only the other source's candidates reach has intensity ~ Exp(rate 1 + a).
+The envelopes are evaluated at the candidate times (exact Wiener increments
+in between); the cost follows the candidates, batched by about _CHUNK.
 
 Randomness is drawn from named Philox counter streams keyed as
-(seed, trial*8 + role) with roles: 0/1 source-1/2 envelope, 2/3 detector
-A/B candidates (count, placement and acceptance), 4/5 detector A/B dark
-counts.  Identical (config, seed, trial) input therefore reproduces
-bit-identical event streams.
+(seed, trial*8 + role) with roles: 0/1 source-1/2 envelope (a laser's
+phase walk; a thermal source's slots, its candidates' placement and
+detector), 2/3 detector A/B (the lasers' candidates and every candidate's
+acceptance), 4/5 detector A/B dark counts.  Identical (config, seed, trial)
+input therefore reproduces bit-identical event streams.
 
 Timestamps are integer picoseconds; simultaneous arrivals within 1 ps
 collapse to a single count (detector dead-time proxy).
@@ -27,7 +37,7 @@ o = round(tau / gate), counts every pair of events, so
 g2 = n_coinc * n_bin / (n_A * n_B) is unbiased for independent Poisson
 streams at any occupancy (pair counting over sorted time tags: Laurence,
 Fore & Huser, Opt. Lett. 31, 829 (2006); Wahl et al., Opt. Express 11, 3583
-(2003)).  Every requested offset comes out of one walk over the sparse,
+(2003)).  Nearby requested offsets come out of one walk over the sparse,
 sorted bin counts.
 """
 
@@ -46,7 +56,7 @@ from .erasure import DetectorSetting
 from .interferometry import InterferometerGeometry, detector_couplings
 
 PS_PER_S = 1_000_000_000_000
-_CHUNK = 1 << 20  # coherence slots per batch: bounds the thermal slot loop's memory
+_CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
 
 
 def substream(seed: int, trial: int, role: int) -> Generator:
@@ -65,7 +75,8 @@ class ThermalFieldModel:
     with the configured coherence time (Lorentzian line, linewidth
     1/(pi*coherence_time)); mode "thermal" draws an independent complex
     Gaussian amplitude for each coherence slot [k*tc, (k+1)*tc), so slot
-    intensities are exponential (Bose-Einstein counts per slot).
+    intensities are exponential (Bose-Einstein counts per slot); a split beam
+    has g2(tau) = 1 + (1 - |tau|/tc)+, not a Lorentzian 1 + exp(-2|tau|/tc).
     carrier_offset_hz shifts the field frequency; the offset difference of a
     source pair sets the beat rate seen in g2(tau).
     """
@@ -139,74 +150,83 @@ class _Envelope:
     A laser: modulus 1, phase random-walking with Wiener increments of
     variance dt/coherence_time, plus the carrier.  A thermal source: one
     complex Gaussian amplitude (exponential intensity, uniform phase) per
-    slot [k*tc, (k+1)*tc), times the carrier.
+    slot [k*tc, (k+1)*tc), times the carrier; it also draws the candidates
+    of its term of the bound, `weights` per detector at unit intensity.
     """
 
-    def __init__(self, source: ThermalFieldModel, rng: Generator):
-        self.source, self.rng = source, rng
+    def __init__(self, source: ThermalFieldModel, weights: tuple[float, float],
+                 rng: Generator):
+        self.source, self.weights, self.rng = source, weights, rng
         self.time, self.phase = 0.0, float(rng.uniform(0.0, 2.0 * math.pi))
-        # intensity and phase of slot next_slot - 1 (a stand-in before slot 0)
-        self.next_slot, self.held = 0, np.zeros((2, 1))
+        self.a = sum(weights) * source.coherence_time  # candidates per slot at i = 1
+        # drawn slots (index, intensity, phase), between batches the last one;
+        # carry: per detector, candidates of that slot past the batch end
+        self.next_slot, self.table = 0, (np.array([-1]), np.zeros(1), np.zeros(1))
+        self.carry = [(np.zeros(0), np.zeros(0, np.int64))] * 2
 
-    def slots(self, edges: np.ndarray) -> np.ndarray:
-        """Intensity and phase of the amplitude on each piece between the
-        sorted edges."""
-        if self.source.mode == "coherent":
-            return np.stack((np.ones(edges.size - 1), np.zeros(edges.size - 1)))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        # column c of the table is slot next_slot - 1 + c
-        cols = np.floor(mids / self.source.coherence_time).astype(np.int64)
-        cols -= self.next_slot - 1
-        fresh = int(cols[-1])
-        table = np.hstack((self.held, [self.rng.standard_exponential(fresh),
-                                       self.rng.uniform(0.0, 2.0 * math.pi, fresh)]))
-        self.next_slot += fresh
-        self.held = table[:, -1:].copy()
-        return np.take(table, cols, axis=1)
+    def candidates(self, end: float):
+        """Per detector, the times and slots of this thermal term's
+        candidates before `end`; only the slots that receive one are drawn."""
+        tc, a, rng = self.source.coherence_time, self.a, self.rng
+        first, self.next_slot = self.next_slot, max(self.next_slot, math.ceil(end / tc))
+        slots = _occupied(rng, a / (1.0 + a), first, self.next_slot)
+        # zero-truncated geometric count, then the intensity given the count
+        counts = rng.geometric(1.0 / (1.0 + a), slots.size)
+        values = (slots, rng.standard_gamma(counts + 1.0) / (1.0 + a),
+                  rng.uniform(0.0, 2.0 * math.pi, slots.size))
+        self.table = tuple(np.concatenate((x[-1:], y)) for x, y in zip(self.table, values))
+        # each candidate goes to detector A with probability its weight share
+        to_a = rng.binomial(counts, self.weights[0] / (sum(self.weights) or 1.0))
+        drawn = []
+        for d, n in enumerate((to_a, counts - to_a)):
+            slot = np.repeat(slots, n)
+            t, slot = (np.concatenate(x) for x in zip(
+                self.carry[d], ((slot + rng.uniform(size=slot.size)) * tc, slot)))
+            later = t >= end
+            self.carry[d] = (t[later], slot[later])
+            drawn.append((t[~later], slot[~later]))
+        return drawn
 
-    def phases(self, times: np.ndarray) -> np.ndarray:
-        """Phase on top of the slot amplitude at each of the sorted times."""
+    def field(self, times: np.ndarray, slot: np.ndarray | None):
+        """Intensity (1.0 for a laser) and phase at the sorted times of one
+        batch; `slot` holds a thermal source's own candidates' slots, else -1."""
         carrier = 2.0 * math.pi * self.source.carrier_offset_hz
-        if self.source.mode == "thermal":
-            return carrier * times
-        steps = np.diff(times, prepend=self.time)
-        phases = carrier * steps
-        steps /= self.source.coherence_time
-        phases += np.sqrt(steps, out=steps) * self.rng.standard_normal(times.size)
-        np.cumsum(phases, out=phases)
-        phases += self.phase
-        if times.size:
-            self.time, self.phase = times[-1], phases[-1]
-        return phases
+        if self.source.mode == "coherent":
+            steps = np.diff(times, prepend=self.time)
+            phases = carrier * steps
+            steps /= self.source.coherence_time
+            phases += np.sqrt(steps, out=steps) * self.rng.standard_normal(times.size)
+            np.cumsum(phases, out=phases)
+            phases += self.phase
+            if times.size:
+                self.time, self.phase = times[-1], phases[-1]
+            return 1.0, phases
+        known, intensity, phase = self.table
+        floor = np.clip(np.floor(times / self.source.coherence_time), known[0], self.next_slot - 1)
+        slot = np.where(slot < 0, floor.astype(np.int64), slot)
+        # a slot only the other term reached had no candidate: Exp(rate 1 + a)
+        seen = _collapse(np.sort(np.append(slot, self.next_slot - 1), kind="stable"))[0]
+        at = np.minimum(np.searchsorted(known, seen), known.size - 1)
+        hit = known[at] == seen
+        intensity = np.where(hit, intensity[at],
+                             self.rng.standard_exponential(seen.size) / (1.0 + self.a))
+        phase = np.where(hit, phase[at], self.rng.uniform(0.0, 2.0 * math.pi, seen.size))
+        self.table = (seen[-1:], intensity[-1:], phase[-1:])
+        at = np.searchsorted(seen, slot)
+        return intensity[at], phase[at] + carrier * times
 
 
-def _pieces(slot_lengths: list[float], duration: float):
-    """Edges of the pieces of [0, duration) on which every envelope modulus
-    is constant (the whole run without thermal sources), in batches of at
-    most _CHUNK of the shortest slots."""
-    tc = slot_lengths[0] if slot_lengths else duration
-    n_slots = math.ceil(duration / tc)
-    for k0 in range(0, n_slots, _CHUNK):
-        edges = np.arange(k0, min(k0 + _CHUNK, n_slots) + 1) * tc
-        for other in slot_lengths[1:]:
-            edges = np.union1d(edges, np.arange(math.floor(edges[0] / other) + 1,
-                                                math.ceil(edges[-1] / other)) * other)
-        yield np.minimum(edges, duration)  # pieces past the end are empty
-
-
-def _poisson_points(rng: Generator, rate: np.ndarray, edges: np.ndarray):
-    """Sorted points of a Poisson process of rate[j] on [edges[j], edges[j+1]),
-    and the piece j of each: sorted uniform points over the total expected
-    count, mapped back into the pieces through the cumulative count."""
-    lengths = np.diff(edges)
-    expected = rate * lengths
-    cumulative = np.concatenate(([0.0], np.cumsum(expected)))
-    x = np.sort(rng.uniform(size=rng.poisson(cumulative[-1]))) * cumulative[-1]
-    piece = np.searchsorted(cumulative, x, side="right") - 1
-    x -= cumulative[piece]
-    x /= expected[piece]
-    # x < 1 but for rounding; clipping keeps every point inside its piece
-    return edges[piece] + np.minimum(x, 1.0, out=x) * lengths[piece], piece
+def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
+    """Sorted slots of [first, stop), each occupied with probability q, by
+    geometric skips drawn by inversion (a tiny q cannot overflow them)."""
+    found, last = [np.zeros(0)], first - 1.0
+    while q > 0 and last < stop - 1:
+        expected = (stop - 1 - last) * q
+        skips = rng.standard_exponential(int(expected + 5.0 * math.sqrt(expected)) + 16)
+        slots = last + np.cumsum(np.ceil(skips / -math.log1p(-q)))
+        found.append(slots[slots < stop])
+        last = slots[-1]
+    return np.concatenate(found).astype(np.int64)
 
 
 def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | None,
@@ -224,11 +244,10 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
     exactly once.  With standard_detection the conversion stage is bypassed
     and the two colors beat only if their wavelengths coincide.
 
-    Arrivals are drawn by thinning (see the module docstring): on each piece
-    where the envelope moduli m1, m2 are constant, the rate
-    b1*m1^2 + b2*m2^2 + 2*m1*m2*Re(c*exp(i*(phi1 - phi2))) is bounded by
-    b1*m1^2 + b2*m2^2 + 2*|c|*m1*m2.  A rate outside [0, bound] raises
-    RuntimeError.  Dark counts are merged in from their own streams.
+    Arrivals are drawn by thinning (see the module docstring): with source
+    intensities i1, i2, the rate b1*i1 + b2*i2 + 2*|c|*sqrt(i1*i2)*cos(.)
+    has the bound b1*i1 + b2*i2 + |c|*(i1 + i2).  A rate outside [0, bound]
+    raises RuntimeError.  Dark counts are merged in from their own streams.
     """
     sources = [source1] + ([source2] if source2 is not None else [])
     if duration < 100.0 * max(s.coherence_time for s in sources):
@@ -258,38 +277,51 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
                            eff * 2.0 * abs(cross), float(np.angle(cross))))
     beating = any(swing for _, _, swing, _ in det_consts)
 
-    envelopes = [_Envelope(s, substream(seed, trial, role))
-                 for role, s in enumerate(sources)]
+    # the bound is b_j + swing/2 per unit of source j's intensity: the lasers'
+    # share is drawn per detector, a thermal source's by its envelope
+    envelopes = [_Envelope(s, tuple(c[j] + c[2] / 2.0 for c in det_consts),
+                           substream(seed, trial, j))
+                 for j, s in enumerate(sources)]
+    thermal = [e for e in envelopes if e.source.mode == "thermal"]
+    steady = [sum(e.weights[d] for e in envelopes if e not in thermal) for d in (0, 1)]
+    expected = duration * (sum(steady) + sum(sum(e.weights) for e in thermal))
+    edges = np.linspace(0.0, duration, 1 + max(1, math.ceil(expected / _CHUNK)))
     rng_det = [substream(seed, trial, 2), substream(seed, trial, 3)]
-    slot_lengths = sorted({s.coherence_time for s in sources if s.mode == "thermal"})
     times = [[], []]
-    for edges in _pieces(slot_lengths, duration):
-        fields = [env.slots(edges) for env in envelopes]
-        # without source 2, b2 and the swing are 0 and fields[-1] is a stand-in
-        (i1, p1), (i2, p2) = fields[0], fields[-1]
-        root = np.sqrt(i1 * i2)
-        candidates = [_poisson_points(rng, b1 * i1 + b2 * i2 + swing * root, edges)
-                      for rng, (b1, b2, swing, _) in zip(rng_det, det_consts)]
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        # (times, detector, slot, the envelope that drew them)
+        parts = [(np.sort(rng.uniform(t0, t1, rng.poisson(c * (t1 - t0)))), d, None, None)
+                 for d, (rng, c) in enumerate(zip(rng_det, steady))]
+        parts += [(t, d, slot, e) for e in thermal
+                  for d, (t, slot) in enumerate(e.candidates(t1))]
+        t = np.concatenate([p[0] for p in parts])
         if beating:
             # both envelopes at the merged, sorted candidate times of A and B
-            beat = np.concatenate([t for t, _ in candidates])
-            order = np.argsort(beat, kind="stable")
-            at = beat[order]
-            beat[order] = envelopes[0].phases(at) - envelopes[1].phases(at)
-            beat = np.split(beat, [candidates[0][0].size])
-        for d, (t, piece) in enumerate(candidates):
+            # (a thermal one takes the slots of its own candidates, -1
+            # elsewhere), then back in the order of parts
+            order = np.argsort(t, kind="stable")
+            back = np.empty_like(order)
+            back[order] = np.arange(order.size)
+            (i1, ph1), (i2, ph2) = (e.field(t[order], np.concatenate(
+                [s if by is e else np.full(p.size, -1) for p, _, s, by in parts])[order]
+                if e in thermal else None) for e in envelopes)
+            beat, i1, i2 = (x[back] if np.ndim(x) else x for x in (ph1 - ph2, i1, i2))
+        detector = np.repeat([p[1] for p in parts], [p[0].size for p in parts])
+        for d in (0, 1):
+            mine = np.flatnonzero(detector == d)
+            td = t[mine]
             if beating:
                 b1, b2, swing, offset = det_consts[d]
-                base = b1 * i1[piece] + b2 * i2[piece]
-                swing = swing * root[piece]
-                bound = base + swing
-                rate = base + swing * np.cos(beat[d] + offset + p1[piece] - p2[piece])
-                # rate <= bound exactly; below 0 only by rounding when v_deg <= 1
-                if np.any(rate > bound) or np.any(rate < -1e-12 * bound):
+                j1, j2 = (x[mine] if np.ndim(x) else x for x in (i1, i2))
+                base = b1 * j1 + b2 * j2
+                bound = base + swing * (j1 + j2) / 2.0
+                rate = base + swing * np.sqrt(j1 * j2) * np.cos(beat[mine] + offset)
+                # by AM-GM rate <= bound, and rate >= 0 if v_deg <= 1, up to rounding
+                if np.any(rate > bound * (1.0 + 1e-12)) or np.any(rate < -1e-12 * bound):
                     raise RuntimeError("detection rate outside [0, bound]: "
                                        f"{rate.min():.6g} .. {rate.max():.6g}")
-                t = t[rng_det[d].uniform(size=t.size) * bound < rate]
-            times[d].append(np.floor(t * PS_PER_S).astype(np.int64))
+                td = td[rng_det[d].uniform(size=td.size) * bound < rate]
+            times[d].append(np.floor(td * PS_PER_S).astype(np.int64))
 
     streams = []
     for d, (det, name) in enumerate(((det_a, "A"), (det_b, "B"))):
@@ -297,7 +329,7 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
         dark = np.sort(rng_dark.uniform(
             0.0, duration, size=rng_dark.poisson(det.dark_count_rate * duration)))
         ts = np.concatenate(times[d] + [np.floor(dark * PS_PER_S).astype(np.int64)])
-        ts.sort(kind="stable")  # merges the two sorted runs
+        ts.sort(kind="stable")  # mostly a merge of sorted runs
         # arrivals within one picosecond collapse to one count
         ts = ts[(np.diff(ts, prepend=-1) != 0) & (ts < duration_ps)]
         streams.append(EventStream(name, ts, duration_ps, seed))
@@ -319,17 +351,13 @@ def _collapse(bins: np.ndarray, counts: np.ndarray | None = None
     return bins[ends - 1], np.diff(totals, prepend=0)
 
 
-def _dense_runs(offsets: list[int]):
-    """Split sorted distinct offsets into (first, stop) index runs.
-
-    A run ends where taking in the next offset would make its span in bins
-    more than twice the number of offsets it holds, so a run's window spans
-    at most twice as many offsets as it reports, however wide and sparse
-    the whole grid is.
-    """
+def _runs(offsets: list[int], pair_work: float, pass_work: int):
+    """Split sorted distinct offsets into (first, stop) index runs: a run ends
+    where the offsets up to the next one, at pair_work expected pairs and one
+    sum each, cost more than another pass over the bins (pass_work)."""
     first = 0
     for j in range(1, len(offsets)):
-        if offsets[j] - offsets[first] + 1 > 2 * (j - first + 1):
+        if (offsets[j] - offsets[j - 1] - 1) * (pair_work + 1.0) > pass_work:
             yield first, j
             first = j
     if offsets:
@@ -426,7 +454,8 @@ class CoincidencePartial:
                                    return_inverse=True)
         wanted = offsets.tolist()
         per_offset = np.zeros(offsets.size, dtype=np.int64)
-        for first, stop in _dense_runs(wanted):
+        pairs = self.bins_a.size * self.bins_b.size / max(self.n_bin, 1)
+        for first, stop in _runs(wanted, pairs, self.bins_a.size + self.bins_b.size):
             lo = wanted[first]
             per_offset[first:stop] = (self._window_sums(lo, wanted[stop - 1])
                                       [offsets[first:stop] - lo])
@@ -448,7 +477,7 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
     n_coinc = sum_k c_A[k] * c_B[k + o] with o = round(tau / gate), so
     every pair of events is counted, however many share a bin; for
     independent Poisson streams g2 is then 1 in expectation at any
-    occupancy.  All offsets are evaluated in one pass over the sorted bins.
+    occupancy.  Nearby offsets share one pass over the sorted bins.
     Empty streams yield NaN values with the counts preserved.
     """
     return CoincidencePartial.from_streams(stream_a, stream_b, gate_ps).to_curve(taus_ps)
@@ -628,35 +657,6 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
 
 # ---------------------------------------------------------------------------
 # Text formats.
-
-def write_event_csv(path, *streams: EventStream) -> None:
-    """Event file: detector_id,timestamp_ps rows sorted by timestamp."""
-    rows = []
-    for s in streams:
-        rows.extend((int(t), s.detector_id) for t in s.timestamps)
-    rows.sort()
-    with open(path, "w") as fh:
-        fh.write("detector_id,timestamp_ps\n")
-        for t, det in rows:
-            fh.write(f"{det},{t}\n")
-
-
-def read_event_csv(path, duration_ps: int | None = None, seed: int = 0
-                   ) -> dict[str, EventStream]:
-    by_det: dict[str, list[int]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "detector_id,timestamp_ps":
-            raise ValueError(f"unexpected event file header: {header!r}")
-        for line in fh:
-            det, t = line.strip().split(",")
-            by_det.setdefault(det, []).append(int(t))
-    if duration_ps is None:
-        duration_ps = 1 + max((max(v) for v in by_det.values() if v), default=0)
-    return {det: EventStream(det, np.array(sorted(v), dtype=np.int64),
-                             duration_ps, seed)
-            for det, v in by_det.items()}
-
 
 def write_g2_csv(path, curve: G2Curve) -> None:
     """G2 curve file: tau_ps,g2,n_coincidence,n_A,n_B,n_bin."""

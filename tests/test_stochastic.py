@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
 
+from chromint import stochastic
 from chromint.erasure import DetectorSetting
 from chromint.interferometry import (
     SPEED_OF_LIGHT,
@@ -27,10 +28,8 @@ from chromint.stochastic import (
     fringe_fft,
     fitted_visibility,
     g2_vs_tau_scan,
-    read_event_csv,
     simulate_events,
     substream,
-    write_event_csv,
     write_g2_csv,
 )
 
@@ -248,6 +247,30 @@ def test_g2_wide_sparse_grid_is_cheap():
                                              gate, duration_ps))
 
 
+def test_g2_coarse_grid_is_one_pass(monkeypatch):
+    # 76 offsets at a 4-gate step: the three empty offsets between two
+    # requested ones cost far less pair work than another pass over the bins
+    passes = []
+    window_sums = CoincidencePartial._window_sums
+
+    def counted(self, first, last):
+        passes.append((first, last))
+        return window_sums(self, first, last)
+
+    monkeypatch.setattr(CoincidencePartial, "_window_sums", counted)
+    rng = substream(78, 0, 0)
+    duration_ps, gate = 1_000_000_000, 1000
+    a, b = (EventStream(d, np.unique(rng.integers(0, duration_ps, 100_000)),
+                        duration_ps, 78)
+            for d in "AB")
+    taus = np.arange(76) * 4 * gate
+    curve = estimate_g2(a, b, taus, gate)
+    assert passes == [(0, 300)]
+    assert np.array_equal(curve.n_coincidence,
+                          dense_coincidences(a.timestamps, b.timestamps, taus,
+                                             gate, duration_ps))
+
+
 def test_merge_rejects_unaligned_segment():
     a = EventStream("A", np.array([10]), 10_000, 0)
     b = EventStream("B", np.array([10]), 10_000, 0)
@@ -261,21 +284,19 @@ def test_merge_rejects_unaligned_segment():
 def test_thermal_splitter_g2_of_two():
     source = ThermalFieldModel(2e7, 6.366e-9, "thermal")
     det = DetectorSetting(0.0, efficiency=0.55)
-    a, b = quiet_simulate(source, None, GEO, det, det, 0.02, seed=99,
+    # 0.15 s: about 4500 coincidences, so the window is 5 standard errors
+    # g2/sqrt(n_coinc) wide
+    a, b = quiet_simulate(source, None, GEO, det, det, 0.15, seed=99,
                           standard_detection=True)
     curve = estimate_g2(a, b, [0], 500)
     assert abs(curve.values[0] - 2.0) < 0.15
 
 
-def test_thermal_slot_counts_are_bose_einstein():
-    tc = 10e-9
-    source = ThermalFieldModel(2e7, tc, "thermal")
-    det = DetectorSetting(0.0, efficiency=1.0)
-    a, _ = quiet_simulate(source, None, GEO, det, det, 2e-3, seed=404,
-                          standard_detection=True)
+def assert_bose_einstein(stream, tc):
+    """Counts per coherence slot follow the geometric (Bose-Einstein) law."""
     slot_ps = int(round(tc * 1e12))
-    n_slots = a.duration_ps // slot_ps
-    counts = np.bincount((a.timestamps // slot_ps).astype(np.int64),
+    n_slots = stream.duration_ps // slot_ps
+    counts = np.bincount((stream.timestamps // slot_ps).astype(np.int64),
                          minlength=n_slots)
     mean = counts.mean()
     kmax = int(counts.max())
@@ -290,6 +311,113 @@ def test_thermal_slot_counts_are_bose_einstein():
     expected *= observed.sum() / expected.sum()
     stat, p = chisquare(observed, expected, ddof=1)
     assert p > 0.01
+
+
+def test_thermal_slot_counts_are_bose_einstein():
+    tc = 10e-9
+    source = ThermalFieldModel(2e7, tc, "thermal")
+    det = DetectorSetting(0.0, efficiency=1.0)
+    a, _ = quiet_simulate(source, None, GEO, det, det, 2e-3, seed=404,
+                          standard_detection=True)
+    assert_bose_einstein(a, tc)
+
+
+def test_thermal_splitter_g2_is_triangular():
+    # one thermal beam on a splitter: two times share a slot with
+    # probability (1 - |tau|/tc)+ over the slot position, and a shared slot
+    # doubles the pair rate, so g2(tau) = 1 + (1 - |tau|/tc)+, not the
+    # Lorentzian 1 + exp(-2|tau|/tc) (9% away at tc/4); the gate divides tc,
+    # so gate bins nest in slots and the law holds at whole-gate offsets
+    tc, gate = 100e-9, 500
+    source = ThermalFieldModel(4e7, tc, "thermal")
+    det = DetectorSetting(0.0, efficiency=1.0)
+    a, b = quiet_simulate(source, None, GEO, det, det, 0.1, seed=1759,
+                          standard_detection=True)
+    fractions = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
+    curve = estimate_g2(a, b, np.rint(fractions * tc * PS_PER_S), gate)
+    law = 1.0 + np.clip(1.0 - fractions, 0.0, None)
+    # 5 standard errors: g2 / sqrt(n_coinc) is the Poisson error of g2
+    assert np.all(np.abs(curve.values / law - 1.0) < 5.0 / np.sqrt(curve.n_coincidence))
+
+
+def test_thermal_pair_g2_at_zero_delay():
+    # two thermal sources beating at a detector: its rate is
+    # b1*i1 + b2*i2 + s*sqrt(i1*i2)*cos(phase + o), s = 2*sqrt(b1*b2), with
+    # i ~ Exp(1) and a uniform phase per slot.  The gate divides tc, so both
+    # events of a pair share their slots, and over i and the phase
+    # g2(0) = 1 + (b1A*b1B + b2A*b2B + sA*sB*cos(oA - oB)/2) / (nA * nB)
+    # with nA = b1A + b2A and nB = b1B + b2B, the singles rates
+    tc, gate, rate, duration = 20e-9, 1000, 2e7, 0.05
+    source = ThermalFieldModel(rate, tc, "thermal")
+    det = DetectorSetting(math.pi / 4, efficiency=1.0)
+    a, b = quiet_simulate(source, source, GEO, det, det, duration, seed=1913)
+    terms = []
+    for name in "AB":
+        k1, k2 = detector_couplings(det)
+        psi = GEO.path_phase(1, name) - GEO.path_phase(2, name)
+        b1, b2 = abs(k1) ** 2 * rate / 2, abs(k2) ** 2 * rate / 2
+        offset = np.angle(k1 * np.conj(k2) * np.exp(1j * psi))
+        terms.append((b1, b2, 2 * math.sqrt(b1 * b2), offset))
+    (b1a, b2a, sa, oa), (b1b, b2b, sb, ob) = terms
+    excess = b1a * b1b + b2a * b2b + sa * sb * math.cos(oa - ob) / 2
+    law = 1 + excess / ((b1a + b2a) * (b1b + b2b))
+    curve = estimate_g2(a, b, [0], gate)
+    assert abs(curve.values[0] / law - 1.0) < 5.0 / math.sqrt(curve.n_coincidence[0])
+    for stream, (b1, b2, s, _) in zip((a, b), terms):
+        # shot noise plus the variance of the integrated intensity
+        mean = (b1 + b2) * duration
+        assert abs(stream.count - mean) < 5 * math.sqrt(mean + duration * tc * (
+            s ** 2 + b1 ** 2 + b2 ** 2))
+
+
+def test_thermal_slot_field_across_batches():
+    # a slot's intensity and phase are drawn once, whichever batch reads
+    # them (batch ends fall inside slots, and each batch reads from the end
+    # of the one before); over all slots, those that received candidates
+    # (Gamma given the count) and those that did not (Exp(1 + a)), they
+    # follow the prior: intensity Exp(1), phase uniform
+    tc = 20e-9
+    envelope = stochastic._Envelope(ThermalFieldModel(2e7, tc, "thermal"),
+                                    (1e7, 1e7), substream(8, 0, 0))
+    drawn, start = {}, 0.0
+    for end in np.arange(1, 2000) * 7.3 * tc:
+        envelope.candidates(end)
+        centres = (np.arange(math.ceil(start / tc), math.ceil(end / tc)) + 0.5) * tc
+        times = np.append(start, centres[centres < end])
+        intensity, phase = envelope.field(times, np.full(times.size, -1))
+        for k, value in zip(np.floor(times / tc).astype(int), zip(intensity, phase)):
+            assert drawn.setdefault(k, value) == value
+        start = end
+    intensity, phase = np.array(list(drawn.values())).T
+    assert intensity.size > 14_000
+    assert kstest(intensity, "expon").pvalue > 0.01
+    assert kstest(phase / (2 * math.pi), "uniform").pvalue > 0.01
+
+
+def test_batches_keep_the_laws(monkeypatch):
+    # a few hundred expected candidates per batch, so every run below
+    # crosses many batch ends, most of them inside a coherence slot
+    monkeypatch.setattr(stochastic, "_CHUNK", 333)
+    rate = 0.7 * 2e7 / 2
+    laser = ThermalFieldModel(2e7, 318e-9, "coherent")
+    det = DetectorSetting(0.0, efficiency=0.7)
+    for s in simulate_events(laser, None, GEO, det, det, 2e-3, seed=22,
+                             standard_detection=True):
+        assert abs(s.count - rate * 2e-3) < 5 * math.sqrt(rate * 2e-3)
+        gaps = np.diff(s.timestamps) / PS_PER_S
+        assert kstest(gaps, "expon", args=(0.0, 1.0 / rate)).pvalue > 0.01
+
+    det = DetectorSetting(0.0, efficiency=1.0)
+    for tc in (10e-9, 1e-6):
+        # at 1 us, each slot spans several batches
+        monkeypatch.setattr(stochastic, "_CHUNK", 333 if tc < 1e-6 else 7)
+        beam = ThermalFieldModel(2e7, tc, "thermal")
+        streams = quiet_simulate(beam, None, GEO, det, det, 2e-3, seed=405,
+                                 standard_detection=True)
+        for s in streams:
+            mean = 1e7 * 2e-3
+            assert abs(s.count - mean) < 5 * math.sqrt(mean + 1e14 * tc * 2e-3)
+            assert_bose_einstein(s, tc)
 
 
 def test_thinning_invariance():
@@ -328,33 +456,41 @@ def test_constant_rate_interarrivals_are_exponential():
         assert kstest(s.timestamps / s.duration_ps, "uniform").pvalue > 0.01
 
 
-@settings(deadline=None, max_examples=25, derandomize=True)
+@settings(deadline=None, max_examples=40, derandomize=True)
 @given(st.floats(0.0, math.pi / 2), st.floats(0.0, 2 * math.pi),
        st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0),
-       st.floats(0.0, 3e-6), st.sampled_from(["coherent", "thermal"]),
-       st.booleans(), st.integers(0, 2 ** 32))
+       st.floats(0.0, 3e-6),
+       st.sampled_from([("coherent", "coherent"), ("thermal", "thermal"),
+                        ("coherent", "thermal")]),
+       st.sampled_from([1.0, 1.7]), st.booleans(), st.integers(0, 2 ** 32))
 def test_thinning_rate_within_bound(theta, phase_a, phase_b, v_deg, delay,
-                                    kind, standard, seed):
-    # by AM-GM the rate is never negative for v_deg <= 1, so simulate_events
-    # never raises; each detector counts its mean rate within 5 sigma, with
-    # the variance of the integrated intensity added to the shot noise
-    tc, duration, rate = (50e-9 if kind == "coherent" else 5e-9), 1e-3, 2e7
-    s1 = ThermalFieldModel(rate, tc, kind)
-    s2 = ThermalFieldModel(rate, tc, kind, 10e6)
-    dets = [DetectorSetting(theta, phase, output_filter=1, efficiency=0.5,
+                                    kinds, stretch, standard, seed):
+    # by AM-GM the rate never exceeds its bound and is never negative for
+    # v_deg <= 1, so simulate_events never raises; each detector counts its
+    # mean rate within 5 sigma, with the variance of the integrated
+    # intensity added to the shot noise.  Source 2 may have the longer
+    # coherence time, so the two slot grids differ, and the detectors'
+    # efficiencies differ, so a thermal term splits unevenly between them.
+    duration, rate = 1e-3, 2e7
+    tcs = [50e-9 if kind == "coherent" else 5e-9 for kind in kinds]
+    tcs[1] *= stretch
+    s1 = ThermalFieldModel(rate, tcs[0], kinds[0])
+    s2 = ThermalFieldModel(rate, tcs[1], kinds[1], 10e6)
+    dets = [DetectorSetting(theta, phase, output_filter=1, efficiency=eff,
                             visibility_degradation=v_deg)
-            for phase in (phase_a, phase_b)]
+            for phase, eff in ((phase_a, 0.5), (phase_b, 0.3))]
     streams = simulate_events(s1, s2, GEO.with_delay(delay), *dets, duration,
                               seed, standard_detection=standard)
     for stream, det in zip(streams, dets):
         # standard detection of two distinct colors has no beat term
         k1, k2 = (1.0, 1.0) if standard else detector_couplings(det)
-        b1 = det.efficiency * abs(k1) ** 2 * rate / 2
-        b2 = det.efficiency * abs(k2) ** 2 * rate / 2
-        cross2 = 0.0 if standard else v_deg * b1 * b2
-        mean = (b1 + b2) * duration
-        excess = duration * tc * (4 * cross2 + (b1 ** 2 + b2 ** 2
-                                                if kind == "thermal" else 0.0))
+        b = [det.efficiency * abs(k) ** 2 * rate / 2 for k in (k1, k2)]
+        cross2 = 0.0 if standard else v_deg * b[0] * b[1]
+        mean = sum(b) * duration
+        # a thermal term varies slot by slot; the beat decorrelates within
+        # the longer coherence time
+        excess = duration * (4 * cross2 * max(tcs) + sum(
+            bj ** 2 * tc for bj, tc, kind in zip(b, tcs, kinds) if kind == "thermal"))
         assert abs(stream.count - mean) <= 5 * math.sqrt(mean + excess)
 
 
@@ -427,21 +563,6 @@ def test_fit_g2_envelope_recovers_decay():
 
 # ---------------------------------------------------------------------------
 # Text formats.
-
-def test_event_csv_roundtrip(tmp_path):
-    s1, s2 = coherent_pair()
-    det = DetectorSetting(math.pi / 4)
-    a, b = quiet_simulate(s1, s2, GEO, det, det, 1e-3, seed=3)
-    path = tmp_path / "events.csv"
-    write_event_csv(path, a, b)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "detector_id,timestamp_ps"
-    stamps = [int(line.split(",")[1]) for line in lines[1:]]
-    assert stamps == sorted(stamps)
-    back = read_event_csv(path, duration_ps=a.duration_ps)
-    assert np.array_equal(back["A"].timestamps, a.timestamps)
-    assert np.array_equal(back["B"].timestamps, b.timestamps)
-
 
 def test_g2_csv_format(tmp_path):
     curve = G2Curve([0, 1000], [1.5, float("nan")], 500, [30, 0], 100, 200, 4000)
