@@ -16,7 +16,6 @@ from .fock import (  # noqa: F401
     FockBasis,
     TripleModeState,
     TrilinearHamiltonian,
-    coherent_state,
     evolve_brute_force,
     evolve_closed_form,
     inner_product,
@@ -24,7 +23,6 @@ from .fock import (  # noqa: F401
 from .interferometry import (  # noqa: F401
     CoincidenceResult,
     InterferometerGeometry,
-    SourceModel,
     amplitudes,
     coincidence_single_photon,
     coincidence_superposition,

@@ -201,12 +201,12 @@ class TrilinearHamiltonian:
         object.__setattr__(self, "matrix", h)
 
 
-def coherent_state(spec: CoherentSpec, basis: FockBasis,
-                   eps_trunc: float = EPS_TRUNC) -> TripleModeState:
-    """Vacuum signal modes with a coherent pump: |0,0> (x) |alpha>.
+def _pump_series(spec: CoherentSpec, basis: FockBasis,
+                 eps_trunc: float = EPS_TRUNC) -> np.ndarray:
+    """The pump's amplitude series up to its cutoff.
 
-    Raises CutoffError when the pump cutoff retains less than 1 - eps_trunc
-    of the coherent-state norm.
+    Raises CutoffError when the cutoff retains less than 1 - eps_trunc of
+    the coherent-state norm.
     """
     series = spec.amplitude_series(basis.n3_max)
     retained = float(np.sum(np.abs(series) ** 2))
@@ -215,11 +215,7 @@ def coherent_state(spec: CoherentSpec, basis: FockBasis,
             f"pump cutoff {basis.n3_max} retains only {retained:.12f} of the "
             f"coherent norm for mean photon number {spec.mean_photons}",
             1.0 - retained)
-    amps = np.zeros(basis.dim, dtype=complex)
-    for n in range(basis.n3_max + 1):
-        amps[basis.index(0, 0, n)] = series[n]
-    return TripleModeState(basis, amps / np.linalg.norm(amps),
-                           label=f"coherent(N={spec.mean_photons:g})")
+    return series
 
 
 def single_photon_with_pump(input_mode: int, spec: CoherentSpec, basis: FockBasis,
@@ -229,12 +225,7 @@ def single_photon_with_pump(input_mode: int, spec: CoherentSpec, basis: FockBasi
         raise ValueError("input_mode must be 1 or 2")
     if basis.n1_max < 1 or basis.n2_max < 1:
         raise ValueError("signal cutoffs must be at least 1")
-    series = spec.amplitude_series(basis.n3_max)
-    retained = float(np.sum(np.abs(series) ** 2))
-    if retained < 1.0 - eps_trunc:
-        raise CutoffError(
-            f"pump cutoff {basis.n3_max} too small for mean photon number "
-            f"{spec.mean_photons}", 1.0 - retained)
+    series = _pump_series(spec, basis, eps_trunc)
     amps = np.zeros(basis.dim, dtype=complex)
     n1, n2 = (1, 0) if input_mode == 1 else (0, 1)
     for n in range(basis.n3_max + 1):
@@ -256,11 +247,7 @@ def evolve_closed_form(input_mode: int, pump: CoherentSpec, chi_t: float,
     if input_mode not in (1, 2):
         raise SectorError("closed-form evolution requires a single signal photon "
                           "in mode 1 or mode 2")
-    series = pump.amplitude_series(basis.n3_max)
-    retained = float(np.sum(np.abs(series) ** 2))
-    if retained < 1.0 - EPS_TRUNC:
-        raise CutoffError("pump cutoff too small for closed-form evolution",
-                          1.0 - retained)
+    series = _pump_series(pump, basis)
     amps = np.zeros(basis.dim, dtype=complex)
     ns = np.arange(basis.n3_max + 1)
     if input_mode == 1:

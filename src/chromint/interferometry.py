@@ -115,40 +115,6 @@ class InterferometerGeometry:
 
 
 @dataclass(frozen=True)
-class SourceModel:
-    """Photon source description.
-
-    kind selects the statistics: "single_photon", "coherent_superposition"
-    (amplitudes c0, c1, c2) or "incoherent_mixture" (probabilities p0, p1,
-    p2).  emission_phase is a fixed angle in radians or the string "ergodic"
-    for a phase uniform on [0, 2*pi).
-    """
-
-    kind: str
-    wavelength: float
-    coefficients: tuple = (0.0, 1.0, 0.0)
-    emission_phase: float | str = "ergodic"
-    coherence_time: float = 1e-6
-
-    def __post_init__(self):
-        if self.kind not in ("single_photon", "coherent_superposition",
-                             "incoherent_mixture"):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.coherence_time <= 0:
-            raise ValueError("coherence_time must be positive")
-        if self.kind == "coherent_superposition":
-            total = sum(abs(c) ** 2 for c in self.coefficients)
-        elif self.kind == "incoherent_mixture":
-            if any(p < 0 for p in self.coefficients):
-                raise ValueError("mixture probabilities must be nonnegative")
-            total = sum(self.coefficients)
-        else:
-            total = 1.0
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"source coefficients normalize to {total}, expected 1")
-
-
-@dataclass(frozen=True)
 class PropagationAmplitudes:
     """The four single-photon amplitudes D_1A, D_1B, D_2A, D_2B."""
 
@@ -338,21 +304,13 @@ def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
     offset = (cmath.phase(k1a) - cmath.phase(k2a)
               - cmath.phase(k1b) + cmath.phase(k2b))
     cross = abs(k1a * k2a * k1b * k2b) * weight1 * weight2
-    if source_kind in ("coherent", "coherent_superposition"):
-        amp = v_pair * 2.0 * cross / (s_a * s_b)
+    amp = v_pair * 2.0 * cross / (s_a * s_b)
+    if source_kind == "coherent":
         return 1.0, amp, offset
-    if source_kind in ("thermal", "incoherent_mixture"):
+    if source_kind == "thermal":
         pedestal = (abs(k1a * k1b) ** 2 * weight1 ** 2
                     + abs(k2a * k2b) ** 2 * weight2 ** 2) / (s_a * s_b)
-        amp = v_pair * 2.0 * cross / (s_a * s_b)
         return 1.0 + pedestal, amp, offset
-    if source_kind == "single_photon":
-        x = abs(k1a * k2b)
-        y = abs(k2a * k1b)
-        if x == 0.0 and y == 0.0:
-            return 1.0, 0.0, offset
-        amp = v_pair * 2.0 * x * y / (x ** 2 + y ** 2)
-        return 1.0, amp, offset
     raise ValueError(f"unknown source kind {source_kind!r}")
 
 

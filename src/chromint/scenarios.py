@@ -26,6 +26,7 @@ import time
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -36,14 +37,15 @@ from .interferometry import (
     SPEED_OF_LIGHT,
     InterferometerGeometry,
     delay_scan,
+    fringe_phase,
     separation_scan,
     write_scan_csv,
 )
 from .stochastic import (
     ThermalFieldModel,
-    fit_fringe_free_period,
     delay_scan_events,
     estimate_g2,
+    fit_fringe_free_period,
     fit_g2_envelope,
     fitted_visibility,
     fringe_fft,
@@ -52,14 +54,6 @@ from .stochastic import (
     simulate_events,
     write_g2_csv,
 )
-
-SCENARIOS = (
-    "laser_delay_scan", "laser_fft", "laser_g2_tau",
-    "thermal_delay_scan", "thermal_fft", "thermal_g2_tau",
-    "free_space_hbt", "free_space_same_wavelength",
-    "gate_time_study", "erasure_overlap_scan",
-)
-
 
 class ConfigError(ValueError):
     """Configuration cannot be parsed or validated."""
@@ -123,58 +117,10 @@ class ScenarioConfig:
         return self.duration_ps * 1e-12
 
 
-_LASER_METADATA = {
-    "ucspd_efficiency": 0.195,
-    "waveguide_temp_a_celsius": 36.4,
-    "waveguide_temp_b_celsius": 52.9,
-    "pump_power_mw": 152.6,
-}
-_THERMAL_METADATA = {
-    "si_apd_efficiency": 0.55,
-    "ucspd_efficiency": 0.195,
-    "waveguide_temp_a_celsius": 37.4,
-    "waveguide_temp_b_celsius": 34.9,
-    "pump_power_mw": 192.3,
-    "filter_bandwidth_hz": 50e6,
-}
-_THERMAL_BASE = {
-    "lambda1_nm": 1549.968,
-    "lambda2_nm": 863.396,
-    "source_kind": "thermal",
-    "source_rate_hz": 2.0e7,
-    # 50 MHz etalon: coherence time = 1/(pi * bandwidth)
-    "coherence_time_ps": 6366.0,
-    "gate_ps": 500,
-    "metadata": _THERMAL_METADATA,
-}
-
-SCENARIO_DEFAULTS: dict[str, dict] = {
-    "laser_delay_scan": {"metadata": _LASER_METADATA},
-    "laser_fft": {"delay_points": 40, "delay_span_periods": 10.0,
-                  "duration_ps": 2.5e10, "metadata": _LASER_METADATA},
-    "laser_g2_tau": {"coherence_time_ps": 106_103.0, "detuning_hz": 25e6,
-                     "duration_ps": 3.0e11, "metadata": _LASER_METADATA},
-    "thermal_delay_scan": dict(_THERMAL_BASE, duration_ps=1.0e11),
-    "thermal_fft": dict(_THERMAL_BASE, delay_points=40, delay_span_periods=10.0,
-                        duration_ps=4.0e10),
-    "thermal_g2_tau": dict(_THERMAL_BASE, detuning_hz=100e6, duration_ps=5.0e10,
-                           tau_max_ps=25_000, tau_step_ps=1_000, gate_ps=500),
-    "free_space_hbt": {"duration_ps": 5.0e10, "source_rate_hz": 4.0e7},
-    "free_space_same_wavelength": {
-        "lambda2_nm": 1549.800, "lambda3_nm": -1.0, "pump_on": False,
-        "duration_ps": 5.0e10, "separation_min_m": 0.2e-3,
-        "separation_max_m": 15.2e-3, "separation_points": 36},
-    "gate_time_study": dict(_THERMAL_BASE, coherence_time_ps=20_000.0,
-                            duration_ps=2.5e11, delay_points=10,
-                            delay_span_periods=1.5, source_rate_hz=2.0e7),
-    "erasure_overlap_scan": {},
-}
-
-
 def default_config(scenario: str) -> ScenarioConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}")
-    return ScenarioConfig(scenario=scenario, **SCENARIO_DEFAULTS[scenario])
+    return ScenarioConfig(scenario=scenario, **SCENARIOS[scenario][1])
 
 
 def _is_number(value) -> bool:
@@ -215,7 +161,7 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    merged = dict(SCENARIO_DEFAULTS[scenario])
+    merged = dict(SCENARIOS[scenario][1])
     merged.update({k: v for k, v in data.items() if k != "scenario"})
     cfg = ScenarioConfig(scenario=scenario, **merged)
     _check_types(cfg)
@@ -296,6 +242,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("output_filter must be 1 or 2")
     if cfg.delay_points < 4:
         raise ConfigError("delay_points must be at least 4")
+    if SCENARIOS[cfg.scenario][0] in _DELAY_RUNNERS and cfg.lambda3_m is None:
+        raise ConfigError("delay scans require a pump wavelength")
     # the geometry constructor enforces the pump wavelength constraint
     try:
         make_geometry(cfg)
@@ -328,41 +276,46 @@ def make_detectors(cfg: ScenarioConfig) -> tuple[DetectorSetting, DetectorSettin
             DetectorSetting(theta, cfg.pump_phase_b, **common))
 
 
-def _delays(cfg: ScenarioConfig) -> np.ndarray:
-    lam3 = cfg.lambda3_m
-    if lam3 is None:
-        raise ConfigError("delay scans require a pump wavelength")
-    return np.linspace(0.0, cfg.delay_span_periods * lam3, cfg.delay_points,
-                       endpoint=False)
+def _delay_study(cfg: ScenarioConfig) -> tuple:
+    """(source1, source2, geometry, det_a, det_b, delays): the leading
+    arguments of stochastic's per-delay studies."""
+    delays = np.linspace(0.0, cfg.delay_span_periods * cfg.lambda3_m,
+                         cfg.delay_points, endpoint=False)
+    return (*make_sources(cfg), make_geometry(cfg), *make_detectors(cfg), delays)
 
 
-def _write_mc_curve(path: Path, x_name: str, xs, values, extra: dict | None = None):
-    cols = [x_name, "g2"]
-    extra = extra or {}
-    cols += list(extra)
+def _free_space_geometry(cfg: ScenarioConfig, separation_m: float
+                         ) -> InterferometerGeometry:
+    return InterferometerGeometry.from_free_space(
+        cfg.source_separation_m, cfg.screen_distance_m, separation_m,
+        cfg.lambda1_nm * 1e-9, cfg.lambda2_nm * 1e-9, cfg.lambda3_m)
+
+
+def _write_mc_curve(path: Path, x_name: str, xs, values) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, (x, v) in enumerate(zip(xs, values)):
-            row = [f"{x:.12g}", f"{v:.12g}"]
-            row += [f"{extra[c][i]:.12g}" for c in extra]
-            fh.write(",".join(row) + "\n")
+        fh.write(f"{x_name},g2\n")
+        for x, v in zip(xs, values):
+            fh.write(f"{x:.12g},{v:.12g}\n")
 
 
 # ---------------------------------------------------------------------------
 # Scenario implementations.  Each returns a dict of result metrics; emitted
 # file names are collected by the caller.
 
+def _mc_delay_scan(cfg: ScenarioConfig, out: Path) -> tuple[tuple, np.ndarray]:
+    """The Monte Carlo g2(0) over the delay grid, written to
+    delay_scan_mc.csv; returns the _delay_study tuple and g2."""
+    study = _delay_study(cfg)
+    g2 = delay_scan_events(*study, cfg.duration_s, cfg.gate_ps, cfg.seed,
+                           standard_detection=not cfg.pump_on)
+    _write_mc_curve(out / "delay_scan_mc.csv", "delay_m", study[-1], g2)
+    return study, g2
+
+
 def _run_delay_scan(cfg: ScenarioConfig, out: Path) -> dict:
-    geometry = make_geometry(cfg)
-    s1, s2 = make_sources(cfg)
-    det_a, det_b = make_detectors(cfg)
-    delays = _delays(cfg)
+    (_, _, geometry, det_a, det_b, delays), g2 = _mc_delay_scan(cfg, out)
     analytic = delay_scan(geometry, delays, cfg.source_kind, det_a, det_b)
     write_scan_csv(out / "delay_scan_analytic.csv", delays, analytic)
-    g2 = delay_scan_events(s1, s2, geometry, det_a, det_b, delays,
-                           cfg.duration_s, cfg.gate_ps, cfg.seed,
-                           standard_detection=not cfg.pump_on)
-    _write_mc_curve(out / "delay_scan_mc.csv", "delay_m", delays, g2)
     vis = fitted_visibility(delays, g2, cfg.lambda3_m)
     base = analytic[0].constant_term
     amp = max(abs(r.interference_term) for r in analytic)
@@ -371,14 +324,7 @@ def _run_delay_scan(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_fft(cfg: ScenarioConfig, out: Path) -> dict:
-    geometry = make_geometry(cfg)
-    s1, s2 = make_sources(cfg)
-    det_a, det_b = make_detectors(cfg)
-    delays = _delays(cfg)
-    g2 = delay_scan_events(s1, s2, geometry, det_a, det_b, delays,
-                           cfg.duration_s, cfg.gate_ps, cfg.seed,
-                           standard_detection=not cfg.pump_on)
-    _write_mc_curve(out / "delay_scan_mc.csv", "delay_m", delays, g2)
+    (*_, delays), g2 = _mc_delay_scan(cfg, out)
     freqs, spectrum, peak = fringe_fft(delays, g2)
     with open(out / "spectrum.csv", "w") as fh:
         fh.write("frequency_hz,magnitude\n")
@@ -386,8 +332,8 @@ def _run_fft(cfg: ScenarioConfig, out: Path) -> dict:
             fh.write(f"{f:.12g},{m:.12g}\n")
     median = float(np.median(spectrum[1:]))
     peak_mag = float(np.max(spectrum[1:]))
-    expected = SPEED_OF_LIGHT / cfg.lambda3_m if cfg.lambda3_m else float("nan")
-    return {"peak_frequency_hz": peak, "expected_frequency_hz": expected,
+    return {"peak_frequency_hz": peak,
+            "expected_frequency_hz": SPEED_OF_LIGHT / cfg.lambda3_m,
             "peak_to_median": peak_mag / median if median > 0 else float("inf"),
             "frequency_bin_hz": float(freqs[1] - freqs[0])}
 
@@ -414,7 +360,7 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
     if cfg.source_kind == "thermal":
         # source characterization: one thermal beam on a balanced splitter
         splitter_det = DetectorSetting(0.0, efficiency=cfg.splitter_efficiency)
-        a, b = simulate_events(make_sources(cfg)[0], None, geometry,
+        a, b = simulate_events(s1, None, geometry,
                                splitter_det, splitter_det, cfg.duration_s,
                                cfg.seed, trial=len(taus) + 1,
                                standard_detection=True)
@@ -437,11 +383,8 @@ def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
     write_scan_csv(out / "fringe_analytic.csv", xs, analytic, x_name="separation_m")
     g2 = np.zeros(xs.size)
     for i, x in enumerate(xs):
-        geo = InterferometerGeometry.from_free_space(
-            cfg.source_separation_m, cfg.screen_distance_m, x,
-            cfg.lambda1_nm * 1e-9, cfg.lambda2_nm * 1e-9, cfg.lambda3_m)
-        a, b = simulate_events(s1, s2, geo, det_a, det_b, cfg.duration_s,
-                               cfg.seed, trial=i,
+        a, b = simulate_events(s1, s2, _free_space_geometry(cfg, x), det_a,
+                               det_b, cfg.duration_s, cfg.seed, trial=i,
                                standard_detection=not cfg.pump_on)
         g2[i] = estimate_g2(a, b, [0], cfg.gate_ps).values[0]
     _write_mc_curve(out / "fringe_mc.csv", "separation_m", xs, g2)
@@ -454,28 +397,18 @@ def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
 
 def analytic_fringe_period(cfg: ScenarioConfig) -> float:
     """Local fringe period in detector separation at the scan center."""
-    from .interferometry import fringe_phase
     x0 = 0.5 * (cfg.separation_min_m + cfg.separation_max_m)
     dx = 1e-6
-
-    def phase(x):
-        geo = InterferometerGeometry.from_free_space(
-            cfg.source_separation_m, cfg.screen_distance_m, x,
-            cfg.lambda1_nm * 1e-9, cfg.lambda2_nm * 1e-9, cfg.lambda3_m)
-        return fringe_phase(geo)
-
-    slope = (phase(x0 + dx) - phase(x0 - dx)) / (2 * dx)
+    slope = (fringe_phase(_free_space_geometry(cfg, x0 + dx))
+             - fringe_phase(_free_space_geometry(cfg, x0 - dx))) / (2 * dx)
     return abs(2.0 * math.pi / slope) if slope else 0.0
 
 
 def _run_gate_time(cfg: ScenarioConfig, out: Path) -> dict:
-    geometry = make_geometry(cfg)
-    s1, s2 = make_sources(cfg)
-    det_a, det_b = make_detectors(cfg)
-    delays = _delays(cfg)
-    rows = gate_time_study(s1, s2, geometry, det_a, det_b, delays,
-                           cfg.duration_s, [int(g) for g in cfg.gates_ps],
-                           cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials)
+    rows = gate_time_study(*_delay_study(cfg), cfg.duration_s,
+                           [int(g) for g in cfg.gates_ps],
+                           cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials,
+                           standard_detection=not cfg.pump_on)
     with open(out / "gate_time.csv", "w") as fh:
         fh.write("gate_ps,visibility,ci95_halfwidth\n")
         for r in rows:
@@ -495,18 +428,61 @@ def _run_overlap_scan(cfg: ScenarioConfig, out: Path) -> dict:
     return {"deficits": {f"{n:g}": d for n, _, d in rows}}
 
 
-_RUNNERS = {
-    "laser_delay_scan": _run_delay_scan,
-    "thermal_delay_scan": _run_delay_scan,
-    "laser_fft": _run_fft,
-    "thermal_fft": _run_fft,
-    "laser_g2_tau": _run_g2_tau,
-    "thermal_g2_tau": _run_g2_tau,
-    "free_space_hbt": _run_free_space,
-    "free_space_same_wavelength": _run_free_space,
-    "gate_time_study": _run_gate_time,
-    "erasure_overlap_scan": _run_overlap_scan,
+_LASER_METADATA = {
+    "ucspd_efficiency": 0.195,
+    "waveguide_temp_a_celsius": 36.4,
+    "waveguide_temp_b_celsius": 52.9,
+    "pump_power_mw": 152.6,
 }
+_THERMAL_METADATA = {
+    "si_apd_efficiency": 0.55,
+    "ucspd_efficiency": 0.195,
+    "waveguide_temp_a_celsius": 37.4,
+    "waveguide_temp_b_celsius": 34.9,
+    "pump_power_mw": 192.3,
+    "filter_bandwidth_hz": 50e6,
+}
+_THERMAL_BASE = {
+    "lambda1_nm": 1549.968,
+    "lambda2_nm": 863.396,
+    "source_kind": "thermal",
+    "source_rate_hz": 2.0e7,
+    # 50 MHz etalon: coherence time = 1/(pi * bandwidth)
+    "coherence_time_ps": 6366.0,
+    "gate_ps": 500,
+    "metadata": _THERMAL_METADATA,
+}
+
+# Scenario name -> (runner, defaults): the runner writes the data files of
+# one resolved config and returns its result metrics; the defaults
+# override ScenarioConfig's field defaults.
+SCENARIOS: dict[str, tuple[Callable[[ScenarioConfig, Path], dict], dict]] = {
+    "laser_delay_scan": (_run_delay_scan, {"metadata": _LASER_METADATA}),
+    "laser_fft": (_run_fft, {"delay_points": 40, "delay_span_periods": 10.0,
+                             "duration_ps": 2.5e10, "metadata": _LASER_METADATA}),
+    "laser_g2_tau": (_run_g2_tau, {"coherence_time_ps": 106_103.0,
+                                   "detuning_hz": 25e6, "duration_ps": 3.0e11,
+                                   "metadata": _LASER_METADATA}),
+    "thermal_delay_scan": (_run_delay_scan, dict(_THERMAL_BASE, duration_ps=1.0e11)),
+    "thermal_fft": (_run_fft, dict(_THERMAL_BASE, delay_points=40,
+                                   delay_span_periods=10.0, duration_ps=4.0e10)),
+    "thermal_g2_tau": (_run_g2_tau, dict(_THERMAL_BASE, detuning_hz=100e6,
+                                         duration_ps=5.0e10, tau_max_ps=25_000,
+                                         tau_step_ps=1_000, gate_ps=500)),
+    "free_space_hbt": (_run_free_space, {"duration_ps": 5.0e10,
+                                         "source_rate_hz": 4.0e7}),
+    "free_space_same_wavelength": (_run_free_space, {
+        "lambda2_nm": 1549.800, "lambda3_nm": -1.0, "pump_on": False,
+        "duration_ps": 5.0e10, "separation_min_m": 0.2e-3,
+        "separation_max_m": 15.2e-3, "separation_points": 36}),
+    "gate_time_study": (_run_gate_time, dict(
+        _THERMAL_BASE, coherence_time_ps=20_000.0, duration_ps=2.5e11,
+        delay_points=10, delay_span_periods=1.5, source_rate_hz=2.0e7)),
+    "erasure_overlap_scan": (_run_overlap_scan, {}),
+}
+
+# runners whose delay grid is measured in pump wavelengths
+_DELAY_RUNNERS = (_run_delay_scan, _run_fft, _run_gate_time)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
@@ -528,7 +504,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
     try:
         started = time.time()
-        results = _RUNNERS[cfg.scenario](cfg, staging)
+        results = SCENARIOS[cfg.scenario][0](cfg, staging)
         elapsed = time.time() - started
         (staging / "config.yaml").write_text(serialize_config(cfg))
         data_files = sorted(p.name for p in staging.iterdir() if p.suffix == ".csv")

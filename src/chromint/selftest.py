@@ -12,7 +12,14 @@ import time
 
 import numpy as np
 
-from .erasure import DetectorSetting, effective_rotation, erasure_overlap
+from .erasure import (
+    DetectorSetting,
+    effective_rotation,
+    erasure_overlap,
+    evolved_signal_density,
+    pure_state_fidelity,
+    rotation_output,
+)
 from .fock import (
     CoherentSpec,
     FockBasis,
@@ -35,7 +42,9 @@ from .interferometry import (
 from .stochastic import (
     EventStream,
     ThermalFieldModel,
+    delay_scan_events,
     estimate_g2,
+    fitted_visibility,
     fringe_fft,
     simulate_events,
     substream,
@@ -72,6 +81,22 @@ def check_fringe_identity() -> tuple[bool, str]:
         worst = max(worst, abs(res.probability - ref))
     return worst <= 1e-12, (f"max |P - (1/8)(1+cos Delta)| = {worst:.2e} <= 1e-12 "
                             "over 1000 geometries")
+
+
+def check_color_rotation_limit() -> tuple[bool, str]:
+    """Acceptance criterion 03: at N = 64 the exactly evolved signal state
+    of either input color is within 1 - 3/sqrt(N) of the asymptotic color
+    rotation, whose two outputs are orthogonal."""
+    n_mean, theta, phase = 64.0, 0.9, 0.4
+    fids = [pure_state_fidelity(evolved_signal_density(mode, n_mean, theta, phase),
+                                rotation_output(mode, theta, phase))
+            for mode in (1, 2)]
+    ortho = abs(np.vdot(rotation_output(1, theta, phase).vector,
+                        rotation_output(2, theta, phase).vector))
+    floor = 1.0 - 3.0 / math.sqrt(n_mean)
+    return min(fids) >= floor and ortho <= 1e-12, (
+        f"fidelities {fids[0]:.5f}/{fids[1]:.5f} >= {floor:.5f}, "
+        f"<Phi1|Phi2> = {ortho:.1e} <= 1e-12")
 
 
 def check_superposition_reduction() -> tuple[bool, str]:
@@ -172,15 +197,15 @@ def check_poisson_independence() -> tuple[bool, str]:
 def check_thermal_g2() -> tuple[bool, str]:
     source = ThermalFieldModel(2e7, 6.366e-9, "thermal")
     det = DetectorSetting(0.0, efficiency=0.55)
-    a, b = simulate_events(source, None, LASER_GEOMETRY, det, det, 0.02, 99,
+    # 0.15 s: about 4500 coincidences, so the window is 5 standard errors
+    # g2/sqrt(n_coinc) wide
+    a, b = simulate_events(source, None, LASER_GEOMETRY, det, det, 0.15, 99,
                            standard_detection=True)
     g2 = estimate_g2(a, b, [0], 500).values[0]
     return abs(g2 - 2.0) < 0.15, f"splitter g2(0) = {g2:.3f}"
 
 
 def check_laser_visibility() -> tuple[bool, str]:
-    from .stochastic import delay_scan_events, fitted_visibility
-
     lam3 = 1949.157e-9
     delays = np.linspace(0, 1.5 * lam3, 9, endpoint=False)
     s1 = ThermalFieldModel(4e7, 318e-9, "coherent")
@@ -195,6 +220,7 @@ def check_laser_visibility() -> tuple[bool, str]:
 FAST_CHECKS = [
     ("rotation-unitarity", check_rotation_unitarity),
     ("fringe-identity", check_fringe_identity),
+    ("color-rotation-limit", check_color_rotation_limit),
     ("superposition-reduction", check_superposition_reduction),
     ("phase-average", check_phase_average),
     ("fft-peak", check_fft_peak),

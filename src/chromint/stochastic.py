@@ -53,7 +53,7 @@ from scipy.optimize import curve_fit
 from scipy.stats import t as student_t
 
 from .erasure import DetectorSetting
-from .interferometry import InterferometerGeometry, detector_couplings
+from .interferometry import SPEED_OF_LIGHT, InterferometerGeometry, detector_couplings
 
 PS_PER_S = 1_000_000_000_000
 _CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
@@ -93,10 +93,6 @@ class ThermalFieldModel:
             raise ValueError("coherence_time must be positive")
         if self.mode not in ("coherent", "thermal"):
             raise ValueError("mode must be 'coherent' or 'thermal'")
-
-    @property
-    def linewidth(self) -> float:
-        return 1.0 / (math.pi * self.coherence_time)
 
 
 @dataclass(frozen=True)
@@ -366,13 +362,11 @@ def _runs(offsets: list[int], pair_work: float, pass_work: int):
 
 @dataclass(frozen=True)
 class CoincidencePartial:
-    """Mergeable per-segment coincidence bookkeeping.
+    """Per-bin coincidence bookkeeping of one stream pair.
 
-    Holds, for each detector, the distinct gate bins of a gate-aligned time
-    segment that received events and how many events fell in each.  Merging
-    partials sums the counts bin by bin, so merging and then finalizing
-    yields exactly the single-pass G2Curve: the reduction is associative and
-    commutative.
+    Holds, for each detector, the distinct gate bins that received events
+    and how many events fell in each; to_curve sums their products over
+    the requested offsets.
     """
 
     bins_a: np.ndarray
@@ -392,35 +386,15 @@ class CoincidencePartial:
 
     @classmethod
     def from_streams(cls, stream_a: EventStream, stream_b: EventStream,
-                     gate_ps: int, start_ps: int = 0,
-                     stop_ps: int | None = None) -> "CoincidencePartial":
+                     gate_ps: int) -> "CoincidencePartial":
         if gate_ps <= 0:
             raise ValueError("gate must be positive")
         if stream_a.duration_ps != stream_b.duration_ps:
             raise ValueError("streams must cover equal durations")
-        if stop_ps is None:
-            stop_ps = stream_a.duration_ps
-        if start_ps % gate_ps or (stop_ps % gate_ps and stop_ps != stream_a.duration_ps):
-            raise ValueError("segment boundaries must be gate-aligned")
         binned = []
         for ts in (stream_a.timestamps, stream_b.timestamps):
-            i, j = np.searchsorted(ts, (start_ps, stop_ps))
-            binned.extend(_collapse(ts[i:j] // gate_ps))
-        n_bin = -(-(stop_ps - start_ps) // gate_ps)
-        return cls(*binned, int(n_bin), gate_ps)
-
-    def merge(self, other: "CoincidencePartial") -> "CoincidencePartial":
-        if self.gate_ps != other.gate_ps:
-            raise ValueError("cannot merge partials with different gates")
-        summed = []
-        for bins_1, counts_1, bins_2, counts_2 in (
-                (self.bins_a, self.counts_a, other.bins_a, other.counts_a),
-                (self.bins_b, self.counts_b, other.bins_b, other.counts_b)):
-            bins = np.concatenate((bins_1, bins_2))
-            order = np.argsort(bins, kind="stable")
-            summed.extend(_collapse(bins[order],
-                                    np.concatenate((counts_1, counts_2))[order]))
-        return CoincidencePartial(*summed, self.n_bin + other.n_bin, self.gate_ps)
+            binned.extend(_collapse(ts // gate_ps))
+        return cls(*binned, int(-(-stream_a.duration_ps // gate_ps)), gate_ps)
 
     def _window_sums(self, first: int, last: int) -> np.ndarray:
         """Sum over k of c_A[k]*c_B[k+o] for every offset o in first..last.
@@ -543,8 +517,6 @@ def fringe_fft(delays_m: np.ndarray, values: np.ndarray
     are optical frequencies in Hz.  Requires a uniform grid of at least 16
     points; the peak search excludes the DC bin.
     """
-    from .interferometry import SPEED_OF_LIGHT
-
     delays_m = np.asarray(delays_m, dtype=float)
     values = np.asarray(values, dtype=float)
     if delays_m.size < 16:
@@ -602,28 +574,41 @@ def g2_vs_tau_scan(source1: ThermalFieldModel, source2: ThermalFieldModel | None
     return estimate_g2(a, b, taus_ps, gate_ps)
 
 
+def _delay_runs(source1: ThermalFieldModel, source2: ThermalFieldModel,
+                geometry: InterferometerGeometry, det_a: DetectorSetting,
+                det_b: DetectorSetting, delays_m: np.ndarray, duration: float,
+                seed: int, first_trial: int, standard_detection: bool):
+    """One simulated stream pair per arm-B delay, trials first_trial + i."""
+    for i, d in enumerate(np.asarray(delays_m, dtype=float)):
+        yield simulate_events(source1, source2,
+                              geometry.with_delay(geometry.delay_b + d),
+                              det_a, det_b, duration, seed,
+                              trial=first_trial + i,
+                              standard_detection=standard_detection)
+
+
 def delay_scan_events(source1: ThermalFieldModel, source2: ThermalFieldModel,
                       geometry: InterferometerGeometry, det_a: DetectorSetting,
                       det_b: DetectorSetting, delays_m: np.ndarray,
                       duration: float, gate_ps: int, seed: int,
-                      standard_detection: bool = False, tau_ps: int = 0,
-                      trial_base: int = 0) -> np.ndarray:
-    """Monte Carlo g2(tau) versus arm-B optical delay, one run per delay."""
-    out = np.zeros(len(delays_m))
-    for i, d in enumerate(np.asarray(delays_m, dtype=float)):
-        geo = geometry.with_delay(geometry.delay_b + d)
-        a, b = simulate_events(source1, source2, geo, det_a, det_b, duration,
-                               seed, trial=trial_base + i,
-                               standard_detection=standard_detection)
-        out[i] = estimate_g2(a, b, [tau_ps], gate_ps).values[0]
-    return out
+                      standard_detection: bool = False) -> np.ndarray:
+    """Monte Carlo g2(0) versus arm-B optical delay.
+
+    Delay i is simulated once, as trial i for `duration` seconds, and its
+    coincidences are counted at one gate of gate_ps.
+    """
+    runs = _delay_runs(source1, source2, geometry, det_a, det_b, delays_m,
+                       duration, seed, 0, standard_detection)
+    return np.array([estimate_g2(a, b, [0], gate_ps).values[0] for a, b in runs],
+                    dtype=float)
 
 
 def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
                     geometry: InterferometerGeometry, det_a: DetectorSetting,
                     det_b: DetectorSetting, delays_m: np.ndarray,
                     duration: float, gates_ps: list[int], period_m: float,
-                    seed: int, n_trials: int = 4) -> list[dict]:
+                    seed: int, n_trials: int = 4,
+                    standard_detection: bool = False) -> list[dict]:
     """Fringe visibility versus coincidence gate width.
 
     Each trial simulates one event-stream pair per delay and re-bins the
@@ -631,19 +616,17 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
     shot noise.  Returns one row per gate with the trial mean visibility
     and a 95% confidence half-width.
     """
+    delays_m = np.asarray(delays_m, dtype=float)
     vis = np.zeros((len(gates_ps), n_trials))
     for trial in range(n_trials):
-        curves = {g: [] for g in gates_ps}
-        for i, d in enumerate(np.asarray(delays_m, dtype=float)):
-            geo = geometry.with_delay(geometry.delay_b + d)
-            a, b = simulate_events(source1, source2, geo, det_a, det_b,
-                                   duration, seed,
-                                   trial=trial * len(delays_m) + i)
-            for g in gates_ps:
-                curves[g].append(estimate_g2(a, b, [0], g).values[0])
-        for gi, g in enumerate(gates_ps):
-            vis[gi, trial] = fitted_visibility(np.asarray(delays_m),
-                                               np.asarray(curves[g]), period_m)
+        runs = _delay_runs(source1, source2, geometry, det_a, det_b, delays_m,
+                           duration, seed, trial * len(delays_m),
+                           standard_detection)
+        # g2(0) per delay (rows) and gate (columns)
+        g2 = np.array([[estimate_g2(a, b, [0], g).values[0] for g in gates_ps]
+                       for a, b in runs])
+        for gi in range(len(gates_ps)):
+            vis[gi, trial] = fitted_visibility(delays_m, g2[:, gi], period_m)
     rows = []
     tcrit = student_t.ppf(0.975, n_trials - 1) if n_trials > 1 else 0.0
     for gi, g in enumerate(gates_ps):

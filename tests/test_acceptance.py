@@ -16,19 +16,13 @@ import math
 import time
 import warnings
 
-import numpy as np
 import pytest
 
-from chromint.erasure import (
-    DetectorSetting,
-    erasure_overlap,
-    evolved_signal_density,
-    pure_state_fidelity,
-    rotation_output,
-)
+from chromint.erasure import DetectorSetting, erasure_overlap
 from chromint.interferometry import InterferometerGeometry
 from chromint.scenarios import apply_overrides, default_config, run_scenario
 from chromint.selftest import (
+    check_color_rotation_limit,
     check_fringe_identity,
     check_oracle_equivalence,
     check_phase_average,
@@ -132,19 +126,7 @@ def test_criterion_02_erasure_scaling():
 
 
 def test_criterion_03_color_rotation_limit():
-    n_mean, theta, phase = 64.0, 0.9, 0.4
-    fids = []
-    for mode in (1, 2):
-        rho = evolved_signal_density(mode, n_mean, theta, phase)
-        fids.append(pure_state_fidelity(rho, rotation_output(mode, theta, phase)))
-    phi1 = rotation_output(1, theta, phase).vector
-    phi2 = rotation_output(2, theta, phase).vector
-    ortho = abs(np.vdot(phi1, phi2))
-    floor = 1.0 - 3.0 / math.sqrt(n_mean)
-    ok = min(fids) >= floor and ortho <= 1e-12
-    report(3, "color-rotation-limit", ok,
-           f"fidelities {fids[0]:.5f}/{fids[1]:.5f} >= {floor:.5f}, "
-           f"<Phi1|Phi2> = {ortho:.1e} <= 1e-12")
+    report(3, "color-rotation-limit", *check_color_rotation_limit())
 
 
 def test_criterion_04_fringe_identity():

@@ -22,7 +22,6 @@ from chromint.fock import (
     FockBasis,
     TrilinearHamiltonian,
     TripleModeState,
-    coherent_state,
     default_pump_cutoff,
     evolve_brute_force,
     evolve_closed_form,
@@ -142,18 +141,20 @@ def test_erasure_overlap_monotone_and_saturating():
 
 def test_reduced_density_of_product_state():
     basis = FockBasis(1, 1, 30)
-    coh = coherent_state(CoherentSpec(4.0), basis).amplitudes
     amps = np.zeros(basis.dim, dtype=complex)
-    for n in range(basis.n3_max + 1):
-        amps[basis.index(1, 0, n)] = coh[basis.index(0, 0, n)]
-    rho = reduced_signal_density(TripleModeState(basis, amps))
+    amps[[basis.index(1, 0, n) for n in range(basis.n3_max + 1)]] = \
+        CoherentSpec(4.0).amplitude_series(basis.n3_max)
+    rho = reduced_signal_density(TripleModeState(basis, amps).normalized())
     assert np.allclose(rho, [[1, 0], [0, 0]], atol=1e-14)
 
 
 def test_reduced_density_sector_check():
     basis = FockBasis(1, 1, 5)
+    # vacuum in both signal modes: outside the single-photon sector
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[basis.index(0, 0, 1)] = 1.0
     with pytest.raises(Exception):
-        reduced_signal_density(coherent_state(CoherentSpec(1.0), basis))
+        reduced_signal_density(TripleModeState(basis, amps))
 
 
 def test_density_properties_and_rotation_limit():

