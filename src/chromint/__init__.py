@@ -37,7 +37,6 @@ from .stochastic import (  # noqa: F401
     ThermalFieldModel,
     estimate_g2,
     fringe_fft,
-    g2_vs_tau_scan,
     gate_time_study,
     simulate_events,
 )

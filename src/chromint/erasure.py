@@ -36,13 +36,15 @@ EMPTY_BRANCH_PROB = 1e-15
 class DetectorSetting:
     """Operating point of one color-erasure detector.
 
-    theta is the conversion angle chi*T*sqrt(N); output_filter selects which
-    color is detected (1 or 2); visibility_degradation is a scalar standing
-    in for multimode noise and multiplies interference terms downstream,
-    never the constant terms.
+    theta is the conversion angle chi*T*sqrt(N), or None for a detector
+    without a conversion stage (pump off), which sees both colors;
+    interferometry.detector_couplings states what each detector sees.
+    output_filter selects which color is detected (1 or 2);
+    visibility_degradation is a scalar standing in for multimode noise and
+    multiplies interference terms downstream, never the constant terms.
     """
 
-    theta: float
+    theta: float | None
     pump_phase: float = 0.0
     output_filter: int = 2
     efficiency: float = 1.0

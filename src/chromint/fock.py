@@ -134,22 +134,6 @@ class TripleModeState:
         cut = (self.basis.n1_max, self.basis.n2_max, self.basis.n3_max)[mode - 1]
         return float(np.sum(np.abs(self.amplitudes[occ == cut]) ** 2))
 
-    def validate(self, eps_trunc: float = EPS_TRUNC) -> None:
-        """Raise if the state is unnormalized or leaks onto the pump cutoff shell.
-
-        Only the pump shell is checked by default: the signal modes are
-        two-level by construction in the single-photon sector, so sitting at
-        n=1 there is physical occupation, not truncation error.  Callers that
-        evolve multi-photon signal sectors can check those shells explicitly
-        via cutoff_shell_probability.
-        """
-        if abs(self.norm - 1.0) > EPS_NORM:
-            raise ValueError(f"state norm {self.norm} deviates from 1 beyond {EPS_NORM}")
-        leak = self.cutoff_shell_probability(3)
-        if leak > eps_trunc:
-            raise CutoffError(
-                f"pump cutoff shell holds probability {leak:.3e} > {eps_trunc:.1e}", leak)
-
 
 @dataclass(frozen=True)
 class CoherentSpec:
@@ -201,16 +185,15 @@ class TrilinearHamiltonian:
         object.__setattr__(self, "matrix", h)
 
 
-def _pump_series(spec: CoherentSpec, basis: FockBasis,
-                 eps_trunc: float = EPS_TRUNC) -> np.ndarray:
+def _pump_series(spec: CoherentSpec, basis: FockBasis) -> np.ndarray:
     """The pump's amplitude series up to its cutoff.
 
-    Raises CutoffError when the cutoff retains less than 1 - eps_trunc of
+    Raises CutoffError when the cutoff retains less than 1 - EPS_TRUNC of
     the coherent-state norm.
     """
     series = spec.amplitude_series(basis.n3_max)
     retained = float(np.sum(np.abs(series) ** 2))
-    if retained < 1.0 - eps_trunc:
+    if retained < 1.0 - EPS_TRUNC:
         raise CutoffError(
             f"pump cutoff {basis.n3_max} retains only {retained:.12f} of the "
             f"coherent norm for mean photon number {spec.mean_photons}",
@@ -218,14 +201,14 @@ def _pump_series(spec: CoherentSpec, basis: FockBasis,
     return series
 
 
-def single_photon_with_pump(input_mode: int, spec: CoherentSpec, basis: FockBasis,
-                            eps_trunc: float = EPS_TRUNC) -> TripleModeState:
+def single_photon_with_pump(input_mode: int, spec: CoherentSpec,
+                            basis: FockBasis) -> TripleModeState:
     """|1,0> or |0,1> in the signal modes tensored with the coherent pump."""
     if input_mode not in (1, 2):
         raise ValueError("input_mode must be 1 or 2")
     if basis.n1_max < 1 or basis.n2_max < 1:
         raise ValueError("signal cutoffs must be at least 1")
-    series = _pump_series(spec, basis, eps_trunc)
+    series = _pump_series(spec, basis)
     amps = np.zeros(basis.dim, dtype=complex)
     n1, n2 = (1, 0) if input_mode == 1 else (0, 1)
     for n in range(basis.n3_max + 1):
@@ -267,7 +250,7 @@ def evolve_closed_form(input_mode: int, pump: CoherentSpec, chi_t: float,
 
 
 def evolve_brute_force(state: TripleModeState, hamiltonian: TrilinearHamiltonian,
-                       time: float, eps_trunc: float = EPS_TRUNC) -> TripleModeState:
+                       time: float) -> TripleModeState:
     """exp(-i H t)|state> by the sparse matrix-exponential action
     (expm_multiply, Al-Mohy & Higham 2011), exact to round-off.
 
@@ -281,7 +264,7 @@ def evolve_brute_force(state: TripleModeState, hamiltonian: TrilinearHamiltonian
     if abs(evolved.norm - state.norm) > EPS_NORM:
         raise ValueError(f"evolution changed the norm by {abs(evolved.norm - state.norm):.3e}")
     leak = evolved.cutoff_shell_probability(3)
-    if leak > eps_trunc:
+    if leak > EPS_TRUNC:
         raise CutoffError(f"evolved state leaks {leak:.3e} onto the pump cutoff shell", leak)
     return evolved
 

@@ -273,29 +273,42 @@ def coincidence_thermal(amps: PropagationAmplitudes, theta: float,
 # ---------------------------------------------------------------------------
 # Semiclassical pair-detection law and analytic delay scans.
 
-def detector_couplings(det: DetectorSetting) -> tuple[complex, complex]:
-    """Amplitude couplings (source-1 light, source-2 light) into the
-    detected output color of one erasure detector."""
+def detector_couplings(det: DetectorSetting, geometry: InterferometerGeometry
+                       ) -> tuple[complex, complex, bool]:
+    """What one detector sees of the two colors: (k1, k2, beats).
+
+    k1 and k2 are the amplitude couplings of source-1 and source-2 light
+    into the detected output color; beats says whether the two colors
+    interfere there.  A converting detector rotates the colors by theta and
+    always makes them beat.  A detector without a conversion stage
+    (theta None, the pump off) sees both colors at unit coupling, and they
+    beat only when their wavelengths coincide to 1e-12 relative.
+    """
+    if det.theta is None:
+        same = abs(geometry.lambda1 - geometry.lambda2) <= 1e-12 * geometry.lambda1
+        return 1.0 + 0.0j, 1.0 + 0.0j, same
     c, s = math.cos(det.theta), math.sin(det.theta)
     if det.output_filter == 2:
-        return cmath.exp(1j * det.pump_phase) * s, complex(c)
-    return complex(c), -cmath.exp(-1j * det.pump_phase) * s
+        return cmath.exp(1j * det.pump_phase) * s, complex(c), True
+    return complex(c), -cmath.exp(-1j * det.pump_phase) * s, True
 
 
 def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
-                    source_kind: str, weight1: float = 0.5, weight2: float = 0.5
+                    geometry: InterferometerGeometry, source_kind: str,
+                    weight1: float = 0.5, weight2: float = 0.5
                     ) -> tuple[float, float, float]:
     """Normalized coincidence law g2 = baseline + amplitude*cos(Delta + offset).
 
-    Returns (baseline, amplitude, offset) for the given detector pair and
-    source statistics; Delta is the geometric fringe phase.  weight1/weight2
-    are the relative mean photon fluxes of the two sources at each detector.
-    The visibility-degradation factors enter the interference amplitude once
-    per detector as sqrt(v_deg), so a matched pair scales the fringe by
-    v_deg, never the baseline.
+    Returns (baseline, amplitude, offset) for the given detector pair,
+    wavelengths and source statistics; Delta is the geometric fringe phase.
+    weight1/weight2 are the relative mean photon fluxes of the two sources
+    at each detector.  The fringe needs the colors to beat at both
+    detectors.  The visibility-degradation factors enter the interference
+    amplitude once per detector as sqrt(v_deg), so a matched pair scales
+    the fringe by v_deg, never the baseline.
     """
-    k1a, k2a = detector_couplings(det_a)
-    k1b, k2b = detector_couplings(det_b)
+    k1a, k2a, beats_a = detector_couplings(det_a, geometry)
+    k1b, k2b, beats_b = detector_couplings(det_b, geometry)
     s_a = abs(k1a) ** 2 * weight1 + abs(k2a) ** 2 * weight2
     s_b = abs(k1b) ** 2 * weight1 + abs(k2b) ** 2 * weight2
     if s_a <= 0 or s_b <= 0:
@@ -303,7 +316,7 @@ def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
     v_pair = math.sqrt(det_a.visibility_degradation * det_b.visibility_degradation)
     offset = (cmath.phase(k1a) - cmath.phase(k2a)
               - cmath.phase(k1b) + cmath.phase(k2b))
-    cross = abs(k1a * k2a * k1b * k2b) * weight1 * weight2
+    cross = abs(k1a * k2a * k1b * k2b) * weight1 * weight2 if beats_a and beats_b else 0.0
     amp = v_pair * 2.0 * cross / (s_a * s_b)
     if source_kind == "coherent":
         return 1.0, amp, offset
@@ -314,6 +327,21 @@ def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
     raise ValueError(f"unknown source kind {source_kind!r}")
 
 
+def fringe_scan(geometries, source_kind: str, det_a: DetectorSetting,
+                det_b: DetectorSetting, weight1: float = 0.5, weight2: float = 0.5
+                ) -> list[CoincidenceResult]:
+    """Analytic normalized coincidence at each of `geometries`, which share
+    their wavelengths (free space: one per detector separation)."""
+    out = []
+    for geo in geometries:
+        if not out:  # the law depends on the geometry only by its wavelengths
+            base, amp, offset = pair_fringe_law(det_a, det_b, geo, source_kind,
+                                                weight1, weight2)
+        osc = amp * math.cos(fringe_phase(geo) + offset)
+        out.append(CoincidenceResult(base + osc, base, osc))
+    return out
+
+
 def delay_scan(geometry: InterferometerGeometry, delays: np.ndarray,
                source_kind: str, det_a: DetectorSetting, det_b: DetectorSetting,
                weight1: float = 0.5, weight2: float = 0.5) -> list[CoincidenceResult]:
@@ -322,29 +350,9 @@ def delay_scan(geometry: InterferometerGeometry, delays: np.ndarray,
     For balanced coherent sources and matched pi/4 detectors the emitted
     curve is 1 + 0.5*v_deg*cos(2*pi*d/lambda3 + const).
     """
-    base, amp, offset = pair_fringe_law(det_a, det_b, source_kind, weight1, weight2)
-    out = []
-    for d in np.asarray(delays, dtype=float):
-        delta = fringe_phase(geometry.with_delay(geometry.delay_b + d))
-        osc = amp * math.cos(delta + offset)
-        out.append(CoincidenceResult(base + osc, base, osc))
-    return out
-
-
-def separation_scan(separations: np.ndarray, source_separation: float,
-                    screen_distance: float, lambda1: float, lambda2: float,
-                    lambda3: float | None, source_kind: str,
-                    det_a: DetectorSetting, det_b: DetectorSetting
-                    ) -> list[CoincidenceResult]:
-    """Analytic fringe versus symmetric detector separation (free space)."""
-    base, amp, offset = pair_fringe_law(det_a, det_b, source_kind)
-    out = []
-    for x in np.asarray(separations, dtype=float):
-        geo = InterferometerGeometry.from_free_space(
-            source_separation, screen_distance, x, lambda1, lambda2, lambda3)
-        osc = amp * math.cos(fringe_phase(geo) + offset)
-        out.append(CoincidenceResult(base + osc, base, osc))
-    return out
+    return fringe_scan((geometry.with_delay(geometry.delay_b + d)
+                        for d in np.asarray(delays, dtype=float)),
+                       source_kind, det_a, det_b, weight1, weight2)
 
 
 def write_scan_csv(path, xs: np.ndarray, results: list[CoincidenceResult],

@@ -38,7 +38,7 @@ from .interferometry import (
     InterferometerGeometry,
     delay_scan,
     fringe_phase,
-    separation_scan,
+    fringe_scan,
     write_scan_csv,
 )
 from .stochastic import (
@@ -49,7 +49,6 @@ from .stochastic import (
     fit_g2_envelope,
     fitted_visibility,
     fringe_fft,
-    g2_vs_tau_scan,
     gate_time_study,
     simulate_events,
     write_g2_csv,
@@ -231,22 +230,27 @@ def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig
 def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.source_kind not in ("coherent", "thermal"):
         raise ConfigError(f"unknown source_kind {cfg.source_kind!r}")
-    for name in ("source_rate_hz", "coherence_time_ps", "duration_ps", "gate_ps"):
+    for name in ("source_rate_hz", "coherence_time_ps", "duration_ps", "gate_ps",
+                 "tau_step_ps"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
-    if not 0.0 <= cfg.efficiency <= 1.0:
-        raise ConfigError("efficiency must lie in [0, 1]")
+    for name in ("gates_ps", "overlap_mean_photons"):
+        if any(v <= 0 for v in getattr(cfg, name)):
+            raise ConfigError(f"every {name} entry must be positive")
     if not 0.0 <= cfg.v_deg <= 1.0:
         raise ConfigError("v_deg must lie in [0, 1]")
-    if cfg.output_filter not in (1, 2):
-        raise ConfigError("output_filter must be 1 or 2")
     if cfg.delay_points < 4:
         raise ConfigError("delay_points must be at least 4")
     if SCENARIOS[cfg.scenario][0] in _DELAY_RUNNERS and cfg.lambda3_m is None:
         raise ConfigError("delay scans require a pump wavelength")
-    # the geometry constructor enforces the pump wavelength constraint
+    # the constructors check the rest (the pump wavelength constraint, the
+    # detectors, the sources, the screen distance), here rather than mid-run
     try:
         make_geometry(cfg)
+        make_sources(cfg)
+        make_detectors(cfg)
+        _splitter_detector(cfg)
+        _free_space_geometry(cfg, cfg.separation_min_m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -268,12 +272,17 @@ def make_sources(cfg: ScenarioConfig) -> tuple[ThermalFieldModel, ThermalFieldMo
 
 
 def make_detectors(cfg: ScenarioConfig) -> tuple[DetectorSetting, DetectorSetting]:
-    theta = cfg.theta if cfg.pump_on else 0.0
+    theta = cfg.theta if cfg.pump_on else None  # pump off: no conversion stage
     common = dict(output_filter=cfg.output_filter, efficiency=cfg.efficiency,
                   dark_count_rate=cfg.dark_count_rate_hz,
                   visibility_degradation=cfg.v_deg)
     return (DetectorSetting(theta, cfg.pump_phase_a, **common),
             DetectorSetting(theta, cfg.pump_phase_b, **common))
+
+
+def _splitter_detector(cfg: ScenarioConfig) -> DetectorSetting:
+    """Each output of the splitter that characterizes one thermal beam."""
+    return DetectorSetting(None, efficiency=cfg.splitter_efficiency)
 
 
 def _delay_study(cfg: ScenarioConfig) -> tuple:
@@ -306,8 +315,7 @@ def _mc_delay_scan(cfg: ScenarioConfig, out: Path) -> tuple[tuple, np.ndarray]:
     """The Monte Carlo g2(0) over the delay grid, written to
     delay_scan_mc.csv; returns the _delay_study tuple and g2."""
     study = _delay_study(cfg)
-    g2 = delay_scan_events(*study, cfg.duration_s, cfg.gate_ps, cfg.seed,
-                           standard_detection=not cfg.pump_on)
+    g2 = delay_scan_events(*study, cfg.duration_s, cfg.gate_ps, cfg.seed)
     _write_mc_curve(out / "delay_scan_mc.csv", "delay_m", study[-1], g2)
     return study, g2
 
@@ -343,9 +351,8 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
     s1, s2 = make_sources(cfg)
     det_a, det_b = make_detectors(cfg)
     taus = np.arange(0, cfg.tau_max_ps + 1, cfg.tau_step_ps, dtype=np.int64)
-    curve = g2_vs_tau_scan(s1, s2, geometry, det_a, det_b, cfg.duration_s,
-                           taus, cfg.gate_ps, cfg.seed,
-                           standard_detection=not cfg.pump_on)
+    a, b = simulate_events(s1, s2, geometry, det_a, det_b, cfg.duration_s, cfg.seed)
+    curve = estimate_g2(a, b, taus, cfg.gate_ps)
     write_g2_csv(out / "g2_tau.csv", curve)
     result: dict = {"n_a": curve.n_a, "n_b": curve.n_b,
                     "g2_zero": float(curve.values[0])}
@@ -359,11 +366,10 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
                        "configured_coherence_ps": cfg.coherence_time_ps})
     if cfg.source_kind == "thermal":
         # source characterization: one thermal beam on a balanced splitter
-        splitter_det = DetectorSetting(0.0, efficiency=cfg.splitter_efficiency)
+        splitter_det = _splitter_detector(cfg)
         a, b = simulate_events(s1, None, geometry,
                                splitter_det, splitter_det, cfg.duration_s,
-                               cfg.seed, trial=len(taus) + 1,
-                               standard_detection=True)
+                               cfg.seed, trial=len(taus) + 1)
         sp_taus = np.arange(0, 10 * int(cfg.coherence_time_ps) + 1,
                             cfg.gate_ps, dtype=np.int64)
         sp = estimate_g2(a, b, sp_taus, cfg.gate_ps)
@@ -377,15 +383,13 @@ def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
     det_a, det_b = make_detectors(cfg)
     xs = np.linspace(cfg.separation_min_m, cfg.separation_max_m,
                      cfg.separation_points)
-    analytic = separation_scan(xs, cfg.source_separation_m, cfg.screen_distance_m,
-                               cfg.lambda1_nm * 1e-9, cfg.lambda2_nm * 1e-9,
-                               cfg.lambda3_m, cfg.source_kind, det_a, det_b)
+    geometries = [_free_space_geometry(cfg, x) for x in xs]
+    analytic = fringe_scan(geometries, cfg.source_kind, det_a, det_b)
     write_scan_csv(out / "fringe_analytic.csv", xs, analytic, x_name="separation_m")
     g2 = np.zeros(xs.size)
-    for i, x in enumerate(xs):
-        a, b = simulate_events(s1, s2, _free_space_geometry(cfg, x), det_a,
-                               det_b, cfg.duration_s, cfg.seed, trial=i,
-                               standard_detection=not cfg.pump_on)
+    for i, geometry in enumerate(geometries):
+        a, b = simulate_events(s1, s2, geometry, det_a, det_b, cfg.duration_s,
+                               cfg.seed, trial=i)
         g2[i] = estimate_g2(a, b, [0], cfg.gate_ps).values[0]
     _write_mc_curve(out / "fringe_mc.csv", "separation_m", xs, g2)
     period = analytic_fringe_period(cfg)
@@ -407,8 +411,7 @@ def analytic_fringe_period(cfg: ScenarioConfig) -> float:
 def _run_gate_time(cfg: ScenarioConfig, out: Path) -> dict:
     rows = gate_time_study(*_delay_study(cfg), cfg.duration_s,
                            [int(g) for g in cfg.gates_ps],
-                           cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials,
-                           standard_detection=not cfg.pump_on)
+                           cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials)
     with open(out / "gate_time.csv", "w") as fh:
         fh.write("gate_ps,visibility,ci95_halfwidth\n")
         for r in rows:

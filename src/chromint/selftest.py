@@ -196,11 +196,10 @@ def check_poisson_independence() -> tuple[bool, str]:
 
 def check_thermal_g2() -> tuple[bool, str]:
     source = ThermalFieldModel(2e7, 6.366e-9, "thermal")
-    det = DetectorSetting(0.0, efficiency=0.55)
+    det = DetectorSetting(None, efficiency=0.55)
     # 0.15 s: about 4500 coincidences, so the window is 5 standard errors
     # g2/sqrt(n_coinc) wide
-    a, b = simulate_events(source, None, LASER_GEOMETRY, det, det, 0.15, 99,
-                           standard_detection=True)
+    a, b = simulate_events(source, None, LASER_GEOMETRY, det, det, 0.15, 99)
     g2 = estimate_g2(a, b, [0], 500).values[0]
     return abs(g2 - 2.0) < 0.15, f"splitter g2(0) = {g2:.3f}"
 

@@ -228,17 +228,17 @@ def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
 def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | None,
                     geometry: InterferometerGeometry,
                     det_a: DetectorSetting, det_b: DetectorSetting,
-                    duration: float, seed: int, trial: int = 0,
-                    standard_detection: bool = False
+                    duration: float, seed: int, trial: int = 0
                     ) -> tuple[EventStream, EventStream]:
     """Generate one event stream per detector for the configured setup.
 
     The detection rate of each detector is the semiclassical intensity of
-    the two interfering source fields through the detector couplings,
-    scaled by its efficiency; its interference part carries sqrt(v_deg)
-    per detector so a matched pair degrades the coincidence fringe by v_deg
-    exactly once.  With standard_detection the conversion stage is bypassed
-    and the two colors beat only if their wavelengths coincide.
+    the two interfering source fields through its couplings, scaled by its
+    efficiency; interferometry.detector_couplings decides the couplings and
+    whether the colors beat, so a detector without a conversion stage
+    (theta None) sees both colors and they beat only if their wavelengths
+    coincide.  The interference part carries sqrt(v_deg) per detector, so a
+    matched pair degrades the coincidence fringe by v_deg exactly once.
 
     Arrivals are drawn by thinning (see the module docstring): with source
     intensities i1, i2, the rate b1*i1 + b2*i2 + 2*|c|*sqrt(i1*i2)*cos(.)
@@ -253,18 +253,12 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
 
     w1 = source1.mean_rate / 2.0
     w2 = source2.mean_rate / 2.0 if source2 else 0.0
-    same_wavelength = abs(geometry.lambda1 - geometry.lambda2) <= 1e-12 * geometry.lambda1
 
     # per detector: b1, b2, the swing 2|c| and arg(c), efficiency folded in
     det_consts = []
     for det, name in ((det_a, "A"), (det_b, "B")):
-        if standard_detection:
-            # no conversion stage: colors beat only when degenerate
-            k1 = k2 = 1.0 + 0.0j
-            mix = same_wavelength and source2 is not None
-        else:
-            k1, k2 = detector_couplings(det)
-            mix = source2 is not None
+        k1, k2, beats = detector_couplings(det, geometry)
+        mix = beats and source2 is not None
         psi = geometry.path_phase(1, name) - geometry.path_phase(2, name)
         cross = (math.sqrt(det.visibility_degradation) * k1 * np.conj(k2)
                  * math.sqrt(w1 * w2) * np.exp(1j * psi)) if mix else 0.0j
@@ -557,48 +551,29 @@ def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float
 # ---------------------------------------------------------------------------
 # Composite studies.
 
-def g2_vs_tau_scan(source1: ThermalFieldModel, source2: ThermalFieldModel | None,
-                   geometry: InterferometerGeometry, det_a: DetectorSetting,
-                   det_b: DetectorSetting, duration: float, taus_ps,
-                   gate_ps: int, seed: int, trial: int = 0,
-                   standard_detection: bool = False) -> G2Curve:
-    """Simulate one long run and estimate g2 over a grid of offsets.
-
-    The oscillation rate in tau is the carrier beat of the source pair and
-    the sign of the correlation at tau = 0 follows the detector pump-phase
-    difference; the envelope decays on the mutual coherence time.
-    """
-    a, b = simulate_events(source1, source2, geometry, det_a, det_b,
-                           duration, seed, trial,
-                           standard_detection=standard_detection)
-    return estimate_g2(a, b, taus_ps, gate_ps)
-
-
 def _delay_runs(source1: ThermalFieldModel, source2: ThermalFieldModel,
                 geometry: InterferometerGeometry, det_a: DetectorSetting,
                 det_b: DetectorSetting, delays_m: np.ndarray, duration: float,
-                seed: int, first_trial: int, standard_detection: bool):
+                seed: int, first_trial: int):
     """One simulated stream pair per arm-B delay, trials first_trial + i."""
     for i, d in enumerate(np.asarray(delays_m, dtype=float)):
         yield simulate_events(source1, source2,
                               geometry.with_delay(geometry.delay_b + d),
                               det_a, det_b, duration, seed,
-                              trial=first_trial + i,
-                              standard_detection=standard_detection)
+                              trial=first_trial + i)
 
 
 def delay_scan_events(source1: ThermalFieldModel, source2: ThermalFieldModel,
                       geometry: InterferometerGeometry, det_a: DetectorSetting,
                       det_b: DetectorSetting, delays_m: np.ndarray,
-                      duration: float, gate_ps: int, seed: int,
-                      standard_detection: bool = False) -> np.ndarray:
+                      duration: float, gate_ps: int, seed: int) -> np.ndarray:
     """Monte Carlo g2(0) versus arm-B optical delay.
 
     Delay i is simulated once, as trial i for `duration` seconds, and its
     coincidences are counted at one gate of gate_ps.
     """
     runs = _delay_runs(source1, source2, geometry, det_a, det_b, delays_m,
-                       duration, seed, 0, standard_detection)
+                       duration, seed, 0)
     return np.array([estimate_g2(a, b, [0], gate_ps).values[0] for a, b in runs],
                     dtype=float)
 
@@ -607,8 +582,7 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
                     geometry: InterferometerGeometry, det_a: DetectorSetting,
                     det_b: DetectorSetting, delays_m: np.ndarray,
                     duration: float, gates_ps: list[int], period_m: float,
-                    seed: int, n_trials: int = 4,
-                    standard_detection: bool = False) -> list[dict]:
+                    seed: int, n_trials: int = 4) -> list[dict]:
     """Fringe visibility versus coincidence gate width.
 
     Each trial simulates one event-stream pair per delay and re-bins the
@@ -620,8 +594,7 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
     vis = np.zeros((len(gates_ps), n_trials))
     for trial in range(n_trials):
         runs = _delay_runs(source1, source2, geometry, det_a, det_b, delays_m,
-                           duration, seed, trial * len(delays_m),
-                           standard_detection)
+                           duration, seed, trial * len(delays_m))
         # g2(0) per delay (rows) and gate (columns)
         g2 = np.array([[estimate_g2(a, b, [0], g).values[0] for g in gates_ps]
                        for a, b in runs])

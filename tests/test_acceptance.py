@@ -162,10 +162,9 @@ def test_criterion_07_fourier_peak(fft_on, fft_off):
 
 def test_criterion_08_thermal_statistics(thermal_scan, laser_scan_matched_rate):
     source = ThermalFieldModel(2e7, 6366e-12, "thermal")
-    det = DetectorSetting(0.0, efficiency=0.55)
+    det = DetectorSetting(None, efficiency=0.55)
     geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.05, 0.05, 0.05, 0.05)
-    a, b = simulate_events(source, None, geo, det, det, 0.05, seed=808,
-                           standard_detection=True)
+    a, b = simulate_events(source, None, geo, det, det, 0.05, seed=808)
     g2_zero = estimate_g2(a, b, [0], 500).values[0]
     baseline = thermal_scan["results"]["mean_g2"]
     vis_th = thermal_scan["results"]["fitted_visibility"]

@@ -351,9 +351,9 @@ def test_delay_scan_coherent_law():
     assert np.allclose([r.constant_term for r in rows8], 1.0, atol=1e-12)
     assert np.allclose([r.interference_term for r in rows8],
                        0.8 * (values - 1.0), atol=1e-9)
-    # pump off: flat
-    off = delay_scan(geo, delays, "coherent", DetectorSetting(0.0),
-                     DetectorSetting(0.0))
+    # pump off: the two colors do not beat, so the curve is flat
+    off = delay_scan(geo, delays, "coherent", DetectorSetting(None),
+                     DetectorSetting(None))
     assert all(r.interference_term == 0.0 for r in off)
 
 
@@ -368,8 +368,9 @@ def test_delay_scan_thermal_baseline():
 
 def test_pair_fringe_law_unbalanced_reduces_visibility():
     det = DetectorSetting(math.pi / 4)
-    _, amp_bal, _ = pair_fringe_law(det, det, "coherent", 0.5, 0.5)
-    _, amp_unbal, _ = pair_fringe_law(det, det, "coherent", 0.8, 0.2)
+    geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.05, 0.05, 0.05, 0.05)
+    _, amp_bal, _ = pair_fringe_law(det, det, geo, "coherent", 0.5, 0.5)
+    _, amp_unbal, _ = pair_fringe_law(det, det, geo, "coherent", 0.8, 0.2)
     assert amp_bal == pytest.approx(0.5, abs=1e-12)
     assert amp_unbal < amp_bal
 

@@ -201,11 +201,12 @@ def test_every_scenario_runs_end_to_end(tmp_path, name):
 
 
 def test_gate_time_study_pump_off_uses_standard_detection(tmp_path, monkeypatch):
+    # pump off: every run's detectors (det_a, det_b) have no conversion stage
     calls = []
     simulate = stochastic.simulate_events
 
     def recorded(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(args[3:5])
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(stochastic, "simulate_events", recorded)
@@ -213,7 +214,37 @@ def test_gate_time_study_pump_off_uses_standard_detection(tmp_path, monkeypatch)
                           TINY_OVERRIDES["gate_time_study"] + ["pump_on=false"])
     run_scenario(cfg, tmp_path / "run")
     assert len(calls) == cfg.delay_points * cfg.gate_trials
-    assert all(kw.get("standard_detection") is True for kw in calls)
+    assert all(det.theta is None for dets in calls for det in dets)
+
+
+# Pump-off runs whose analytic curve the Monte Carlo must reproduce: the
+# thermal pedestal of two colors that do not beat, and one-color HBT.
+PUMP_OFF_LAYERS = {
+    "thermal_delay_scan": (["pump_on=false", "duration_ps=1e10", "delay_points=16"],
+                           "delay_scan"),
+    "free_space_same_wavelength": (["duration_ps=2e9", "separation_points=24"],
+                                   "fringe"),
+}
+
+
+@pytest.mark.parametrize("name", list(PUMP_OFF_LAYERS))
+def test_pump_off_analytic_curve_matches_monte_carlo(tmp_path, name):
+    overrides, stem = PUMP_OFF_LAYERS[name]
+    cfg = apply_overrides(default_config(name), overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_scenario(cfg, tmp_path)
+    xs, analytic = np.loadtxt(tmp_path / f"{stem}_analytic.csv", delimiter=",",
+                              skiprows=1, usecols=(0, 1), unpack=True)
+    g2 = np.loadtxt(tmp_path / f"{stem}_mc.csv", delimiter=",", skiprows=1, usecols=1)
+    period = cfg.lambda3_m if stem == "delay_scan" else scenarios.analytic_fringe_period(cfg)
+    base, amp, _ = stochastic.fit_fringe(xs, analytic, period)
+    base_mc, amp_mc, phase_mc = stochastic.fit_fringe(xs, g2, period)
+    # standard errors of the fitted offset and amplitude from the residuals
+    model = base_mc + amp_mc * np.cos(2 * math.pi * xs / period + phase_mc)
+    sigma = math.sqrt(np.sum((g2 - model) ** 2) / (xs.size - 3))
+    assert abs(base_mc - base) < 5 * sigma / math.sqrt(xs.size)
+    assert abs(amp_mc / base_mc - amp / base) < 5 * sigma * math.sqrt(2 / xs.size) / base_mc
 
 
 @pytest.mark.parametrize("command", ["run", "scan"])
@@ -228,12 +259,39 @@ def test_delay_scan_without_pump_is_a_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_selftest_prints_one_pass_line_per_fast_check(capsys):
-    assert main(["selftest"]) == 0
+@pytest.mark.parametrize("flags", [[], ["--full"]], ids=["fast", "full"])
+def test_cli_selftest_prints_one_pass_line_per_fast_check(capsys, flags):
+    assert main(["selftest"] + flags) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in lines] == \
-        [["PASS", name] for name, _ in selftest.FAST_CHECKS]
+    checks = selftest.FULL_CHECKS if flags else selftest.FAST_CHECKS
+    assert [line.split()[:2] for line in lines] == [["PASS", name] for name, _ in checks]
     assert "color-rotation-limit" in dict(selftest.FAST_CHECKS)
+
+
+# Values only a constructor or the runner itself rejects, as a `run`
+# override and as the first value of a `scan` sweep.
+REJECTED_AT_CONFIG_TIME = [
+    ("laser_delay_scan", "dark_count_rate_hz=-5", "dark_count_rate_hz=-5:0:2"),
+    ("thermal_g2_tau", "splitter_efficiency=1.5", "splitter_efficiency=1.5:0.5:2"),
+    ("free_space_hbt", "screen_distance_m=-0.4", "screen_distance_m=-0.4:0.4:2"),
+    ("laser_g2_tau", "tau_step_ps=0", "tau_step_ps=0:4000:2"),
+    ("erasure_overlap_scan", "overlap_mean_photons=0,4", "overlap_mean_photons=0:4:2"),
+    ("gate_time_study", "gates_ps=0,1000", "gates_ps=0:1000:2"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "scan"])
+@pytest.mark.parametrize("scenario,override,sweep", REJECTED_AT_CONFIG_TIME,
+                         ids=[case[1] for case in REJECTED_AT_CONFIG_TIME])
+def test_runtime_rejects_are_config_errors(tmp_path, capsys, command, scenario,
+                                           override, sweep):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(f"scenario: {scenario}\n")
+    argv = {"run": ["run", str(cfg_path), "--override", override],
+            "scan": ["scan", "--scenario", scenario, "--param", sweep]}[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_selftest_failure_exits_3(capsys, monkeypatch):

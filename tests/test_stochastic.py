@@ -28,7 +28,6 @@ from chromint.stochastic import (
     fit_g2_envelope,
     fringe_fft,
     fitted_visibility,
-    g2_vs_tau_scan,
     simulate_events,
     substream,
     write_g2_csv,
@@ -72,10 +71,9 @@ def test_simulation_determinism():
 
 def test_poisson_rate_and_dedup():
     source = ThermalFieldModel(2e7, 318e-9, "coherent")
-    det = DetectorSetting(0.0, output_filter=2)
-    a, b = quiet_simulate(source, None, GEO, det, det, 5e-3, seed=5,
-                          standard_detection=True)
-    # standard detection of one source: mean detected rate = rate/2
+    det = DetectorSetting(None)
+    a, b = quiet_simulate(source, None, GEO, det, det, 5e-3, seed=5)
+    # one source seen without conversion: mean detected rate = rate/2
     expect = 2e7 / 2 * 5e-3
     for s in (a, b):
         assert abs(s.count - expect) < 6 * math.sqrt(expect)
@@ -87,8 +85,7 @@ def test_dark_counts_only():
     source = ThermalFieldModel(1e3, 1e-6, "coherent")
     det = DetectorSetting(0.0, output_filter=2, efficiency=0.0,
                           dark_count_rate=2e5)
-    a, _ = quiet_simulate(source, None, GEO, det, det, 10e-3, seed=6,
-                          standard_detection=False)
+    a, _ = quiet_simulate(source, None, GEO, det, det, 10e-3, seed=6)
     # efficiency 0 silences the source; only darks remain
     expect = 2e5 * 10e-3
     assert abs(a.count - expect) < 6 * math.sqrt(expect)
@@ -280,9 +277,8 @@ def assert_bose_einstein(stream, tc):
 def test_thermal_slot_counts_are_bose_einstein():
     tc = 10e-9
     source = ThermalFieldModel(2e7, tc, "thermal")
-    det = DetectorSetting(0.0, efficiency=1.0)
-    a, _ = quiet_simulate(source, None, GEO, det, det, 2e-3, seed=404,
-                          standard_detection=True)
+    det = DetectorSetting(None, efficiency=1.0)
+    a, _ = quiet_simulate(source, None, GEO, det, det, 2e-3, seed=404)
     assert_bose_einstein(a, tc)
 
 
@@ -294,14 +290,30 @@ def test_thermal_splitter_g2_is_triangular():
     # so gate bins nest in slots and the law holds at whole-gate offsets
     tc, gate = 100e-9, 500
     source = ThermalFieldModel(4e7, tc, "thermal")
-    det = DetectorSetting(0.0, efficiency=1.0)
-    a, b = quiet_simulate(source, None, GEO, det, det, 0.1, seed=1759,
-                          standard_detection=True)
+    det = DetectorSetting(None, efficiency=1.0)
+    a, b = quiet_simulate(source, None, GEO, det, det, 0.1, seed=1759)
     fractions = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
     curve = estimate_g2(a, b, np.rint(fractions * tc * PS_PER_S), gate)
     law = 1.0 + np.clip(1.0 - fractions, 0.0, None)
     # 5 standard errors: g2 / sqrt(n_coinc) is the Poisson error of g2
     assert np.all(np.abs(curve.values / law - 1.0) < 5.0 / np.sqrt(curve.n_coincidence))
+
+
+def test_thermal_splitter_g2_is_gate_averaged_triangle():
+    # a gate w <= tc that does not divide tc straddles a slot edge with
+    # probability w/tc, at a uniform place, and then splits a pair of its
+    # events across the edge with mean probability 1/3, so the splitter's
+    # g2(0) is the triangle averaged over the gate, 2 - w/(3*tc): 1.974 at
+    # criterion 08's 500 ps, 1.843 at 3000 ps, where 2.0 is excluded
+    tc, gate = 6366e-12, 3000
+    source = ThermalFieldModel(2e7, tc, "thermal")
+    det = DetectorSetting(None, efficiency=0.55)
+    a, b = quiet_simulate(source, None, GEO, det, det, 0.15, seed=7)
+    curve = estimate_g2(a, b, [0], gate)
+    g2, se = curve.values[0], curve.values[0] / math.sqrt(curve.n_coincidence[0])
+    law = 2.0 - gate / (3.0 * tc * PS_PER_S)
+    assert abs(g2 - law) < 5 * se
+    assert abs(g2 - 2.0) > 5 * se
 
 
 def test_thermal_pair_g2_at_zero_delay():
@@ -317,7 +329,7 @@ def test_thermal_pair_g2_at_zero_delay():
     a, b = quiet_simulate(source, source, GEO, det, det, duration, seed=1913)
     terms = []
     for name in "AB":
-        k1, k2 = detector_couplings(det)
+        k1, k2, _ = detector_couplings(det, GEO)
         psi = GEO.path_phase(1, name) - GEO.path_phase(2, name)
         b1, b2 = abs(k1) ** 2 * rate / 2, abs(k2) ** 2 * rate / 2
         offset = np.angle(k1 * np.conj(k2) * np.exp(1j * psi))
@@ -364,20 +376,18 @@ def test_batches_keep_the_laws(monkeypatch):
     monkeypatch.setattr(stochastic, "_CHUNK", 333)
     rate = 0.7 * 2e7 / 2
     laser = ThermalFieldModel(2e7, 318e-9, "coherent")
-    det = DetectorSetting(0.0, efficiency=0.7)
-    for s in simulate_events(laser, None, GEO, det, det, 2e-3, seed=22,
-                             standard_detection=True):
+    det = DetectorSetting(None, efficiency=0.7)
+    for s in simulate_events(laser, None, GEO, det, det, 2e-3, seed=22):
         assert abs(s.count - rate * 2e-3) < 5 * math.sqrt(rate * 2e-3)
         gaps = np.diff(s.timestamps) / PS_PER_S
         assert kstest(gaps, "expon", args=(0.0, 1.0 / rate)).pvalue > 0.01
 
-    det = DetectorSetting(0.0, efficiency=1.0)
+    det = DetectorSetting(None, efficiency=1.0)
     for tc in (10e-9, 1e-6):
         # at 1 us, each slot spans several batches
         monkeypatch.setattr(stochastic, "_CHUNK", 333 if tc < 1e-6 else 7)
         beam = ThermalFieldModel(2e7, tc, "thermal")
-        streams = quiet_simulate(beam, None, GEO, det, det, 2e-3, seed=405,
-                                 standard_detection=True)
+        streams = quiet_simulate(beam, None, GEO, det, det, 2e-3, seed=405)
         for s in streams:
             mean = 1e7 * 2e-3
             assert abs(s.count - mean) < 5 * math.sqrt(mean + 1e14 * tc * 2e-3)
@@ -404,14 +414,13 @@ def test_thinning_invariance():
 
 
 def test_constant_rate_interarrivals_are_exponential():
-    # one laser under standard detection has a constant rate, so thinning
+    # one laser seen without conversion has a constant rate, so thinning
     # keeps every candidate and arrivals form a homogeneous Poisson process:
     # exponential gaps, and arrival times uniform over the run
     eta = 0.7
     source = ThermalFieldModel(2e7, 318e-9, "coherent")
-    det = DetectorSetting(0.0, efficiency=eta)
-    a, b = simulate_events(source, None, GEO, det, det, 2e-3, seed=21,
-                           standard_detection=True)
+    det = DetectorSetting(None, efficiency=eta)
+    a, b = simulate_events(source, None, GEO, det, det, 2e-3, seed=21)
     rate = eta * 2e7 / 2
     for s in (a, b):
         gaps = np.diff(s.timestamps) / PS_PER_S
@@ -440,16 +449,15 @@ def test_thinning_rate_within_bound(theta, phase_a, phase_b, v_deg, delay,
     tcs[1] *= stretch
     s1 = ThermalFieldModel(rate, tcs[0], kinds[0])
     s2 = ThermalFieldModel(rate, tcs[1], kinds[1], 10e6)
-    dets = [DetectorSetting(theta, phase, output_filter=1, efficiency=eff,
-                            visibility_degradation=v_deg)
+    # standard: no conversion stage, so two distinct colors do not beat
+    dets = [DetectorSetting(None if standard else theta, phase, output_filter=1,
+                            efficiency=eff, visibility_degradation=v_deg)
             for phase, eff in ((phase_a, 0.5), (phase_b, 0.3))]
-    streams = simulate_events(s1, s2, GEO.with_delay(delay), *dets, duration,
-                              seed, standard_detection=standard)
+    streams = simulate_events(s1, s2, GEO.with_delay(delay), *dets, duration, seed)
     for stream, det in zip(streams, dets):
-        # standard detection of two distinct colors has no beat term
-        k1, k2 = (1.0, 1.0) if standard else detector_couplings(det)
+        k1, k2, beats = detector_couplings(det, GEO)
         b = [det.efficiency * abs(k) ** 2 * rate / 2 for k in (k1, k2)]
-        cross2 = 0.0 if standard else v_deg * b[0] * b[1]
+        cross2 = v_deg * b[0] * b[1] if beats else 0.0
         mean = sum(b) * duration
         # a thermal term varies slot by slot; the beat decorrelates within
         # the longer coherence time
@@ -462,9 +470,8 @@ def test_g2_decorrelates_beyond_coherence_time():
     tc = 50e-9
     s1, s2 = coherent_pair(rate=4e7, tc=tc)
     det = DetectorSetting(math.pi / 4)
-    curve = g2_vs_tau_scan(s1, s2, GEO, det, det, 0.05,
-                           [0, int(tc * 1e12), int(20 * tc * 1e12)], 1000,
-                           seed=2718)
+    a, b = simulate_events(s1, s2, GEO, det, det, 0.05, seed=2718)
+    curve = estimate_g2(a, b, [0, int(tc * 1e12), int(20 * tc * 1e12)], 1000)
     near, one_tc, far = curve.values
     assert near > 1.2
     assert abs(far - 1.0) < 0.05
