@@ -42,6 +42,7 @@ from .interferometry import (
     write_scan_csv,
 )
 from .stochastic import (
+    FFT_MIN_POINTS,
     ThermalFieldModel,
     delay_scan_events,
     estimate_g2,
@@ -231,7 +232,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.source_kind not in ("coherent", "thermal"):
         raise ConfigError(f"unknown source_kind {cfg.source_kind!r}")
     for name in ("source_rate_hz", "coherence_time_ps", "duration_ps", "gate_ps",
-                 "tau_step_ps"):
+                 "tau_step_ps", "delay_span_periods"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     for name in ("gates_ps", "overlap_mean_photons"):
@@ -239,10 +240,22 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"every {name} entry must be positive")
     if not 0.0 <= cfg.v_deg <= 1.0:
         raise ConfigError("v_deg must lie in [0, 1]")
-    if cfg.delay_points < 4:
-        raise ConfigError("delay_points must be at least 4")
-    if SCENARIOS[cfg.scenario][0] in _DELAY_RUNNERS and cfg.lambda3_m is None:
+    # the sinusoid fits have 3 (known period) or 4 (free period) parameters
+    for name in ("delay_points", "separation_points"):
+        if getattr(cfg, name) < 4:
+            raise ConfigError(f"{name} must be at least 4")
+    if cfg.separation_max_m <= cfg.separation_min_m:
+        raise ConfigError("separation_max_m must exceed separation_min_m")
+    if cfg.gate_trials < 2:
+        raise ConfigError("gate_trials must be at least 2 for a confidence interval")
+    runner = SCENARIOS[cfg.scenario][0]
+    if runner in _DELAY_RUNNERS and cfg.lambda3_m is None:
         raise ConfigError("delay scans require a pump wavelength")
+    if runner is _run_fft and cfg.delay_points < FFT_MIN_POINTS:
+        raise ConfigError(f"FFT scans need at least {FFT_MIN_POINTS} delay_points")
+    if runner is _run_g2_tau and cfg.tau_max_ps < 2 * cfg.tau_step_ps:
+        # the three-parameter envelope fit needs three tau points
+        raise ConfigError("tau_max_ps must be at least 2 * tau_step_ps")
     # the constructors check the rest (the pump wavelength constraint, the
     # detectors, the sources, the screen distance), here rather than mid-run
     try:

@@ -49,13 +49,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.optimize import curve_fit
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .erasure import DetectorSetting
 from .interferometry import SPEED_OF_LIGHT, InterferometerGeometry, detector_couplings
 
 PS_PER_S = 1_000_000_000_000
+FFT_MIN_POINTS = 16  # shortest delay scan fringe_fft resolves
 _CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
 
 
@@ -482,6 +482,7 @@ def fit_fringe_free_period(xs: np.ndarray, values: np.ndarray
     discrete Fourier peak of the mean-subtracted curve (uniform grid
     required) and then refined by least squares.
     """
+    from scipy.optimize import curve_fit  # slow to import: only fits load it
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     steps = np.diff(xs)
@@ -508,13 +509,13 @@ def fringe_fft(delays_m: np.ndarray, values: np.ndarray
     """Fourier magnitude of a mean-subtracted delay scan.
 
     Delays convert to light travel time (d/c), so the returned axis and peak
-    are optical frequencies in Hz.  Requires a uniform grid of at least 16
-    points; the peak search excludes the DC bin.
+    are optical frequencies in Hz.  Requires a uniform grid of at least
+    FFT_MIN_POINTS points; the peak search excludes the DC bin.
     """
     delays_m = np.asarray(delays_m, dtype=float)
     values = np.asarray(values, dtype=float)
-    if delays_m.size < 16:
-        raise ValueError("need at least 16 scan points")
+    if delays_m.size < FFT_MIN_POINTS:
+        raise ValueError(f"need at least {FFT_MIN_POINTS} scan points")
     steps = np.diff(delays_m)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
         raise ValueError("delay grid must be uniform")
@@ -532,6 +533,7 @@ def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float
     Returns (amplitude, decay_time, phase).  The decay time estimates the
     mutual coherence time of the source pair.
     """
+    from scipy.optimize import curve_fit  # slow to import: only fits load it
     taus_s = np.asarray(taus_s, dtype=float)
     values = np.asarray(values, dtype=float)
     ok = np.isfinite(values)
@@ -588,8 +590,10 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
     Each trial simulates one event-stream pair per delay and re-bins the
     same streams at every gate, so gate-to-gate differences carry no extra
     shot noise.  Returns one row per gate with the trial mean visibility
-    and a 95% confidence half-width.
+    and a 95% confidence half-width; needs at least two trials.
     """
+    if n_trials < 2:
+        raise ValueError("a confidence interval needs at least two trials")
     delays_m = np.asarray(delays_m, dtype=float)
     vis = np.zeros((len(gates_ps), n_trials))
     for trial in range(n_trials):
@@ -601,11 +605,10 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
         for gi in range(len(gates_ps)):
             vis[gi, trial] = fitted_visibility(delays_m, g2[:, gi], period_m)
     rows = []
-    tcrit = student_t.ppf(0.975, n_trials - 1) if n_trials > 1 else 0.0
+    tcrit = stdtrit(n_trials - 1, 0.975)  # Student-t 97.5% quantile
     for gi, g in enumerate(gates_ps):
         mean = float(vis[gi].mean())
-        half = float(tcrit * vis[gi].std(ddof=1) / math.sqrt(n_trials)) \
-            if n_trials > 1 else 0.0
+        half = float(tcrit * vis[gi].std(ddof=1) / math.sqrt(n_trials))
         rows.append({"gate_ps": g, "visibility": mean, "ci95": half,
                      "trials": vis[gi].tolist()})
     return rows

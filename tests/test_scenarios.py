@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,19 @@ REJECTED_AT_CONFIG_TIME = [
     ("laser_g2_tau", "tau_step_ps=0", "tau_step_ps=0:4000:2"),
     ("erasure_overlap_scan", "overlap_mean_photons=0,4", "overlap_mean_photons=0:4:2"),
     ("gate_time_study", "gates_ps=0,1000", "gates_ps=0:1000:2"),
+    # runs that crashed or wrote meaningless results: a fit with more
+    # parameters than points, an empty or one-point tau grid, an FFT scan
+    # too short to resolve, a zero-width scan, no trials or one trial
+    ("free_space_hbt", "separation_points=2", "separation_points=2:36:2"),
+    ("laser_g2_tau", "tau_max_ps=-1", "tau_max_ps=-1:300000:2"),
+    ("laser_g2_tau", "tau_max_ps=0", "tau_max_ps=0:300000:2"),
+    ("laser_fft", "delay_points=8", "delay_points=8:40:2"),
+    ("thermal_fft", "delay_points=15", "delay_points=15:40:2"),
+    ("laser_delay_scan", "delay_span_periods=0", "delay_span_periods=0:2:2"),
+    ("free_space_same_wavelength", "separation_max_m=0.0002",
+     "separation_max_m=0.0002:0.0152:2"),
+    ("gate_time_study", "gate_trials=0", "gate_trials=0:4:2"),
+    ("gate_time_study", "gate_trials=1", "gate_trials=1:4:2"),
 ]
 
 
@@ -292,6 +309,17 @@ def test_runtime_rejects_are_config_errors(tmp_path, capsys, command, scenario,
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_out_stats_and_optimize():
+    # scipy.stats and scipy.optimize take most of a cold start; no run
+    # needs the first, and only the curve fits load the second
+    code = ("import sys, chromint.cli; "
+            "print(*[m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    src = Path(scenarios.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert proc.stdout.split() == [], f"import chromint.cli loads {proc.stdout.strip()}"
 
 
 def test_cli_selftest_failure_exits_3(capsys, monkeypatch):

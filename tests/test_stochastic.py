@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
+from scipy.stats import t as t_dist
 
 from chromint import stochastic
 from chromint.erasure import DetectorSetting
@@ -530,6 +531,39 @@ def test_fit_g2_envelope_recovers_decay():
     amp, decay, _ = fit_g2_envelope(taus, values, 25e6)
     assert amp == pytest.approx(0.5, abs=1e-6)
     assert decay == pytest.approx(100e-9, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Composite studies.
+
+def gate_study_with_visibilities(monkeypatch, visibilities, n_trials):
+    """gate_time_study at one gate, with each trial's fitted visibility
+    taken from `visibilities` and no photons simulated."""
+    monkeypatch.setattr(stochastic, "simulate_events", lambda *a, **k: (None, None))
+    monkeypatch.setattr(stochastic, "estimate_g2",
+                        lambda *a, **k: G2Curve([0], [1.0], 1000, [0], 0, 0, 0))
+    fitted = iter(visibilities)
+    monkeypatch.setattr(stochastic, "fitted_visibility", lambda *a: next(fitted))
+    s1, s2 = coherent_pair()
+    det = DetectorSetting(math.pi / 4)
+    return stochastic.gate_time_study(s1, s2, GEO, det, det, np.zeros(4), 1e-3,
+                                      [1000], LAM3, seed=1, n_trials=n_trials)
+
+
+def test_gate_time_ci95_is_student_t(monkeypatch):
+    vis = [0.40, 0.55, 0.47, 0.61]
+    (row,) = gate_study_with_visibilities(monkeypatch, vis, n_trials=4)
+    half = row["ci95"] / (np.std(vis, ddof=1) / math.sqrt(4))
+    # the 97.5% quantile of Student's t with 3 degrees of freedom (tables:
+    # 3.182446305284263), bit for bit the value scipy.stats.t.ppf gives
+    assert half == pytest.approx(3.182446305284263, rel=1e-12)
+    assert row["ci95"] == t_dist.ppf(0.975, 3) * np.std(vis, ddof=1) / math.sqrt(4)
+    assert row["visibility"] == np.mean(vis) and row["trials"] == vis
+
+
+def test_gate_time_study_needs_two_trials(monkeypatch):
+    with pytest.raises(ValueError, match="two trials"):
+        gate_study_with_visibilities(monkeypatch, [0.5], n_trials=1)
 
 
 # ---------------------------------------------------------------------------
