@@ -110,27 +110,29 @@ def post_select(state: TripleModeState, output_filter: int) -> PostSelection:
     prob = float(np.sum(np.abs(kept) ** 2))
     if prob < EMPTY_BRANCH_PROB:
         return PostSelection(None, prob)
-    out = TripleModeState(state.basis, kept / np.sqrt(prob),
-                          label=f"{state.label}|filter{output_filter}")
-    return PostSelection(out, prob)
+    return PostSelection(TripleModeState(state.basis, kept / np.sqrt(prob)), prob)
 
 
-def erasure_overlap(mean_photons: float, theta: float, phase: float = 0.0,
-                    basis: FockBasis | None = None) -> float:
+def _evolved(input_mode: int, mean_photons: float, theta: float,
+             phase: float) -> TripleModeState:
+    """The closed-form evolved state of one input photon at conversion angle
+    theta = chi*T*sqrt(N), on the default pump cutoff for N."""
+    if mean_photons <= 0:
+        raise ValueError("mean photon number must be positive")
+    basis = FockBasis(1, 1, default_pump_cutoff(mean_photons))
+    pump = CoherentSpec(mean_photons, phase)
+    return evolve_closed_form(input_mode, pump, theta / np.sqrt(mean_photons), basis)
+
+
+def erasure_overlap(mean_photons: float, theta: float, phase: float = 0.0) -> float:
     """|<Psi~1|Psi~2>| computed exactly on the truncated space.
 
     Builds the two evolved single-photon states for the same pump, filters
     both on color 2 and takes the inner-product modulus.  The overlap against
     an empty branch is defined as 0.
     """
-    if mean_photons <= 0:
-        raise ValueError("mean photon number must be positive")
-    if basis is None:
-        basis = FockBasis(1, 1, default_pump_cutoff(mean_photons))
-    pump = CoherentSpec(mean_photons, phase)
-    chi_t = theta / np.sqrt(mean_photons)
-    sel1 = post_select(evolve_closed_form(1, pump, chi_t, basis), 2)
-    sel2 = post_select(evolve_closed_form(2, pump, chi_t, basis), 2)
+    sel1, sel2 = (post_select(_evolved(mode, mean_photons, theta, phase), 2)
+                  for mode in (1, 2))
     if sel1.empty or sel2.empty:
         return 0.0
     return abs(inner_product(sel1.state, sel2.state))
@@ -142,19 +144,15 @@ def reduced_signal_density(state: TripleModeState) -> np.ndarray:
     Requires the state to carry exactly one signal photon; basis order is
     {|1,0>, |0,1>}.  The result is Hermitian, unit trace and PSD.
     """
-    occ = state.basis.occupations()
-    n_signal = occ[:, 0] + occ[:, 1]
-    weight_outside = float(np.sum(np.abs(state.amplitudes[n_signal != 1]) ** 2))
+    sector = ([1, 0], [0, 1])  # grid rows |1,0,m> and |0,1,m>
+    outside = np.abs(state.grid) ** 2
+    outside[sector] = 0.0
+    weight_outside = float(np.sum(outside))
     if weight_outside > 1e3 * EPS_NORM:
         raise SectorError(
             f"state has probability {weight_outside:.3e} outside the "
             "single-signal-photon sector")
-    b = state.basis
-    n3 = b.n3_max + 1
-    psi = np.zeros((2, n3), dtype=complex)
-    for m in range(n3):
-        psi[0, m] = state.amplitudes[b.index(1, 0, m)]
-        psi[1, m] = state.amplitudes[b.index(0, 1, m)]
+    psi = state.grid[sector]
     rho = psi @ psi.conj().T
     rho /= np.trace(rho).real
     return rho
@@ -184,11 +182,6 @@ def pure_state_fidelity(rho: np.ndarray, qubit: ColorQubitState) -> float:
 
 
 def evolved_signal_density(input_mode: int, mean_photons: float, theta: float,
-                           phase: float = 0.0,
-                           basis: FockBasis | None = None) -> np.ndarray:
+                           phase: float = 0.0) -> np.ndarray:
     """Reduced signal density matrix of the exactly evolved state."""
-    if basis is None:
-        basis = FockBasis(1, 1, default_pump_cutoff(mean_photons))
-    pump = CoherentSpec(mean_photons, phase)
-    chi_t = theta / np.sqrt(mean_photons)
-    return reduced_signal_density(evolve_closed_form(input_mode, pump, chi_t, basis))
+    return reduced_signal_density(_evolved(input_mode, mean_photons, theta, phase))

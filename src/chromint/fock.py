@@ -1,10 +1,10 @@
 """Exact state mechanics on a truncated three-mode Fock space.
 
 The three modes are the long-wavelength signal (mode 1), the short-wavelength
-signal (mode 2) and the strong pump (mode 3).  States are dense numpy
-vectors on the lexicographically ordered occupation basis; the Hamiltonian
-is a sparse CSR matrix, so a desk machine handles pump cutoffs of a few
-thousand photons.
+signal (mode 2) and the strong pump (mode 3).  A state is the C-order
+flattening of its (n1, n2, n3) amplitude grid (FockBasis.shape,
+TripleModeState.grid); the Hamiltonian is a sparse CSR matrix, so a desk
+machine handles pump cutoffs of a few thousand photons.
 
 All operations are pure: states and operators are never mutated after
 construction and are safe to share across threads.
@@ -12,6 +12,7 @@ construction and are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,8 @@ def default_pump_cutoff(mean_photons: float) -> int:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Truncated three-mode occupation basis, lexicographic over (n1, n2, n3).
-
-    The flat index of |n1, n2, n3> is ((n1*(n2_max+1)) + n2)*(n3_max+1) + n3.
-    """
+    """Truncated three-mode occupation basis: the (n1, n2, n3) grid of
+    shape `shape`, flattened in C order."""
 
     n1_max: int
     n2_max: int
@@ -69,30 +68,16 @@ class FockBasis:
             raise ValueError("cutoffs must be nonnegative")
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.n1_max + 1, self.n2_max + 1, self.n3_max + 1
+
+    @property
     def dim(self) -> int:
-        return (self.n1_max + 1) * (self.n2_max + 1) * (self.n3_max + 1)
-
-    def index(self, n1: int, n2: int, n3: int) -> int:
-        if not (0 <= n1 <= self.n1_max and 0 <= n2 <= self.n2_max and 0 <= n3 <= self.n3_max):
-            raise IndexError(f"occupation ({n1},{n2},{n3}) outside basis {self}")
-        return (n1 * (self.n2_max + 1) + n2) * (self.n3_max + 1) + n3
-
-    def occupation(self, index: int) -> tuple[int, int, int]:
-        if not 0 <= index < self.dim:
-            raise IndexError(f"index {index} outside basis of dimension {self.dim}")
-        n3 = index % (self.n3_max + 1)
-        rest = index // (self.n3_max + 1)
-        n2 = rest % (self.n2_max + 1)
-        n1 = rest // (self.n2_max + 1)
-        return n1, n2, n3
+        return math.prod(self.shape)
 
     def occupations(self) -> np.ndarray:
-        """(dim, 3) integer array of occupation triples in index order."""
-        n1 = np.arange(self.n1_max + 1)
-        n2 = np.arange(self.n2_max + 1)
-        n3 = np.arange(self.n3_max + 1)
-        grid = np.stack(np.meshgrid(n1, n2, n3, indexing="ij"), axis=-1)
-        return grid.reshape(-1, 3)
+        """(dim, 3) integer array of occupation triples in flat order."""
+        return np.indices(self.shape).reshape(3, -1).T
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,6 @@ class TripleModeState:
 
     basis: FockBasis
     amplitudes: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -110,29 +94,20 @@ class TripleModeState:
         object.__setattr__(self, "amplitudes", amps)
 
     @property
+    def grid(self) -> np.ndarray:
+        """The amplitudes as an array of shape basis.shape, indexed
+        [n1, n2, n3]; a view, not a copy."""
+        return self.amplitudes.reshape(self.basis.shape)
+
+    @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self, label: str | None = None) -> "TripleModeState":
+    def normalized(self) -> "TripleModeState":
         n = self.norm
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return TripleModeState(self.basis, self.amplitudes / n,
-                               self.label if label is None else label)
-
-    def amplitude(self, n1: int, n2: int, n3: int) -> complex:
-        return complex(self.amplitudes[self.basis.index(n1, n2, n3)])
-
-    def mode_occupation(self, mode: int) -> float:
-        """Expectation value of the number operator of one mode (1, 2 or 3)."""
-        occ = self.basis.occupations()[:, mode - 1]
-        return float(np.sum(occ * np.abs(self.amplitudes) ** 2))
-
-    def cutoff_shell_probability(self, mode: int) -> float:
-        """Probability that the given mode sits exactly at its cutoff."""
-        occ = self.basis.occupations()[:, mode - 1]
-        cut = (self.basis.n1_max, self.basis.n2_max, self.basis.n3_max)[mode - 1]
-        return float(np.sum(np.abs(self.amplitudes[occ == cut]) ** 2))
+        return TripleModeState(self.basis, self.amplitudes / n)
 
 
 @dataclass(frozen=True)
@@ -176,8 +151,7 @@ class TrilinearHamiltonian:
         b = self.basis
         n1, n2, n3 = b.occupations().T
         src = np.flatnonzero((n1 >= 1) & (n2 < b.n2_max) & (n3 >= 1))
-        # index shift of (n1-1, n2+1, n3-1) in the lexicographic basis
-        dst = src - (b.n2_max + 1) * (b.n3_max + 1) + (b.n3_max + 1) - 1
+        dst = np.ravel_multi_index((n1[src] - 1, n2[src] + 1, n3[src] - 1), b.shape)
         amp = 1j * np.sqrt((n1[src] * (n2[src] + 1) * n3[src]).astype(float))
         h = csr_matrix((np.concatenate([amp, amp.conj()]),
                         (np.concatenate([dst, src]), np.concatenate([src, dst]))),
@@ -208,13 +182,9 @@ def single_photon_with_pump(input_mode: int, spec: CoherentSpec,
         raise ValueError("input_mode must be 1 or 2")
     if basis.n1_max < 1 or basis.n2_max < 1:
         raise ValueError("signal cutoffs must be at least 1")
-    series = _pump_series(spec, basis)
-    amps = np.zeros(basis.dim, dtype=complex)
-    n1, n2 = (1, 0) if input_mode == 1 else (0, 1)
-    for n in range(basis.n3_max + 1):
-        amps[basis.index(n1, n2, n)] = series[n]
-    return TripleModeState(basis, amps / np.linalg.norm(amps),
-                           label=f"gamma{input_mode} input")
+    grid = np.zeros(basis.shape, dtype=complex)
+    grid[(1, 0) if input_mode == 1 else (0, 1)] = _pump_series(spec, basis)
+    return TripleModeState(basis, grid.ravel()).normalized()
 
 
 def evolve_closed_form(input_mode: int, pump: CoherentSpec, chi_t: float,
@@ -231,22 +201,17 @@ def evolve_closed_form(input_mode: int, pump: CoherentSpec, chi_t: float,
         raise SectorError("closed-form evolution requires a single signal photon "
                           "in mode 1 or mode 2")
     series = _pump_series(pump, basis)
-    amps = np.zeros(basis.dim, dtype=complex)
+    grid = np.zeros(basis.shape, dtype=complex)
     ns = np.arange(basis.n3_max + 1)
     if input_mode == 1:
         angles = chi_t * np.sqrt(ns)
-        for n in range(basis.n3_max + 1):
-            amps[basis.index(1, 0, n)] += series[n] * np.cos(angles[n])
-            if n >= 1:
-                amps[basis.index(0, 1, n - 1)] += series[n] * np.sin(angles[n])
+        grid[1, 0] += series * np.cos(angles)
+        grid[0, 1, :-1] += series[1:] * np.sin(angles[1:])
     else:
         angles = chi_t * np.sqrt(ns + 1)
-        for n in range(basis.n3_max + 1):
-            amps[basis.index(0, 1, n)] += series[n] * np.cos(angles[n])
-            if n + 1 <= basis.n3_max:
-                amps[basis.index(1, 0, n + 1)] += -series[n] * np.sin(angles[n])
-    state = TripleModeState(basis, amps, label=f"Psi{input_mode}")
-    return state.normalized()
+        grid[0, 1] += series * np.cos(angles)
+        grid[1, 0, 1:] += -series[:-1] * np.sin(angles[:-1])
+    return TripleModeState(basis, grid.ravel()).normalized()
 
 
 def evolve_brute_force(state: TripleModeState, hamiltonian: TrilinearHamiltonian,
@@ -260,10 +225,10 @@ def evolve_brute_force(state: TripleModeState, hamiltonian: TrilinearHamiltonian
     if state.basis != hamiltonian.basis:
         raise BasisMismatchError("state and Hamiltonian live on different bases")
     out = expm_multiply(-1j * time * hamiltonian.matrix, state.amplitudes)
-    evolved = TripleModeState(state.basis, out, label=state.label)
+    evolved = TripleModeState(state.basis, out)
     if abs(evolved.norm - state.norm) > EPS_NORM:
         raise ValueError(f"evolution changed the norm by {abs(evolved.norm - state.norm):.3e}")
-    leak = evolved.cutoff_shell_probability(3)
+    leak = float(np.sum(np.abs(evolved.grid[:, :, -1]) ** 2))
     if leak > EPS_TRUNC:
         raise CutoffError(f"evolved state leaks {leak:.3e} onto the pump cutoff shell", leak)
     return evolved

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erasure import DetectorSetting
+from .erasure import DetectorSetting, effective_rotation
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -67,8 +67,7 @@ class InterferometerGeometry:
     @classmethod
     def from_free_space(cls, source_separation: float, screen_distance: float,
                         detector_separation: float, lambda1: float, lambda2: float,
-                        lambda3: float | None, delay_b: float = 0.0
-                        ) -> "InterferometerGeometry":
+                        lambda3: float | None) -> "InterferometerGeometry":
         """Planar geometry: sources at (+-s/2, 0), detectors at (+-x/2, R).
 
         The detector separation is applied symmetrically about the optical
@@ -84,33 +83,30 @@ class InterferometerGeometry:
 
         return cls(lambda1, lambda2, lambda3,
                    l_1a=dist(-s / 2, -x / 2), l_1b=dist(-s / 2, +x / 2),
-                   l_2a=dist(+s / 2, -x / 2), l_2b=dist(+s / 2, +x / 2),
-                   delay_b=delay_b)
+                   l_2a=dist(+s / 2, -x / 2), l_2b=dist(+s / 2, +x / 2))
 
     def with_delay(self, delay_b: float) -> "InterferometerGeometry":
         return InterferometerGeometry(self.lambda1, self.lambda2, self.lambda3,
                                       self.l_1a, self.l_1b, self.l_2a, self.l_2b,
                                       delay_b=delay_b)
 
-    def effective_length(self, source: int, detector: str) -> float:
-        """Optical path from a source (1 or 2) to a detector ('A' or 'B').
-
-        The arm-B delay is added to both wavelengths equally (fiber-delay
-        picture)."""
-        key = {(1, "A"): self.l_1a, (1, "B"): self.l_1b,
-               (2, "A"): self.l_2a, (2, "B"): self.l_2b}[(source, detector)]
-        return key + (self.delay_b if detector == "B" else 0.0)
-
     def path_phase(self, source: int, detector: str) -> float:
-        """Propagation phase 2*pi*L/lambda reduced modulo 2*pi.
+        """Propagation phase 2*pi*L/lambda from a source (1 or 2) to a
+        detector ('A' or 'B'), reduced modulo 2*pi.
 
-        Macroscopic paths span ~1e5 wavelengths, so the unreduced phase
-        would round at the 1e-10 rad level and sums of such phases would
-        lose the interference identities; reducing L/lambda modulo one
-        cycle first keeps every downstream phase combination consistent to
-        machine precision."""
+        L is the path length plus, into detector B, the arm-B delay, which
+        adds to both wavelengths equally (fiber-delay picture).  Macroscopic
+        paths span ~1e5 wavelengths, so the unreduced phase would round at
+        the 1e-10 rad level and sums of such phases would lose the
+        interference identities; reducing L/lambda modulo one cycle first
+        keeps every downstream phase combination consistent to machine
+        precision."""
+        if detector == "A":
+            length, delay = (self.l_1a if source == 1 else self.l_2a), 0.0
+        else:
+            length, delay = (self.l_1b if source == 1 else self.l_2b), self.delay_b
         lam = self.lambda1 if source == 1 else self.lambda2
-        cycles = self.effective_length(source, detector) / lam
+        cycles = (length + delay) / lam
         return 2.0 * math.pi * math.fmod(cycles, 1.0)
 
 
@@ -279,18 +275,17 @@ def detector_couplings(det: DetectorSetting, geometry: InterferometerGeometry
 
     k1 and k2 are the amplitude couplings of source-1 and source-2 light
     into the detected output color; beats says whether the two colors
-    interfere there.  A converting detector rotates the colors by theta and
-    always makes them beat.  A detector without a conversion stage
-    (theta None, the pump off) sees both colors at unit coupling, and they
-    beat only when their wavelengths coincide to 1e-12 relative.
+    interfere there.  A converting detector's couplings are the row of
+    erasure.effective_rotation for the filtered color, and its colors always
+    beat.  A detector without a conversion stage (theta None, the pump off)
+    sees both colors at unit coupling, and they beat only when their
+    wavelengths coincide to 1e-12 relative.
     """
     if det.theta is None:
         same = abs(geometry.lambda1 - geometry.lambda2) <= 1e-12 * geometry.lambda1
         return 1.0 + 0.0j, 1.0 + 0.0j, same
-    c, s = math.cos(det.theta), math.sin(det.theta)
-    if det.output_filter == 2:
-        return cmath.exp(1j * det.pump_phase) * s, complex(c), True
-    return complex(c), -cmath.exp(-1j * det.pump_phase) * s, True
+    k1, k2 = effective_rotation(det.theta, det.pump_phase)[det.output_filter - 1]
+    return complex(k1), complex(k2), True
 
 
 def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
@@ -328,23 +323,21 @@ def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
 
 
 def fringe_scan(geometries, source_kind: str, det_a: DetectorSetting,
-                det_b: DetectorSetting, weight1: float = 0.5, weight2: float = 0.5
-                ) -> list[CoincidenceResult]:
+                det_b: DetectorSetting) -> list[CoincidenceResult]:
     """Analytic normalized coincidence at each of `geometries`, which share
     their wavelengths (free space: one per detector separation)."""
     out = []
     for geo in geometries:
         if not out:  # the law depends on the geometry only by its wavelengths
-            base, amp, offset = pair_fringe_law(det_a, det_b, geo, source_kind,
-                                                weight1, weight2)
+            base, amp, offset = pair_fringe_law(det_a, det_b, geo, source_kind)
         osc = amp * math.cos(fringe_phase(geo) + offset)
         out.append(CoincidenceResult(base + osc, base, osc))
     return out
 
 
 def delay_scan(geometry: InterferometerGeometry, delays: np.ndarray,
-               source_kind: str, det_a: DetectorSetting, det_b: DetectorSetting,
-               weight1: float = 0.5, weight2: float = 0.5) -> list[CoincidenceResult]:
+               source_kind: str, det_a: DetectorSetting, det_b: DetectorSetting
+               ) -> list[CoincidenceResult]:
     """Analytic normalized coincidence versus arm-B optical delay.
 
     For balanced coherent sources and matched pi/4 detectors the emitted
@@ -352,7 +345,7 @@ def delay_scan(geometry: InterferometerGeometry, delays: np.ndarray,
     """
     return fringe_scan((geometry.with_delay(geometry.delay_b + d)
                         for d in np.asarray(delays, dtype=float)),
-                       source_kind, det_a, det_b, weight1, weight2)
+                       source_kind, det_a, det_b)
 
 
 def write_scan_csv(path, xs: np.ndarray, results: list[CoincidenceResult],

@@ -474,6 +474,16 @@ def fitted_visibility(xs: np.ndarray, values: np.ndarray, period: float) -> floa
     return amplitude / offset
 
 
+def _fourier_peak(xs: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """(step, |rfft| of the mean-subtracted values, index of the largest
+    non-DC bin) of a curve sampled on xs; ValueError unless xs is uniform."""
+    steps = np.diff(xs)
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+        raise ValueError("Fourier analysis needs a uniform grid")
+    spectrum = np.abs(np.fft.rfft(values - values.mean()))
+    return float(steps[0]), spectrum, 1 + int(np.argmax(spectrum[1:]))
+
+
 def fit_fringe_free_period(xs: np.ndarray, values: np.ndarray
                            ) -> tuple[float, float, float, float]:
     """Sinusoid fit with the period free: (offset, amplitude, period, phase).
@@ -485,13 +495,8 @@ def fit_fringe_free_period(xs: np.ndarray, values: np.ndarray
     from scipy.optimize import curve_fit  # slow to import: only fits load it
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
-    steps = np.diff(xs)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise ValueError("free-period fit needs a uniform grid")
-    spec = np.abs(np.fft.rfft(values - values.mean()))
-    freqs = np.fft.rfftfreq(xs.size, d=steps[0])
-    k = 1 + int(np.argmax(spec[1:]))
-    period0 = 1.0 / freqs[k]
+    step, _, peak = _fourier_peak(xs, values)
+    period0 = 1.0 / np.fft.rfftfreq(xs.size, d=step)[peak]
 
     def model(x, off, amp, period, phi):
         return off + amp * np.cos(2.0 * math.pi * x / period + phi)
@@ -516,14 +521,9 @@ def fringe_fft(delays_m: np.ndarray, values: np.ndarray
     values = np.asarray(values, dtype=float)
     if delays_m.size < FFT_MIN_POINTS:
         raise ValueError(f"need at least {FFT_MIN_POINTS} scan points")
-    steps = np.diff(delays_m)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise ValueError("delay grid must be uniform")
-    dt_s = steps[0] / SPEED_OF_LIGHT
-    spectrum = np.abs(np.fft.rfft(values - values.mean()))
-    freqs = np.fft.rfftfreq(delays_m.size, d=dt_s)
-    peak_idx = 1 + int(np.argmax(spectrum[1:]))
-    return freqs, spectrum, float(freqs[peak_idx])
+    step, spectrum, peak = _fourier_peak(delays_m, values)
+    freqs = np.fft.rfftfreq(delays_m.size, d=step / SPEED_OF_LIGHT)
+    return freqs, spectrum, float(freqs[peak])
 
 
 def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float

@@ -62,9 +62,9 @@ def test_post_select_probability_against_series_oracle():
 
 def test_post_select_empty_branch():
     basis = FockBasis(1, 1, 10)
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index(1, 0, 4)] = 1.0
-    sel = post_select(TripleModeState(basis, amps), 2)
+    grid = np.zeros(basis.shape, dtype=complex)
+    grid[1, 0, 4] = 1.0
+    sel = post_select(TripleModeState(basis, grid.ravel()), 2)
     assert sel.empty
     assert sel.probability == 0.0
 
@@ -141,20 +141,19 @@ def test_erasure_overlap_monotone_and_saturating():
 
 def test_reduced_density_of_product_state():
     basis = FockBasis(1, 1, 30)
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[[basis.index(1, 0, n) for n in range(basis.n3_max + 1)]] = \
-        CoherentSpec(4.0).amplitude_series(basis.n3_max)
-    rho = reduced_signal_density(TripleModeState(basis, amps).normalized())
+    grid = np.zeros(basis.shape, dtype=complex)
+    grid[1, 0] = CoherentSpec(4.0).amplitude_series(basis.n3_max)
+    rho = reduced_signal_density(TripleModeState(basis, grid.ravel()).normalized())
     assert np.allclose(rho, [[1, 0], [0, 0]], atol=1e-14)
 
 
 def test_reduced_density_sector_check():
     basis = FockBasis(1, 1, 5)
     # vacuum in both signal modes: outside the single-photon sector
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index(0, 0, 1)] = 1.0
+    grid = np.zeros(basis.shape, dtype=complex)
+    grid[0, 0, 1] = 1.0
     with pytest.raises(Exception):
-        reduced_signal_density(TripleModeState(basis, amps))
+        reduced_signal_density(TripleModeState(basis, grid.ravel()))
 
 
 def test_density_properties_and_rotation_limit():

@@ -22,33 +22,46 @@ from chromint.fock import (
 )
 
 
+def fock_state(basis, n1, n2, n3):
+    """The basis state |n1, n2, n3>."""
+    grid = np.zeros(basis.shape, dtype=complex)
+    grid[n1, n2, n3] = 1.0
+    return TripleModeState(basis, grid.ravel())
+
+
+def mean_occupation(state, mode):
+    """Expectation value of the number operator of one mode (1, 2 or 3)."""
+    probs = np.abs(state.grid) ** 2
+    return float(np.sum(np.indices(probs.shape)[mode - 1] * probs))
+
+
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 12))
 def test_basis_index_roundtrip(c1, c2, c3):
     basis = FockBasis(c1, c2, c3)
     assert basis.dim == (c1 + 1) * (c2 + 1) * (c3 + 1)
-    for i in range(basis.dim):
-        assert basis.index(*basis.occupation(i)) == i
+    state = TripleModeState(basis, np.arange(basis.dim) * (1.0 - 0.5j))
+    assert np.array_equal(state.grid[tuple(basis.occupations().T)], state.amplitudes)
 
 
 def test_basis_is_lexicographic():
     basis = FockBasis(1, 1, 2)
-    triples = [basis.occupation(i) for i in range(basis.dim)]
+    triples = [tuple(t) for t in basis.occupations()]
     assert triples == sorted(triples)
 
 
 def test_coherent_vacuum():
     basis = FockBasis(1, 1, 10)
     state = single_photon_with_pump(1, CoherentSpec(0.0, 0.0), basis)
-    assert state.mode_occupation(3) == 0.0
-    assert abs(state.amplitude(1, 0, 0)) == pytest.approx(1.0)
+    assert mean_occupation(state, 3) == 0.0
+    assert abs(state.grid[1, 0, 0]) == pytest.approx(1.0)
 
 
 def test_coherent_mean_photon_number():
     # oracle: direct summation of the truncated Poisson series at cutoff 24
     basis = FockBasis(1, 1, 24)
     state = single_photon_with_pump(1, CoherentSpec(4.0, 0.0), basis)
-    assert state.mode_occupation(3) == pytest.approx(3.999999999966763, abs=1e-12)
-    assert abs(state.mode_occupation(3) - 4.0) < 0.04
+    assert mean_occupation(state, 3) == pytest.approx(3.999999999966763, abs=1e-12)
+    assert abs(mean_occupation(state, 3) - 4.0) < 0.04
 
 
 def test_coherent_phase_invisible_in_probabilities():
@@ -92,8 +105,8 @@ def test_hamiltonian_multiphoton_signal_cutoffs():
     basis = FockBasis(2, 2, 8)
     ham = TrilinearHamiltonian(basis)
     assert_hermitian(ham.matrix)
-    i = basis.index(2, 0, 3)
-    j = basis.index(1, 1, 2)
+    i = np.ravel_multi_index((2, 0, 3), basis.shape)
+    j = np.ravel_multi_index((1, 1, 2), basis.shape)
     assert ham.matrix[j, i] == pytest.approx(1j * math.sqrt(2 * 1 * 3))
     assert ham.matrix[i, j] == pytest.approx(-1j * math.sqrt(2 * 1 * 3))
 
@@ -110,7 +123,7 @@ def test_closed_form_full_conversion_large_pump():
     # oracle: Poisson-averaged sin^2(theta*sqrt(n/N)) at N=100, theta=pi/2
     basis = FockBasis(1, 1, default_pump_cutoff(100.0))
     state = evolve_closed_form(1, CoherentSpec(100.0), (math.pi / 2) / 10.0, basis)
-    occ2 = state.mode_occupation(2)
+    occ2 = mean_occupation(state, 2)
     assert occ2 == pytest.approx(0.9938425657129182, abs=1e-10)
     assert abs(occ2 - 1.0) < 10.0 / math.sqrt(100.0)
 
@@ -119,10 +132,10 @@ def test_closed_form_balanced_splitting_gamma2_input():
     # chi*T*sqrt(N) = pi/4 on a gamma-2 photon: marginals near (1/2, 1/2)
     basis = FockBasis(1, 1, default_pump_cutoff(100.0))
     state = evolve_closed_form(2, CoherentSpec(100.0), (math.pi / 4) / 10.0, basis)
-    p_stay = state.mode_occupation(2)
+    p_stay = mean_occupation(state, 2)
     assert p_stay == pytest.approx(0.4970612039364303, abs=1e-10)
     assert abs(p_stay - 0.5) < 1.0 / math.sqrt(100.0)
-    assert state.mode_occupation(1) == pytest.approx(1.0 - p_stay, abs=1e-12)
+    assert mean_occupation(state, 1) == pytest.approx(1.0 - p_stay, abs=1e-12)
 
 
 def test_closed_form_rejects_bad_mode():
@@ -144,13 +157,10 @@ def test_brute_force_conserved_two_state_sector():
     basis = FockBasis(1, 1, 12)
     ham = TrilinearHamiltonian(basis)
     n = 7
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index(1, 0, n)] = 1.0
-    evolved = evolve_brute_force(TripleModeState(basis, amps), ham, 0.37)
-    allowed = {basis.index(1, 0, n), basis.index(0, 1, n - 1)}
-    outside = [i for i in range(basis.dim)
-               if i not in allowed and abs(evolved.amplitudes[i]) > 1e-13]
-    assert outside == []
+    evolved = evolve_brute_force(fock_state(basis, 1, 0, n), ham, 0.37)
+    rest = evolved.grid.copy()
+    rest[1, 0, n] = rest[0, 1, n - 1] = 0.0
+    assert np.argwhere(np.abs(rest) > 1e-13).tolist() == []
 
 
 def test_brute_force_matches_closed_form():
@@ -188,22 +198,17 @@ def test_brute_force_sparse_path_above_dense_limit():
     basis = FockBasis(1, 1, 510)
     ham = TrilinearHamiltonian(basis)
     n, chi_t = 100, 0.21
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index(1, 0, n)] = 1.0
-    evolved = evolve_brute_force(TripleModeState(basis, amps), ham, chi_t)
+    evolved = evolve_brute_force(fock_state(basis, 1, 0, n), ham, chi_t)
     angle = chi_t * math.sqrt(n)
-    assert evolved.amplitudes[basis.index(1, 0, n)] == pytest.approx(
-        math.cos(angle), abs=1e-9)
-    assert abs(evolved.amplitudes[basis.index(0, 1, n - 1)]) == pytest.approx(
-        abs(math.sin(angle)), abs=1e-9)
+    assert evolved.grid[1, 0, n] == pytest.approx(math.cos(angle), abs=1e-9)
+    assert abs(evolved.grid[0, 1, n - 1]) == pytest.approx(abs(math.sin(angle)), abs=1e-9)
 
 
 def pump_state(mean_photons, basis):
     """|0,0> in the signal modes tensored with the truncated coherent pump."""
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[[basis.index(0, 0, n) for n in range(basis.n3_max + 1)]] = \
-        CoherentSpec(mean_photons).amplitude_series(basis.n3_max)
-    return TripleModeState(basis, amps).normalized()
+    grid = np.zeros(basis.shape, dtype=complex)
+    grid[0, 0] = CoherentSpec(mean_photons).amplitude_series(basis.n3_max)
+    return TripleModeState(basis, grid.ravel()).normalized()
 
 
 def test_inner_product_contracts():
@@ -213,11 +218,7 @@ def test_inner_product_contracts():
     assert inner_product(coh, coh) == pytest.approx(1.0)
     # closed form: <0|alpha> = exp(-|alpha|^2/2) = exp(-2)
     assert abs(inner_product(vac, coh)) == pytest.approx(math.exp(-2.0), abs=1e-12)
-    e1 = np.zeros(basis.dim, dtype=complex)
-    e2 = np.zeros(basis.dim, dtype=complex)
-    e1[basis.index(1, 0, 3)] = 1.0
-    e2[basis.index(0, 1, 3)] = 1.0
-    assert inner_product(TripleModeState(basis, e1), TripleModeState(basis, e2)) == 0.0
+    assert inner_product(fock_state(basis, 1, 0, 3), fock_state(basis, 0, 1, 3)) == 0.0
     # conjugate linearity in the first argument
     scaled = TripleModeState(basis, coh.amplitudes * np.exp(0.3j))
     assert inner_product(scaled, coh) == pytest.approx(np.exp(-0.3j), abs=1e-12)
@@ -234,8 +235,6 @@ def test_validate_flags_pump_shell_leakage():
     # evolving a state that sits on the pump cutoff shell leaves most of it
     # there, which evolve_brute_force reports as truncation
     basis = FockBasis(1, 1, 6)
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index(1, 0, 6)] = 1.0
     with pytest.raises(CutoffError) as err:
-        evolve_brute_force(TripleModeState(basis, amps), TrilinearHamiltonian(basis), 0.1)
+        evolve_brute_force(fock_state(basis, 1, 0, 6), TrilinearHamiltonian(basis), 0.1)
     assert err.value.leakage > 0.9

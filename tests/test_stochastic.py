@@ -506,6 +506,8 @@ def test_fringe_fft_rejections():
     bad = np.concatenate([np.linspace(0, 1, 10), [2.5, 2.6, 2.7, 2.8, 2.9, 3.5]])
     with pytest.raises(ValueError):
         fringe_fft(bad, np.ones(16))
+    with pytest.raises(ValueError):
+        fit_fringe_free_period(bad, np.ones(16))
 
 
 def test_fit_fringe_recovers_parameters():
