@@ -9,8 +9,10 @@ the pump wavelength lambda3 satisfies 1/lambda3 = 1/lambda2 - 1/lambda1.
 An optical delay applied to arm B adds to both path lengths into detector B,
 so scanning it advances the fringe at the pump frequency c/lambda3.
 
-Everything here is a pure function of its arguments; scan generators stay
-deterministic and order-preserving, so scan points parallelize trivially.
+Everything here is a pure function of its arguments.  A geometry whose
+path lengths or arm-B delay are numpy arrays is a batch, one geometry per
+element; scans evaluate the fringe law once over such a batch and return
+numpy record arrays, one row per point.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ WAVELENGTH_REL_TOL = 1e-6
 class InterferometerGeometry:
     """Two sources, two detectors, explicit path lengths in meters.
 
-    lambda3 may be None for the degenerate same-wavelength (standard HBT)
+    The path lengths and delay_b may be numpy arrays that broadcast
+    together: a batch of geometries sharing their wavelengths.  lambda3 may
+    be None for the degenerate same-wavelength (standard HBT)
     arrangement; when given it must satisfy the energy-conservation
     constraint against lambda1 and lambda2.
     """
@@ -40,17 +44,17 @@ class InterferometerGeometry:
     lambda1: float
     lambda2: float
     lambda3: float | None
-    l_1a: float
-    l_1b: float
-    l_2a: float
-    l_2b: float
-    delay_b: float = 0.0
+    l_1a: float | np.ndarray
+    l_1b: float | np.ndarray
+    l_2a: float | np.ndarray
+    l_2b: float | np.ndarray
+    delay_b: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             raise ValueError("wavelengths must be positive")
         for name in ("l_1a", "l_1b", "l_2a", "l_2b"):
-            if getattr(self, name) < 0:
+            if np.any(getattr(self, name) < 0):
                 raise ValueError(f"path length {name} must be nonnegative")
         if self.lambda3 is not None:
             if self.lambda3 <= 0:
@@ -66,31 +70,33 @@ class InterferometerGeometry:
 
     @classmethod
     def from_free_space(cls, source_separation: float, screen_distance: float,
-                        detector_separation: float, lambda1: float, lambda2: float,
-                        lambda3: float | None) -> "InterferometerGeometry":
+                        detector_separation: float | np.ndarray, lambda1: float,
+                        lambda2: float, lambda3: float | None
+                        ) -> "InterferometerGeometry":
         """Planar geometry: sources at (+-s/2, 0), detectors at (+-x/2, R).
 
         The detector separation is applied symmetrically about the optical
         axis, which keeps the fringe strictly periodic in x; paths are exact
         Euclidean distances.  Source 1 sits at -s/2 and detector A at -x/2.
+        An array of separations gives a batch, one geometry per separation.
         """
         if screen_distance <= 0:
             raise ValueError("screen distance must be positive")
         s, x, r = source_separation, detector_separation, screen_distance
 
         def dist(xs, xd):
-            return math.hypot(r, xd - xs)
+            return np.hypot(r, xd - xs)
 
         return cls(lambda1, lambda2, lambda3,
                    l_1a=dist(-s / 2, -x / 2), l_1b=dist(-s / 2, +x / 2),
                    l_2a=dist(+s / 2, -x / 2), l_2b=dist(+s / 2, +x / 2))
 
-    def with_delay(self, delay_b: float) -> "InterferometerGeometry":
+    def with_delay(self, delay_b: float | np.ndarray) -> "InterferometerGeometry":
         return InterferometerGeometry(self.lambda1, self.lambda2, self.lambda3,
                                       self.l_1a, self.l_1b, self.l_2a, self.l_2b,
                                       delay_b=delay_b)
 
-    def path_phase(self, source: int, detector: str) -> float:
+    def path_phase(self, source: int, detector: str) -> float | np.ndarray:
         """Propagation phase 2*pi*L/lambda from a source (1 or 2) to a
         detector ('A' or 'B'), reduced modulo 2*pi.
 
@@ -107,7 +113,7 @@ class InterferometerGeometry:
             length, delay = (self.l_1b if source == 1 else self.l_2b), self.delay_b
         lam = self.lambda1 if source == 1 else self.lambda2
         cycles = (length + delay) / lam
-        return 2.0 * math.pi * math.fmod(cycles, 1.0)
+        return 2.0 * math.pi * np.fmod(cycles, 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,9 @@ class PropagationAmplitudes:
     d_2a: complex
     d_2b: complex
 
-    def with_source_phases(self, theta1: float, theta2: float) -> "PropagationAmplitudes":
-        e1, e2 = cmath.exp(1j * theta1), cmath.exp(1j * theta2)
+    def with_source_phases(self, theta1, theta2) -> "PropagationAmplitudes":
+        """Source j's amplitudes times exp(i*theta_j), elementwise for arrays."""
+        e1, e2 = np.exp(1j * theta1), np.exp(1j * theta2)
         return PropagationAmplitudes(self.d_1a * e1, self.d_1b * e1,
                                      self.d_2a * e2, self.d_2b * e2)
 
@@ -173,16 +180,10 @@ def coincidence_single_photon(amps: PropagationAmplitudes,
     return CoincidenceResult(constant + interference, constant, interference)
 
 
-def coincidence_superposition(amps: PropagationAmplitudes, theta: float,
-                              phase: float, c: tuple, d: tuple) -> CoincidenceResult:
-    """Coincidence probability for number-superposition sources, truncated
-    at two photons per source.
-
-    The six terms of the displayed expansion are returned separately
-    (attribute .terms) in the order: single-single, pair-from-1,
-    pair-from-2, and the three cross terms.  Only the cross terms and the
-    swap part of the first term depend on the emission phases.
-    """
+def _superposition_terms(amps: PropagationAmplitudes, theta: float,
+                         phase: float, c: tuple, d: tuple) -> tuple:
+    """(terms, constant, interference) of coincidence_superposition,
+    elementwise over array amplitudes."""
     if len(c) != 3 or len(d) != 3:
         raise ValueError("coefficient vectors must have three entries (n = 0, 1, 2)")
     ct, st = math.cos(theta), math.sin(theta)
@@ -212,6 +213,20 @@ def coincidence_superposition(amps: PropagationAmplitudes, theta: float,
                     * (abs(cross) ** 2 + abs(swap) ** 2))
     interference = (t_single - single_const) + t_cross_a + t_cross_b + t_cross_c
     constant = single_const + t_pair1 + t_pair2
+    return terms, constant, interference
+
+
+def coincidence_superposition(amps: PropagationAmplitudes, theta: float,
+                              phase: float, c: tuple, d: tuple) -> CoincidenceResult:
+    """Coincidence probability for number-superposition sources, truncated
+    at two photons per source.
+
+    The six terms of the displayed expansion are returned separately
+    (attribute .terms) in the order: single-single, pair-from-1,
+    pair-from-2, and the three cross terms.  Only the cross terms and the
+    swap part of the first term depend on the emission phases.
+    """
+    terms, constant, interference = _superposition_terms(amps, theta, phase, c, d)
     return CoincidenceResult(sum(terms), constant, interference, terms)
 
 
@@ -228,19 +243,11 @@ def time_average_superposition(base: PropagationAmplitudes, theta: float,
     if grid_size < 4:
         raise ValueError("grid_size must be at least 4")
     phis = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    acc_p = acc_c = acc_i = 0.0
-    acc_t = np.zeros(6)
-    for t1 in phis:
-        for t2 in phis:
-            res = coincidence_superposition(base.with_source_phases(t1, t2),
-                                            theta, phase, c, d)
-            acc_p += res.probability
-            acc_c += res.constant_term
-            acc_i += res.interference_term
-            acc_t += np.array(res.terms)
-    n = grid_size ** 2
-    return CoincidenceResult(acc_p / n, acc_c / n, acc_i / n,
-                             tuple(acc_t / n))
+    theta1, theta2 = np.meshgrid(phis, phis, indexing="ij")
+    terms, constant, interference = _superposition_terms(
+        base.with_source_phases(theta1, theta2), theta, phase, c, d)
+    return CoincidenceResult(sum(terms).mean(), constant.mean(),
+                             interference.mean(), tuple(t.mean() for t in terms))
 
 
 def coincidence_thermal(amps: PropagationAmplitudes, theta: float,
@@ -322,39 +329,27 @@ def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
     raise ValueError(f"unknown source kind {source_kind!r}")
 
 
-def fringe_scan(geometries, source_kind: str, det_a: DetectorSetting,
-                det_b: DetectorSetting) -> list[CoincidenceResult]:
-    """Analytic normalized coincidence at each of `geometries`, which share
-    their wavelengths (free space: one per detector separation)."""
-    out = []
-    for geo in geometries:
-        if not out:  # the law depends on the geometry only by its wavelengths
-            base, amp, offset = pair_fringe_law(det_a, det_b, geo, source_kind)
-        osc = amp * math.cos(fringe_phase(geo) + offset)
-        out.append(CoincidenceResult(base + osc, base, osc))
-    return out
+def fringe_scan(geometry: InterferometerGeometry, source_kind: str,
+                det_a: DetectorSetting, det_b: DetectorSetting) -> np.recarray:
+    """Analytic normalized coincidence over a batch geometry (free space:
+    one per detector separation), one record per geometry with the fields
+    probability, constant_term and interference_term."""
+    base, amp, offset = pair_fringe_law(det_a, det_b, geometry, source_kind)
+    osc = amp * np.cos(fringe_phase(geometry) + offset)
+    scan = np.rec.fromarrays(np.broadcast_arrays(base + osc, base, osc),
+                             names="probability,constant_term,interference_term")
+    if np.any(scan.probability < -1e-12):
+        raise ValueError(f"negative probability {scan.probability.min()}")
+    return scan
 
 
 def delay_scan(geometry: InterferometerGeometry, delays: np.ndarray,
                source_kind: str, det_a: DetectorSetting, det_b: DetectorSetting
-               ) -> list[CoincidenceResult]:
+               ) -> np.recarray:
     """Analytic normalized coincidence versus arm-B optical delay.
 
     For balanced coherent sources and matched pi/4 detectors the emitted
     curve is 1 + 0.5*v_deg*cos(2*pi*d/lambda3 + const).
     """
-    return fringe_scan((geometry.with_delay(geometry.delay_b + d)
-                        for d in np.asarray(delays, dtype=float)),
-                       source_kind, det_a, det_b)
-
-
-def write_scan_csv(path, xs: np.ndarray, results: list[CoincidenceResult],
-                   x_name: str = "delay_m") -> None:
-    """Scan CSV: x, probability, constant_term, interference_term at 12
-    significant digits."""
-    lines = [f"{x_name},probability,constant_term,interference_term"]
-    for x, r in zip(xs, results):
-        lines.append(f"{x:.12g},{r.probability:.12g},{r.constant_term:.12g},"
-                     f"{r.interference_term:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    delayed = geometry.with_delay(geometry.delay_b + np.asarray(delays, dtype=float))
+    return fringe_scan(delayed, source_kind, det_a, det_b)

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import tempfile
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -39,10 +41,11 @@ from .interferometry import (
     delay_scan,
     fringe_phase,
     fringe_scan,
-    write_scan_csv,
+    pair_fringe_law,
 )
 from .stochastic import (
     FFT_MIN_POINTS,
+    G2Curve,
     ThermalFieldModel,
     delay_scan_events,
     estimate_g2,
@@ -52,7 +55,6 @@ from .stochastic import (
     fringe_fft,
     gate_time_study,
     simulate_events,
-    write_g2_csv,
 )
 
 class ConfigError(ValueError):
@@ -306,18 +308,36 @@ def _delay_study(cfg: ScenarioConfig) -> tuple:
     return (*make_sources(cfg), make_geometry(cfg), *make_detectors(cfg), delays)
 
 
-def _free_space_geometry(cfg: ScenarioConfig, separation_m: float
+def _free_space_geometry(cfg: ScenarioConfig, separation_m: float | np.ndarray
                          ) -> InterferometerGeometry:
     return InterferometerGeometry.from_free_space(
         cfg.source_separation_m, cfg.screen_distance_m, separation_m,
         cfg.lambda1_nm * 1e-9, cfg.lambda2_nm * 1e-9, cfg.lambda3_m)
 
 
-def _write_mc_curve(path: Path, x_name: str, xs, values) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{x_name},g2\n")
-        for x, v in zip(xs, values):
-            fh.write(f"{x:.12g},{v:.12g}\n")
+def write_csv(path: Path, header: str, *columns) -> None:
+    """Text table: the header line, then one line per row.
+
+    Scalar columns broadcast against the array ones.  Integer columns are
+    written as integers, the others at 12 significant digits with any
+    non-finite value (an empty stream's g2) as nan.
+    """
+    cells = []
+    for column in np.broadcast_arrays(*columns):
+        values = column.tolist()
+        cells.append([str(v) for v in values] if column.dtype.kind in "iu" else
+                     [f"{v:.12g}" if math.isfinite(v) else "nan" for v in values])
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
+def _write_scan_csv(path: Path, x_name: str, xs, scan: np.recarray) -> None:
+    names = scan.dtype.names
+    write_csv(path, ",".join((x_name, *names)), xs, *(scan[n] for n in names))
+
+
+def _write_g2_csv(path: Path, curve: G2Curve) -> None:
+    write_csv(path, "tau_ps,g2,n_coincidence,n_A,n_B,n_bin", curve.taus_ps,
+              curve.values, curve.n_coincidence, curve.n_a, curve.n_b, curve.n_bin)
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +349,24 @@ def _mc_delay_scan(cfg: ScenarioConfig, out: Path) -> tuple[tuple, np.ndarray]:
     delay_scan_mc.csv; returns the _delay_study tuple and g2."""
     study = _delay_study(cfg)
     g2 = delay_scan_events(*study, cfg.duration_s, cfg.gate_ps, cfg.seed)
-    _write_mc_curve(out / "delay_scan_mc.csv", "delay_m", study[-1], g2)
+    write_csv(out / "delay_scan_mc.csv", "delay_m,g2", study[-1], g2)
     return study, g2
 
 
 def _run_delay_scan(cfg: ScenarioConfig, out: Path) -> dict:
     (_, _, geometry, det_a, det_b, delays), g2 = _mc_delay_scan(cfg, out)
     analytic = delay_scan(geometry, delays, cfg.source_kind, det_a, det_b)
-    write_scan_csv(out / "delay_scan_analytic.csv", delays, analytic)
+    _write_scan_csv(out / "delay_scan_analytic.csv", "delay_m", delays, analytic)
     vis = fitted_visibility(delays, g2, cfg.lambda3_m)
-    base = analytic[0].constant_term
-    amp = max(abs(r.interference_term) for r in analytic)
+    base, amp, _ = pair_fringe_law(det_a, det_b, geometry, cfg.source_kind)
     return {"fitted_visibility": vis, "mean_g2": float(np.mean(g2)),
-            "analytic_visibility": amp / base if base else 0.0}
+            "analytic_visibility": amp / base}
 
 
 def _run_fft(cfg: ScenarioConfig, out: Path) -> dict:
     (*_, delays), g2 = _mc_delay_scan(cfg, out)
     freqs, spectrum, peak = fringe_fft(delays, g2)
-    with open(out / "spectrum.csv", "w") as fh:
-        fh.write("frequency_hz,magnitude\n")
-        for f, m in zip(freqs, spectrum):
-            fh.write(f"{f:.12g},{m:.12g}\n")
+    write_csv(out / "spectrum.csv", "frequency_hz,magnitude", freqs, spectrum)
     median = float(np.median(spectrum[1:]))
     peak_mag = float(np.max(spectrum[1:]))
     return {"peak_frequency_hz": peak,
@@ -366,7 +382,7 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
     taus = np.arange(0, cfg.tau_max_ps + 1, cfg.tau_step_ps, dtype=np.int64)
     a, b = simulate_events(s1, s2, geometry, det_a, det_b, cfg.duration_s, cfg.seed)
     curve = estimate_g2(a, b, taus, cfg.gate_ps)
-    write_g2_csv(out / "g2_tau.csv", curve)
+    _write_g2_csv(out / "g2_tau.csv", curve)
     result: dict = {"n_a": curve.n_a, "n_b": curve.n_b,
                     "g2_zero": float(curve.values[0])}
     if cfg.detuning_hz > 0 and cfg.pump_on and cfg.source_kind == "coherent":
@@ -386,7 +402,7 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
         sp_taus = np.arange(0, 10 * int(cfg.coherence_time_ps) + 1,
                             cfg.gate_ps, dtype=np.int64)
         sp = estimate_g2(a, b, sp_taus, cfg.gate_ps)
-        write_g2_csv(out / "splitter_g2.csv", sp)
+        _write_g2_csv(out / "splitter_g2.csv", sp)
         result["splitter_g2_zero"] = float(sp.values[0])
     return result
 
@@ -396,15 +412,14 @@ def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
     det_a, det_b = make_detectors(cfg)
     xs = np.linspace(cfg.separation_min_m, cfg.separation_max_m,
                      cfg.separation_points)
-    geometries = [_free_space_geometry(cfg, x) for x in xs]
-    analytic = fringe_scan(geometries, cfg.source_kind, det_a, det_b)
-    write_scan_csv(out / "fringe_analytic.csv", xs, analytic, x_name="separation_m")
+    analytic = fringe_scan(_free_space_geometry(cfg, xs), cfg.source_kind, det_a, det_b)
+    _write_scan_csv(out / "fringe_analytic.csv", "separation_m", xs, analytic)
     g2 = np.zeros(xs.size)
-    for i, geometry in enumerate(geometries):
-        a, b = simulate_events(s1, s2, geometry, det_a, det_b, cfg.duration_s,
-                               cfg.seed, trial=i)
+    for i, x in enumerate(xs):
+        a, b = simulate_events(s1, s2, _free_space_geometry(cfg, x), det_a, det_b,
+                               cfg.duration_s, cfg.seed, trial=i)
         g2[i] = estimate_g2(a, b, [0], cfg.gate_ps).values[0]
-    _write_mc_curve(out / "fringe_mc.csv", "separation_m", xs, g2)
+    write_csv(out / "fringe_mc.csv", "separation_m,g2", xs, g2)
     period = analytic_fringe_period(cfg)
     _, amp, fitted_period, _ = fit_fringe_free_period(xs, g2)
     vis = fitted_visibility(xs, g2, period) if period else 0.0
@@ -425,23 +440,18 @@ def _run_gate_time(cfg: ScenarioConfig, out: Path) -> dict:
     rows = gate_time_study(*_delay_study(cfg), cfg.duration_s,
                            [int(g) for g in cfg.gates_ps],
                            cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials)
-    with open(out / "gate_time.csv", "w") as fh:
-        fh.write("gate_ps,visibility,ci95_halfwidth\n")
-        for r in rows:
-            fh.write(f"{r['gate_ps']},{r['visibility']:.12g},{r['ci95']:.12g}\n")
+    write_csv(out / "gate_time.csv", "gate_ps,visibility,ci95_halfwidth",
+              *([r[key] for r in rows] for key in ("gate_ps", "visibility", "ci95")))
     return {"rows": rows}
 
 
 def _run_overlap_scan(cfg: ScenarioConfig, out: Path) -> dict:
-    rows = []
-    for n in cfg.overlap_mean_photons:
-        ov = erasure_overlap(float(n), cfg.overlap_theta, cfg.overlap_phase)
-        rows.append((float(n), ov, 1.0 - ov))
-    with open(out / "overlap.csv", "w") as fh:
-        fh.write("mean_photons,overlap,deficit\n")
-        for n, ov, d in rows:
-            fh.write(f"{n:.12g},{ov:.12g},{d:.12g}\n")
-    return {"deficits": {f"{n:g}": d for n, _, d in rows}}
+    ns = [float(n) for n in cfg.overlap_mean_photons]
+    overlaps = np.array([erasure_overlap(n, cfg.overlap_theta, cfg.overlap_phase)
+                         for n in ns])
+    write_csv(out / "overlap.csv", "mean_photons,overlap,deficit",
+              ns, overlaps, 1.0 - overlaps)
+    return {"deficits": {f"{n:g}": 1.0 - ov for n, ov in zip(ns, overlaps.tolist())}}
 
 
 _LASER_METADATA = {
@@ -528,7 +538,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
             "scenario": cfg.scenario,
             "seed": cfg.seed,
             "config_sha256": config_hash(cfg),
-            "versions": {"chromint": __version__, "numpy": np.__version__},
+            "versions": {"chromint": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__, "pyyaml": yaml.__version__,
+                         "python": platform.python_version()},
             "wall_time_s": round(elapsed, 3),
             "data_files": {name: hashlib.sha256((staging / name).read_bytes()).hexdigest()
                            for name in data_files},

@@ -613,14 +613,3 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
                      "trials": vis[gi].tolist()})
     return rows
 
-
-# ---------------------------------------------------------------------------
-# Text formats.
-
-def write_g2_csv(path, curve: G2Curve) -> None:
-    """G2 curve file: tau_ps,g2,n_coincidence,n_A,n_B,n_bin."""
-    with open(path, "w") as fh:
-        fh.write("tau_ps,g2,n_coincidence,n_A,n_B,n_bin\n")
-        for tau, val, nc in zip(curve.taus_ps, curve.values, curve.n_coincidence):
-            val_s = f"{val:.12g}" if np.isfinite(val) else "nan"
-            fh.write(f"{tau},{val_s},{nc},{curve.n_a},{curve.n_b},{curve.n_bin}\n")

@@ -16,10 +16,11 @@ from chromint.interferometry import (
     coincidence_thermal,
     delay_scan,
     fringe_phase,
+    fringe_scan,
     pair_fringe_law,
     time_average_superposition,
-    write_scan_csv,
 )
+from chromint.scenarios import _write_scan_csv
 
 LAM1, LAM2, LAM3 = 1549.800e-9, 863.344e-9, 1949.157e-9
 
@@ -260,6 +261,24 @@ def test_time_average_noop_for_single_photons():
     assert avg.probability == pytest.approx(direct.probability, abs=1e-12)
 
 
+def test_time_average_equals_double_loop():
+    rng = np.random.default_rng(13)
+    base = amplitudes(random_geometry(rng))
+    c = tuple(rng.normal(size=3) + 1j * rng.normal(size=3))
+    d = tuple(rng.normal(size=3) + 1j * rng.normal(size=3))
+    grid = 8
+    phis = 2 * math.pi * np.arange(grid) / grid
+    rows = [coincidence_superposition(base.with_source_phases(t1, t2), 0.8, 0.5, c, d)
+            for t1 in phis for t2 in phis]
+    avg = time_average_superposition(base, 0.8, 0.5, c, d, grid)
+    loop = [np.mean([r.probability for r in rows]),
+            np.mean([r.constant_term for r in rows]),
+            np.mean([r.interference_term for r in rows]),
+            *np.mean([r.terms for r in rows], axis=0)]
+    batch = [avg.probability, avg.constant_term, avg.interference_term, *avg.terms]
+    assert np.max(np.abs(np.subtract(batch, loop))) <= 1e-14
+
+
 def test_time_average_grid_too_small():
     geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0, 0, 0, 0)
     with pytest.raises(ValueError):
@@ -366,6 +385,44 @@ def test_delay_scan_thermal_baseline():
     assert vis == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
+def _scalar_scan(geometries, source_kind, det_a, det_b):
+    """The per-geometry reference: the law and the fringe phase in floats."""
+    rows = []
+    for geo in geometries:
+        base, amp, offset = pair_fringe_law(det_a, det_b, geo, source_kind)
+        osc = amp * math.cos(fringe_phase(geo) + offset)
+        rows.append((base + osc, base, osc))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("source_kind", ["coherent", "thermal"])
+def test_batch_scans_equal_the_scalar_loop(source_kind):
+    det_a, det_b = DetectorSetting(math.pi / 4, 0.3), DetectorSetting(0.7, 2.1)
+    xs = np.linspace(0.2e-3, 14.4e-3, 37)
+    free = fringe_scan(InterferometerGeometry.from_free_space(125e-6, 0.40, xs,
+                                                              LAM1, LAM2, LAM3),
+                       source_kind, det_a, det_b)
+    reference = _scalar_scan([InterferometerGeometry.from_free_space(
+        125e-6, 0.40, x, LAM1, LAM2, LAM3) for x in xs], source_kind, det_a, det_b)
+    assert np.array_equal(np.column_stack([free.probability, free.constant_term,
+                                           free.interference_term]), reference)
+    geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.031, 0.052, 0.047, 0.018,
+                                 delay_b=1e-4)
+    delays = np.linspace(0, 3 * LAM3, 41)
+    scan = delay_scan(geo, delays, source_kind, det_a, det_b)
+    reference = _scalar_scan([geo.with_delay(geo.delay_b + d) for d in delays],
+                             source_kind, det_a, det_b)
+    assert np.array_equal(np.column_stack([scan.probability, scan.constant_term,
+                                           scan.interference_term]), reference)
+
+
+def test_batch_geometry_rejects_one_negative_path():
+    paths = np.full(5, 0.05)
+    paths[3] = -1e-9
+    with pytest.raises(ValueError, match="l_2b"):
+        InterferometerGeometry(LAM1, LAM2, LAM3, 0.05, 0.05, 0.05, paths)
+
+
 def test_pair_fringe_law_unbalanced_reduces_visibility():
     det = DetectorSetting(math.pi / 4)
     geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.05, 0.05, 0.05, 0.05)
@@ -381,7 +438,7 @@ def test_scan_csv_format(tmp_path):
     delays = np.linspace(0, LAM3, 5)
     rows = delay_scan(geo, delays, "coherent", det, det)
     path = tmp_path / "scan.csv"
-    write_scan_csv(path, delays, rows)
+    _write_scan_csv(path, "delay_m", delays, rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "delay_m,probability,constant_term,interference_term"
     assert len(lines) == 6

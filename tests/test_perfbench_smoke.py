@@ -1,0 +1,31 @@
+"""The benchmark's workloads still drive the package's public API.
+
+One traced repetition of each of the two short workloads, run as the bench
+runs it: a fresh interpreter on perfbench/workloads.py with src/ on
+PYTHONPATH.  A renamed function or attribute, a changed return shape or a
+dropped constructor argument shows up as a failed check or a missing
+traced call in the repetition's `errors`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["exact_oracle", "timetag_g2"])
+def test_workload_repetition_has_no_errors(tmp_path, workload):
+    cmd = [sys.executable, str(ROOT / "perfbench" / "workloads.py"),
+           "--workload", workload, "--seed", "1", "--trace", "1",
+           "--dir", str(tmp_path / "run"), "--spawned", repr(time.monotonic())]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["errors"] == []

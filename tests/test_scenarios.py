@@ -141,6 +141,8 @@ def test_overlap_scan_outputs(tmp_path):
     assert manifest["config_sha256"] == config_hash(cfg)
     saved = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert saved["seed"] == cfg.seed
+    assert set(manifest["versions"]) == {"chromint", "numpy", "scipy", "pyyaml",
+                                         "python"}
 
 
 def test_manifest_lists_only_files_of_this_run(tmp_path):
@@ -202,6 +204,19 @@ def test_every_scenario_runs_end_to_end(tmp_path, name):
     assert manifest["results"]
     if name in BRANCH_RESULTS:
         assert BRANCH_RESULTS[name] in manifest["results"]
+
+
+@pytest.mark.parametrize("name, visibility", [("laser_delay_scan", 0.5),
+                                              ("thermal_delay_scan", 1 / 3)])
+def test_analytic_visibility_is_the_law_value(tmp_path, name, visibility):
+    # pump phases 0.5 and 0 move the fringe crest off every grid point
+    cfg = apply_overrides(default_config(name), ["duration_ps=1e8", "delay_points=5",
+                                                 "pump_phase_a=0.5"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        manifest = run_scenario(cfg, tmp_path / "run")
+    assert manifest["results"]["analytic_visibility"] == pytest.approx(visibility,
+                                                                       abs=1e-12)
 
 
 def test_gate_time_study_pump_off_uses_standard_detection(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from chromint.interferometry import (
     InterferometerGeometry,
     detector_couplings,
 )
+from chromint.scenarios import _write_g2_csv
 from chromint.selftest import check_thermal_g2
 from chromint.stochastic import (
     CoincidencePartial,
@@ -31,7 +32,6 @@ from chromint.stochastic import (
     fitted_visibility,
     simulate_events,
     substream,
-    write_g2_csv,
 )
 
 LAM1, LAM2, LAM3 = 1549.800e-9, 863.344e-9, 1949.157e-9
@@ -574,7 +574,7 @@ def test_gate_time_study_needs_two_trials(monkeypatch):
 def test_g2_csv_format(tmp_path):
     curve = G2Curve([0, 1000], [1.5, float("nan")], 500, [30, 0], 100, 200, 4000)
     path = tmp_path / "g2.csv"
-    write_g2_csv(path, curve)
+    _write_g2_csv(path, curve)
     lines = path.read_text().splitlines()
     assert lines[0] == "tau_ps,g2,n_coincidence,n_A,n_B,n_bin"
     assert lines[1] == "0,1.5,30,100,200,4000"
