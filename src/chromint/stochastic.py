@@ -18,8 +18,11 @@ of success a/(1 + a), with a zero-truncated geometric count, an intensity
 ~ Gamma(count + 1, rate 1 + a) and a uniform phase; its candidates fall
 uniformly in it and split between the detectors by their weights.  A slot
 only the other source's candidates reach has intensity ~ Exp(rate 1 + a).
-The envelopes are evaluated at the candidate times (exact Wiener increments
-in between); the cost follows the candidates, batched by about _CHUNK.
+The envelopes are evaluated at the candidate times: a laser's by exact
+Wiener increments between them, the only use of their time order; a thermal
+source's own candidates carry their slot's table row, and only the other
+source's are looked up by slot.  The cost follows the candidates, in
+batches of about _CHUNK.
 
 Randomness is drawn from named Philox counter streams keyed as
 (seed, trial*8 + role) with roles: 0/1 source-1/2 envelope (a laser's
@@ -147,7 +150,8 @@ class _Envelope:
     variance dt/coherence_time, plus the carrier.  A thermal source: one
     complex Gaussian amplitude (exponential intensity, uniform phase) per
     slot [k*tc, (k+1)*tc), times the carrier; it also draws the candidates
-    of its term of the bound, `weights` per detector at unit intensity.
+    of its term of the bound, `weights` per detector at unit intensity, and
+    each of them carries the table row of its slot.
     """
 
     def __init__(self, source: ThermalFieldModel, weights: tuple[float, float],
@@ -155,13 +159,13 @@ class _Envelope:
         self.source, self.weights, self.rng = source, weights, rng
         self.time, self.phase = 0.0, float(rng.uniform(0.0, 2.0 * math.pi))
         self.a = sum(weights) * source.coherence_time  # candidates per slot at i = 1
-        # drawn slots (index, intensity, phase), between batches the last one;
-        # carry: per detector, candidates of that slot past the batch end
+        # table of drawn slots (index, intensity, phase), row 0 the last of the
+        # batch before; carry: per detector, that slot's candidates past its end
         self.next_slot, self.table = 0, (np.array([-1]), np.zeros(1), np.zeros(1))
-        self.carry = [(np.zeros(0), np.zeros(0, np.int64))] * 2
+        self.carry = [np.zeros(0)] * 2
 
     def candidates(self, end: float):
-        """Per detector, the times and slots of this thermal term's
+        """Per detector, the times and table rows of this thermal term's
         candidates before `end`; only the slots that receive one are drawn."""
         tc, a, rng = self.source.coherence_time, self.a, self.rng
         first, self.next_slot = self.next_slot, max(self.next_slot, math.ceil(end / tc))
@@ -175,41 +179,67 @@ class _Envelope:
         to_a = rng.binomial(counts, self.weights[0] / (sum(self.weights) or 1.0))
         drawn = []
         for d, n in enumerate((to_a, counts - to_a)):
-            slot = np.repeat(slots, n)
-            t, slot = (np.concatenate(x) for x in zip(
-                self.carry[d], ((slot + rng.uniform(size=slot.size)) * tc, slot)))
+            rows = np.repeat(np.arange(1, slots.size + 1), n)
+            t = (self.table[0].take(rows) + rng.uniform(size=rows.size)) * tc
+            # carried candidates lie in the last slot of the batch before: row 0
+            t = np.concatenate((self.carry[d], t))
+            rows = np.concatenate((np.zeros(self.carry[d].size, np.int64), rows))
             later = t >= end
-            self.carry[d] = (t[later], slot[later])
-            drawn.append((t[~later], slot[~later]))
+            self.carry[d] = t[later]
+            drawn.append((t[~later], rows[~later]))
         return drawn
 
-    def field(self, times: np.ndarray, slot: np.ndarray | None):
-        """Intensity (1.0 for a laser) and phase at the sorted times of one
-        batch; `slot` holds a thermal source's own candidates' slots, else -1."""
+    def field(self, times: np.ndarray, order: np.ndarray | None, blocks: list):
+        """Intensity (1.0 for a laser) and phase at the candidate `times` of
+        one batch.  A laser's phase walk takes them in time `order`.  A
+        thermal source takes the (times, rows) `blocks` that make up `times`:
+        rows are the table rows of its own candidates, None for the other
+        source's, which alone are reduced to slots and looked up."""
         carrier = 2.0 * math.pi * self.source.carrier_offset_hz
         if self.source.mode == "coherent":
-            steps = np.diff(times, prepend=self.time)
+            steps = np.diff(times.take(order), prepend=self.time)
             phases = carrier * steps
             steps /= self.source.coherence_time
             phases += np.sqrt(steps, out=steps) * self.rng.standard_normal(times.size)
             np.cumsum(phases, out=phases)
             phases += self.phase
             if times.size:
-                self.time, self.phase = times[-1], phases[-1]
-            return 1.0, phases
+                self.time, self.phase = times[order[-1]], phases[-1]
+            walk = np.empty_like(phases)
+            walk[order] = phases
+            return 1.0, walk
+        # the other source's candidates' slots and the batch's last (the next
+        # table's row 0); each distinct one (group: each candidate's) is
+        # looked up once, and row is the table row at or below it
         known, intensity, phase = self.table
-        floor = np.clip(np.floor(times / self.source.coherence_time), known[0], self.next_slot - 1)
-        slot = np.where(slot < 0, floor.astype(np.int64), slot)
+        others = [t for t, r in blocks if r is None]
+        slot = np.floor(np.concatenate(others) / self.source.coherence_time)
+        slot = np.append(np.clip(slot, known[0], self.next_slot - 1).astype(np.int64),
+                         self.next_slot - 1)
+        by_slot = np.argsort(slot, kind="stable")
+        slots, counts = _collapse(slot.take(by_slot))
+        group = np.empty_like(by_slot)
+        group[by_slot] = np.repeat(np.arange(slots.size), counts)
+        row = np.searchsorted(known, slots, side="right") - 1
+        found = known.take(row) == slots
+        hit, miss = np.flatnonzero(found), np.flatnonzero(~found)
+        # a slot read in this batch but missing from the table takes the
+        # draws at its place among all slots read, in order: after the rows
+        # read below it (counted in below) and the misses before it
+        below = np.zeros(known.size + 1, np.int64)
+        below[1:][np.concatenate([r for _, r in blocks if r is not None] + [row.take(hit)])] = 1
+        np.cumsum(below, out=below)
+        rank = below.take(row.take(miss) + 1) + np.arange(miss.size)
+        drawn = (self.rng.standard_exponential(below[-1] + miss.size),
+                 self.rng.uniform(0.0, 2.0 * math.pi, below[-1] + miss.size))
         # a slot only the other term reached had no candidate: Exp(rate 1 + a)
-        seen = _collapse(np.sort(np.append(slot, self.next_slot - 1), kind="stable"))[0]
-        at = np.minimum(np.searchsorted(known, seen), known.size - 1)
-        hit = known[at] == seen
-        intensity = np.where(hit, intensity[at],
-                             self.rng.standard_exponential(seen.size) / (1.0 + self.a))
-        phase = np.where(hit, phase[at], self.rng.uniform(0.0, 2.0 * math.pi, seen.size))
-        self.table = (seen[-1:], intensity[-1:], phase[-1:])
-        at = np.searchsorted(seen, slot)
-        return intensity[at], phase[at] + carrier * times
+        intensity = np.concatenate((intensity, drawn[0].take(rank) / (1.0 + self.a)))
+        phase = np.concatenate((phase, drawn[1].take(rank)))
+        row[miss] = known.size + np.arange(miss.size)
+        self.table = (slots[-1:], intensity[row[-1:]], phase[row[-1:]])
+        looked_up = iter(np.split(row.take(group), np.cumsum([t.size for t in others])))
+        rows = np.concatenate([next(looked_up) if r is None else r for _, r in blocks])
+        return intensity.take(rows), phase.take(rows) + carrier * times
 
 
 def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
@@ -279,26 +309,23 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
     rng_det = [substream(seed, trial, 2), substream(seed, trial, 3)]
     times = [[], []]
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        # (times, detector, slot, the envelope that drew them)
-        parts = [(np.sort(rng.uniform(t0, t1, rng.poisson(c * (t1 - t0)))), d, None, None)
-                 for d, (rng, c) in enumerate(zip(rng_det, steady))]
-        parts += [(t, d, slot, e) for e in thermal
-                  for d, (t, slot) in enumerate(e.candidates(t1))]
+        drawn = [e.candidates(t1) for e in thermal]
+        # detector A's block, then B's: the lasers' candidates, then each
+        # thermal term's (times, table rows, the envelope that drew them)
+        parts = []
+        for d, (rng, c) in enumerate(zip(rng_det, steady)):
+            parts.append((np.sort(rng.uniform(t0, t1, rng.poisson(c * (t1 - t0)))), None, None))
+            parts += [(*by[d], e) for e, by in zip(thermal, drawn)]
         t = np.concatenate([p[0] for p in parts])
+        split = sum(p[0].size for p in parts[:len(parts) // 2])
         if beating:
-            # both envelopes at the merged, sorted candidate times of A and B
-            # (a thermal one takes the slots of its own candidates, -1
-            # elsewhere), then back in the order of parts
-            order = np.argsort(t, kind="stable")
-            back = np.empty_like(order)
-            back[order] = np.arange(order.size)
-            (i1, ph1), (i2, ph2) = (e.field(t[order], np.concatenate(
-                [s if by is e else np.full(p.size, -1) for p, _, s, by in parts])[order]
-                if e in thermal else None) for e in envelopes)
-            beat, i1, i2 = (x[back] if np.ndim(x) else x for x in (ph1 - ph2, i1, i2))
-        detector = np.repeat([p[1] for p in parts], [p[0].size for p in parts])
-        for d in (0, 1):
-            mine = np.flatnonzero(detector == d)
+            # only a laser's phase walk needs the candidates in time order
+            order = np.argsort(t, kind="stable") if len(thermal) < len(envelopes) else None
+            (i1, ph1), (i2, ph2) = (e.field(t, order, [(p, rows if by is e else None)
+                                                       for p, rows, by in parts])
+                                    for e in envelopes)
+            beat = ph1 - ph2
+        for d, mine in enumerate((slice(0, split), slice(split, t.size))):
             td = t[mine]
             if beating:
                 b1, b2, swing, offset = det_consts[d]
@@ -310,7 +337,7 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
                 if np.any(rate > bound * (1.0 + 1e-12)) or np.any(rate < -1e-12 * bound):
                     raise RuntimeError("detection rate outside [0, bound]: "
                                        f"{rate.min():.6g} .. {rate.max():.6g}")
-                td = td[rng_det[d].uniform(size=td.size) * bound < rate]
+                td = td.take(np.flatnonzero(rng_det[d].uniform(size=td.size) * bound < rate))
             times[d].append(np.floor(td * PS_PER_S).astype(np.int64))
 
     streams = []

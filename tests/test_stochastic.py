@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import warnings
@@ -97,6 +98,71 @@ def test_short_duration_warns():
     det = DetectorSetting(math.pi / 4)
     with pytest.warns(UserWarning):
         simulate_events(s1, s2, GEO, det, det, 1e-3, seed=1)
+
+
+def pinned_setups():
+    """Source pair and detectors of each pinned stream digest."""
+    thermal = ThermalFieldModel(2e7, 20e-9, "thermal")
+    detuned = ThermalFieldModel(1.5e7, 7e-9, "thermal", 3e7)
+    laser, _ = coherent_pair()
+    conv = DetectorSetting(math.pi / 4)
+    lossy_a = DetectorSetting(math.pi / 4, efficiency=0.8, dark_count_rate=2e5)
+    lossy_b = DetectorSetting(math.pi / 3, pump_phase=0.4, efficiency=0.55,
+                              dark_count_rate=5e5)
+    off = DetectorSetting(None)
+    return {
+        "thermal_pair": (thermal, thermal, conv, conv),
+        "unequal_thermal_pair": (thermal, detuned, lossy_a, lossy_b),
+        "laser_pair": (*coherent_pair(detuning=2e7), conv, conv),
+        "laser_thermal": (laser, thermal, conv, lossy_b),
+        "thermal_laser": (thermal, laser, lossy_a, conv),
+        "splitter": (thermal, None, off, off),
+        "pump_off_pair": (thermal, detuned, off, lossy_b),
+    }
+
+
+# sha256 of each setup's streams in one batch and at _CHUNK = 1000: a change
+# to any random draw, its order or its count changes them
+PINNED_DIGESTS = {
+    "laser_pair": (
+        "96535f45d78f7b0dfff21a2e08c66c207befeea2141da819fc43bf27f05b17c6",
+        "25b0526d255a0e6c440bbf3ef7da76924a13942d74467ea07eb938ef4d672d17"),
+    "laser_thermal": (
+        "509b258ae9b01b5ebed17b1141707810f3b53f272d90a524095ea05e1142fee6",
+        "17278519fec25be9d8f82b5a72acb25ee95aa24c539602315b937091d8555e7b"),
+    "pump_off_pair": (
+        "21cef3f38c7a150cd8837a947551108e213e19cd931ee2d37add526a1fe1b75c",
+        "8f28117314dcc9dff415bd9b160be5f2aeba3673dd0f2b412f8b5dec6b1ebb65"),
+    "splitter": (
+        "3eb45c2af1b4ff14b08acaab2ecd21e634126559022303eceb295010604542e2",
+        "19da301c0db764a61132fee67e39942c6740728485a3a8148be9c3f1b119e50b"),
+    "thermal_laser": (
+        "026a785b9bca2e00107b48885ffb35a5019bdcd6a65225ca4b5e056a79c5e90f",
+        "5d8af29341dea427950a7fcb441db5e6f20f5277dcc6aa77e84566dc85c48c51"),
+    "thermal_pair": (
+        "13ace2b342a8c3c81aadc7130c956ed27b7c084aecb2e73d76b58f5f82d6a558",
+        "7055b4370c28179259b75dddbee155dbf925a565e3b30139be44c141771d98bd"),
+    "unequal_thermal_pair": (
+        "d0ebdb8e0b2119632fc4febd4e4b070ce5737031da8448f549fd612e37442d0d",
+        "97558637ce79ac8c1ea0fa3b3d265aa196d3db7d84a976eb5ad3faade23eba2e"),
+}
+
+
+def stream_digest(name):
+    """sha256 of both detectors' timestamps of one pinned setup."""
+    s1, s2, det_a, det_b = pinned_setups()[name]
+    a, b = quiet_simulate(s1, s2, GEO, det_a, det_b, 2e-3, seed=2718, trial=5)
+    return hashlib.sha256(a.timestamps.tobytes() + b.timestamps.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_streams_match_pinned_digests(monkeypatch, name, batched):
+    # the exact draw order of every source kind and detector pair, in one
+    # batch and in about a hundred, whose ends fall inside slots
+    if batched:
+        monkeypatch.setattr(stochastic, "_CHUNK", 1000)
+    assert stream_digest(name) == PINNED_DIGESTS[name][batched]
 
 
 def test_substream_roles_disjoint():
@@ -349,22 +415,34 @@ def test_thermal_pair_g2_at_zero_delay():
 
 def test_thermal_slot_field_across_batches():
     # a slot's intensity and phase are drawn once, whichever batch reads
-    # them (batch ends fall inside slots, and each batch reads from the end
-    # of the one before); over all slots, those that received candidates
-    # (Gamma given the count) and those that did not (Exp(1 + a)), they
-    # follow the prior: intensity Exp(1), phase uniform
+    # them and whether an own candidate reads them by its table row or the
+    # other source's candidate by its time (batch ends fall inside slots,
+    # and each batch reads from the end of the one before); over all slots,
+    # those that received candidates (Gamma given the count) and those that
+    # did not (Exp(1 + a)), they follow the prior: intensity Exp(1), phase
+    # uniform
     tc = 20e-9
     envelope = stochastic._Envelope(ThermalFieldModel(2e7, tc, "thermal"),
                                     (1e7, 1e7), substream(8, 0, 0))
-    drawn, start = {}, 0.0
+    drawn, start, shared = {}, 0.0, 0
     for end in np.arange(1, 2000) * 7.3 * tc:
-        envelope.candidates(end)
-        centres = (np.arange(math.ceil(start / tc), math.ceil(end / tc)) + 0.5) * tc
-        times = np.append(start, centres[centres < end])
-        intensity, phase = envelope.field(times, np.full(times.size, -1))
-        for k, value in zip(np.floor(times / tc).astype(int), zip(intensity, phase)):
+        (t_a, rows_a), (t_b, rows_b) = envelope.candidates(end)
+        own = envelope.table[0].take(np.concatenate((rows_a, rows_b)))
+        # one time inside each slot's part of [start, end)
+        cuts = np.arange(math.ceil(start / tc), math.ceil(end / tc)) * tc
+        edges = np.concatenate(([start], cuts[(cuts > start) & (cuts < end)], [end]))
+        others = (edges[:-1] + edges[1:]) / 2
+        blocks = [(t_a, rows_a), (others, None), (t_b, rows_b)]
+        intensity, phase = envelope.field(np.concatenate([t for t, _ in blocks]), None, blocks)
+        slots = np.concatenate((own[:t_a.size], np.floor(others / tc).astype(int),
+                                own[t_a.size:]))
+        for k, value in zip(slots, zip(intensity, phase)):
             assert drawn.setdefault(k, value) == value
+        # every own candidate's slot is read by a time of the other source too
+        assert np.isin(own, np.floor(others / tc)).all()
+        shared += own.size
         start = end
+    assert shared > 5_000
     intensity, phase = np.array(list(drawn.values())).T
     assert intensity.size > 14_000
     assert kstest(intensity, "expon").pvalue > 0.01
