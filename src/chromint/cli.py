@@ -57,12 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed_override(args) -> list[str]:
+    return [] if args.seed is None else [f"seed={args.seed}"]
+
+
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = apply_overrides(cfg, [f"seed={args.seed}"])
-    if args.override:
-        cfg = apply_overrides(cfg, args.override)
+    cfg = apply_overrides(load_config(args.config), _seed_override(args) + args.override)
     manifest = run_scenario(cfg, args.out)
     print(f"wrote {len(manifest['data_files'])} data files to {args.out} "
           f"({manifest['wall_time_s']}s)")
@@ -79,8 +79,6 @@ def _cmd_scan(args) -> int:
     if num < 1:
         raise ConfigError("sweep needs at least one point")
     cfg = default_config(args.scenario)
-    if args.seed is not None:
-        cfg = apply_overrides(cfg, [f"seed={args.seed}"])
     if key not in {f.name for f in dataclasses.fields(type(cfg))}:
         raise ConfigError(f"unknown sweep parameter {key!r}")
     whole = type(getattr(cfg, key)) is int
@@ -90,7 +88,8 @@ def _cmd_scan(args) -> int:
             # an int field takes whole sweep values; any other value is
             # left to the config type check
             value = int(value)
-        run_cfgs.append((value, apply_overrides(cfg, [f"{key}={value!r}"])))
+        run_cfgs.append((value, apply_overrides(cfg, _seed_override(args)
+                                                + [f"{key}={value!r}"])))
     out = Path(args.out)
     runs = []
     for i, (value, run_cfg) in enumerate(run_cfgs):

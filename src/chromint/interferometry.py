@@ -96,6 +96,17 @@ class InterferometerGeometry:
                                       self.l_1a, self.l_1b, self.l_2a, self.l_2b,
                                       delay_b=delay_b)
 
+    def points(self):
+        """The scalar geometries of a batch, in order; a scalar geometry
+        yields itself."""
+        lengths = np.broadcast(self.l_1a, self.l_1b, self.l_2a, self.l_2b, self.delay_b)
+        if lengths.ndim == 0:
+            yield self
+            return
+        for l_1a, l_1b, l_2a, l_2b, delay_b in lengths:
+            yield InterferometerGeometry(self.lambda1, self.lambda2, self.lambda3,
+                                         l_1a, l_1b, l_2a, l_2b, delay_b)
+
     def path_phase(self, source: int, detector: str) -> float | np.ndarray:
         """Propagation phase 2*pi*L/lambda from a source (1 or 2) to a
         detector ('A' or 'B'), reduced modulo 2*pi.

@@ -47,12 +47,12 @@ from .stochastic import (
     FFT_MIN_POINTS,
     G2Curve,
     ThermalFieldModel,
-    delay_scan_events,
     estimate_g2,
     fit_fringe_free_period,
     fit_g2_envelope,
     fitted_visibility,
     fringe_fft,
+    g2_zero_scan,
     gate_time_study,
     simulate_events,
 )
@@ -120,9 +120,7 @@ class ScenarioConfig:
 
 
 def default_config(scenario: str) -> ScenarioConfig:
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}")
-    return ScenarioConfig(scenario=scenario, **SCENARIOS[scenario][1])
+    return config_from_mapping({"scenario": scenario})
 
 
 def _is_number(value) -> bool:
@@ -300,12 +298,11 @@ def _splitter_detector(cfg: ScenarioConfig) -> DetectorSetting:
     return DetectorSetting(None, efficiency=cfg.splitter_efficiency)
 
 
-def _delay_study(cfg: ScenarioConfig) -> tuple:
-    """(source1, source2, geometry, det_a, det_b, delays): the leading
-    arguments of stochastic's per-delay studies."""
-    delays = np.linspace(0.0, cfg.delay_span_periods * cfg.lambda3_m,
-                         cfg.delay_points, endpoint=False)
-    return (*make_sources(cfg), make_geometry(cfg), *make_detectors(cfg), delays)
+def _delays(cfg: ScenarioConfig) -> np.ndarray:
+    """The arm-B delays of a delay scan, over delay_span_periods pump
+    wavelengths."""
+    return np.linspace(0.0, cfg.delay_span_periods * cfg.lambda3_m,
+                       cfg.delay_points, endpoint=False)
 
 
 def _free_space_geometry(cfg: ScenarioConfig, separation_m: float | np.ndarray
@@ -344,17 +341,25 @@ def _write_g2_csv(path: Path, curve: G2Curve) -> None:
 # Scenario implementations.  Each returns a dict of result metrics; emitted
 # file names are collected by the caller.
 
-def _mc_delay_scan(cfg: ScenarioConfig, out: Path) -> tuple[tuple, np.ndarray]:
-    """The Monte Carlo g2(0) over the delay grid, written to
-    delay_scan_mc.csv; returns the _delay_study tuple and g2."""
-    study = _delay_study(cfg)
-    g2 = delay_scan_events(*study, cfg.duration_s, cfg.gate_ps, cfg.seed)
-    write_csv(out / "delay_scan_mc.csv", "delay_m,g2", study[-1], g2)
-    return study, g2
+def _mc_scan(cfg: ScenarioConfig, geometry: InterferometerGeometry) -> np.ndarray:
+    """The Monte Carlo g2(0) at each point of a batch geometry, at the
+    configured gate."""
+    return g2_zero_scan(*make_sources(cfg), geometry, *make_detectors(cfg),
+                        cfg.duration_s, [cfg.gate_ps], cfg.seed)[:, 0]
+
+
+def _mc_delay_scan(cfg: ScenarioConfig, out: Path, delays: np.ndarray) -> np.ndarray:
+    """The Monte Carlo g2(0) at each arm-B delay, written to delay_scan_mc.csv."""
+    g2 = _mc_scan(cfg, make_geometry(cfg).with_delay(delays))
+    write_csv(out / "delay_scan_mc.csv", "delay_m,g2", delays, g2)
+    return g2
 
 
 def _run_delay_scan(cfg: ScenarioConfig, out: Path) -> dict:
-    (_, _, geometry, det_a, det_b, delays), g2 = _mc_delay_scan(cfg, out)
+    delays = _delays(cfg)
+    g2 = _mc_delay_scan(cfg, out, delays)
+    geometry = make_geometry(cfg)
+    det_a, det_b = make_detectors(cfg)
     analytic = delay_scan(geometry, delays, cfg.source_kind, det_a, det_b)
     _write_scan_csv(out / "delay_scan_analytic.csv", "delay_m", delays, analytic)
     vis = fitted_visibility(delays, g2, cfg.lambda3_m)
@@ -364,8 +369,8 @@ def _run_delay_scan(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_fft(cfg: ScenarioConfig, out: Path) -> dict:
-    (*_, delays), g2 = _mc_delay_scan(cfg, out)
-    freqs, spectrum, peak = fringe_fft(delays, g2)
+    delays = _delays(cfg)
+    freqs, spectrum, peak = fringe_fft(delays, _mc_delay_scan(cfg, out, delays))
     write_csv(out / "spectrum.csv", "frequency_hz,magnitude", freqs, spectrum)
     median = float(np.median(spectrum[1:]))
     peak_mag = float(np.max(spectrum[1:]))
@@ -408,17 +413,12 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
-    s1, s2 = make_sources(cfg)
-    det_a, det_b = make_detectors(cfg)
     xs = np.linspace(cfg.separation_min_m, cfg.separation_max_m,
                      cfg.separation_points)
-    analytic = fringe_scan(_free_space_geometry(cfg, xs), cfg.source_kind, det_a, det_b)
+    geometry = _free_space_geometry(cfg, xs)
+    analytic = fringe_scan(geometry, cfg.source_kind, *make_detectors(cfg))
     _write_scan_csv(out / "fringe_analytic.csv", "separation_m", xs, analytic)
-    g2 = np.zeros(xs.size)
-    for i, x in enumerate(xs):
-        a, b = simulate_events(s1, s2, _free_space_geometry(cfg, x), det_a, det_b,
-                               cfg.duration_s, cfg.seed, trial=i)
-        g2[i] = estimate_g2(a, b, [0], cfg.gate_ps).values[0]
+    g2 = _mc_scan(cfg, geometry)
     write_csv(out / "fringe_mc.csv", "separation_m,g2", xs, g2)
     period = analytic_fringe_period(cfg)
     _, amp, fitted_period, _ = fit_fringe_free_period(xs, g2)
@@ -437,8 +437,8 @@ def analytic_fringe_period(cfg: ScenarioConfig) -> float:
 
 
 def _run_gate_time(cfg: ScenarioConfig, out: Path) -> dict:
-    rows = gate_time_study(*_delay_study(cfg), cfg.duration_s,
-                           [int(g) for g in cfg.gates_ps],
+    rows = gate_time_study(*make_sources(cfg), make_geometry(cfg), *make_detectors(cfg),
+                           _delays(cfg), cfg.duration_s, [int(g) for g in cfg.gates_ps],
                            cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials)
     write_csv(out / "gate_time.csv", "gate_ps,visibility,ci95_halfwidth",
               *([r[key] for r in rows] for key in ("gate_ps", "visibility", "ci95")))

@@ -42,10 +42,10 @@ from .interferometry import (
 from .stochastic import (
     EventStream,
     ThermalFieldModel,
-    delay_scan_events,
     estimate_g2,
     fitted_visibility,
     fringe_fft,
+    g2_zero_scan,
     simulate_events,
     substream,
 )
@@ -210,9 +210,9 @@ def check_laser_visibility() -> tuple[bool, str]:
     s1 = ThermalFieldModel(4e7, 318e-9, "coherent")
     s2 = ThermalFieldModel(4e7, 318e-9, "coherent")
     det = DetectorSetting(math.pi / 4, efficiency=0.5)
-    g2 = delay_scan_events(s1, s2, LASER_GEOMETRY, det, det, delays, 0.03,
-                           1000, 515)
-    vis = fitted_visibility(delays, g2, lam3)
+    g2 = g2_zero_scan(s1, s2, LASER_GEOMETRY.with_delay(delays), det, det, 0.03,
+                      [1000], 515)
+    vis = fitted_visibility(delays, g2[:, 0], lam3)
     return abs(vis - 0.5) < 0.06, f"fitted visibility = {vis:.3f}"
 
 

@@ -356,16 +356,10 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
 # ---------------------------------------------------------------------------
 # Coincidence counting.
 
-def _collapse(bins: np.ndarray, counts: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of the sorted `bins` and the total count of each.
-
-    Each entry counts once when `counts` is None; otherwise the counts of
-    equal entries are summed.
-    """
+def _collapse(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of the sorted `bins` and how often each occurs."""
     ends = np.flatnonzero(np.diff(bins, append=bins[-1:] + 1)) + 1
-    totals = ends if counts is None else np.cumsum(counts)[ends - 1]
-    return bins[ends - 1], np.diff(totals, prepend=0)
+    return bins[ends - 1], np.diff(ends, prepend=0)
 
 
 def _runs(offsets: list[int], pair_work: float, pass_work: int):
@@ -381,86 +375,32 @@ def _runs(offsets: list[int], pair_work: float, pass_work: int):
         yield first, len(offsets)
 
 
-@dataclass(frozen=True)
-class CoincidencePartial:
-    """Per-bin coincidence bookkeeping of one stream pair.
+def _window_sums(bins_a: np.ndarray, counts_a: np.ndarray, bins_b: np.ndarray,
+                 counts_b: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Sum over k of c_A[k]*c_B[k+o] for every offset o in first..last, from
+    each detector's distinct occupied bins and their event counts.
 
-    Holds, for each detector, the distinct gate bins that received events
-    and how many events fell in each; to_curve sums their products over
-    the requested offsets.
+    Two searchsorted calls bound each A bin's window [k+first, k+last] in
+    B's bins.  Windows are sorted longest first, so the windows that still
+    hold an r-th B bin are a prefix; rank r visits that bin of every such
+    window at once.
     """
-
-    bins_a: np.ndarray
-    counts_a: np.ndarray
-    bins_b: np.ndarray
-    counts_b: np.ndarray
-    n_bin: int
-    gate_ps: int
-
-    @property
-    def n_a(self) -> int:
-        return int(self.counts_a.sum())
-
-    @property
-    def n_b(self) -> int:
-        return int(self.counts_b.sum())
-
-    @classmethod
-    def from_streams(cls, stream_a: EventStream, stream_b: EventStream,
-                     gate_ps: int) -> "CoincidencePartial":
-        if gate_ps <= 0:
-            raise ValueError("gate must be positive")
-        if stream_a.duration_ps != stream_b.duration_ps:
-            raise ValueError("streams must cover equal durations")
-        binned = []
-        for ts in (stream_a.timestamps, stream_b.timestamps):
-            binned.extend(_collapse(ts // gate_ps))
-        return cls(*binned, int(-(-stream_a.duration_ps // gate_ps)), gate_ps)
-
-    def _window_sums(self, first: int, last: int) -> np.ndarray:
-        """Sum over k of c_A[k]*c_B[k+o] for every offset o in first..last.
-
-        Two searchsorted calls bound each A bin's window [k+first, k+last]
-        in B's bins.  Windows are sorted longest first, so the windows that
-        still hold an r-th B bin are a prefix; rank r visits that bin of
-        every such window at once.
-        """
-        start = np.searchsorted(self.bins_b, self.bins_a + first)
-        length = np.searchsorted(self.bins_b, self.bins_a + last, side="right")
-        length -= start
-        order = np.argsort(-length)[:np.count_nonzero(length)]
-        # still_open[r]: number of windows holding at least r B bins
-        still_open = np.cumsum(np.bincount(length)[::-1])[::-1]
-        del length
-        pos = start[order]
-        del start
-        ka, ca = self.bins_a[order], self.counts_a[order]
-        del order
-        sums = np.zeros(last - first + 1, dtype=np.int64)
-        for m in still_open[1:]:
-            np.add.at(sums, self.bins_b[pos[:m]] - ka[:m] - first,
-                      ca[:m] * self.counts_b[pos[:m]])
-            pos[:m] += 1
-        return sums
-
-    def to_curve(self, taus_ps) -> G2Curve:
-        taus = np.asarray(taus_ps, dtype=np.int64)
-        offsets, where = np.unique(np.round(taus / self.gate_ps).astype(np.int64),
-                                   return_inverse=True)
-        wanted = offsets.tolist()
-        per_offset = np.zeros(offsets.size, dtype=np.int64)
-        pairs = self.bins_a.size * self.bins_b.size / max(self.n_bin, 1)
-        for first, stop in _runs(wanted, pairs, self.bins_a.size + self.bins_b.size):
-            lo = wanted[first]
-            per_offset[first:stop] = (self._window_sums(lo, wanted[stop - 1])
-                                      [offsets[first:stop] - lo])
-        ncoinc = per_offset[where]
-        n_a, n_b = self.n_a, self.n_b
-        if n_a * n_b > 0:
-            values = ncoinc * (self.n_bin / (n_a * n_b))
-        else:
-            values = np.full(taus.size, np.nan)
-        return G2Curve(taus, values, self.gate_ps, ncoinc, n_a, n_b, self.n_bin)
+    start = np.searchsorted(bins_b, bins_a + first)
+    length = np.searchsorted(bins_b, bins_a + last, side="right")
+    length -= start
+    order = np.argsort(-length)[:np.count_nonzero(length)]
+    # still_open[r]: number of windows holding at least r B bins
+    still_open = np.cumsum(np.bincount(length)[::-1])[::-1]
+    del length
+    pos = start[order]
+    del start
+    ka, ca = bins_a[order], counts_a[order]
+    del order
+    sums = np.zeros(last - first + 1, dtype=np.int64)
+    for m in still_open[1:]:
+        np.add.at(sums, bins_b[pos[:m]] - ka[:m] - first, ca[:m] * counts_b[pos[:m]])
+        pos[:m] += 1
+    return sums
 
 
 def estimate_g2(stream_a: EventStream, stream_b: EventStream,
@@ -475,7 +415,30 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
     occupancy.  Nearby offsets share one pass over the sorted bins.
     Empty streams yield NaN values with the counts preserved.
     """
-    return CoincidencePartial.from_streams(stream_a, stream_b, gate_ps).to_curve(taus_ps)
+    if gate_ps <= 0:
+        raise ValueError("gate must be positive")
+    if stream_a.duration_ps != stream_b.duration_ps:
+        raise ValueError("streams must cover equal durations")
+    bins_a, counts_a = _collapse(stream_a.timestamps // gate_ps)
+    bins_b, counts_b = _collapse(stream_b.timestamps // gate_ps)
+    n_bin = int(-(-stream_a.duration_ps // gate_ps))
+    taus = np.asarray(taus_ps, dtype=np.int64)
+    offsets, where = np.unique(np.round(taus / gate_ps).astype(np.int64),
+                               return_inverse=True)
+    wanted = offsets.tolist()
+    per_offset = np.zeros(offsets.size, dtype=np.int64)
+    pairs = bins_a.size * bins_b.size / max(n_bin, 1)
+    for first, stop in _runs(wanted, pairs, bins_a.size + bins_b.size):
+        lo = wanted[first]
+        sums = _window_sums(bins_a, counts_a, bins_b, counts_b, lo, wanted[stop - 1])
+        per_offset[first:stop] = sums[offsets[first:stop] - lo]
+    ncoinc = per_offset[where]
+    n_a, n_b = stream_a.count, stream_b.count
+    if n_a * n_b > 0:
+        values = ncoinc * (n_bin / (n_a * n_b))
+    else:
+        values = np.full(taus.size, np.nan)
+    return G2Curve(taus, values, gate_ps, ncoinc, n_a, n_b, n_bin)
 
 
 # ---------------------------------------------------------------------------
@@ -580,31 +543,21 @@ def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float
 # ---------------------------------------------------------------------------
 # Composite studies.
 
-def _delay_runs(source1: ThermalFieldModel, source2: ThermalFieldModel,
-                geometry: InterferometerGeometry, det_a: DetectorSetting,
-                det_b: DetectorSetting, delays_m: np.ndarray, duration: float,
-                seed: int, first_trial: int):
-    """One simulated stream pair per arm-B delay, trials first_trial + i."""
-    for i, d in enumerate(np.asarray(delays_m, dtype=float)):
-        yield simulate_events(source1, source2,
-                              geometry.with_delay(geometry.delay_b + d),
-                              det_a, det_b, duration, seed,
-                              trial=first_trial + i)
+def g2_zero_scan(source1: ThermalFieldModel, source2: ThermalFieldModel,
+                 geometry: InterferometerGeometry, det_a: DetectorSetting,
+                 det_b: DetectorSetting, duration: float, gates_ps: list[int],
+                 seed: int, first_trial: int = 0) -> np.ndarray:
+    """Monte Carlo g2(0) at each point of a batch geometry and each gate.
 
-
-def delay_scan_events(source1: ThermalFieldModel, source2: ThermalFieldModel,
-                      geometry: InterferometerGeometry, det_a: DetectorSetting,
-                      det_b: DetectorSetting, delays_m: np.ndarray,
-                      duration: float, gate_ps: int, seed: int) -> np.ndarray:
-    """Monte Carlo g2(0) versus arm-B optical delay.
-
-    Delay i is simulated once, as trial i for `duration` seconds, and its
-    coincidences are counted at one gate of gate_ps.
+    Point i is simulated once, as trial first_trial + i for `duration`
+    seconds, and its streams are counted at every gate, so gate-to-gate
+    differences carry no extra shot noise.  Returns a points x gates array.
     """
-    runs = _delay_runs(source1, source2, geometry, det_a, det_b, delays_m,
-                       duration, seed, 0)
-    return np.array([estimate_g2(a, b, [0], gate_ps).values[0] for a, b in runs],
-                    dtype=float)
+    runs = (simulate_events(source1, source2, point, det_a, det_b, duration, seed,
+                            trial=first_trial + i)
+            for i, point in enumerate(geometry.points()))
+    return np.array([[estimate_g2(a, b, [0], g).values[0] for g in gates_ps]
+                     for a, b in runs], dtype=float)
 
 
 def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
@@ -614,21 +567,20 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
                     seed: int, n_trials: int = 4) -> list[dict]:
     """Fringe visibility versus coincidence gate width.
 
-    Each trial simulates one event-stream pair per delay and re-bins the
-    same streams at every gate, so gate-to-gate differences carry no extra
-    shot noise.  Returns one row per gate with the trial mean visibility
-    and a 95% confidence half-width; needs at least two trials.
+    Each trial is one g2_zero_scan over the arm-B delays added to the
+    geometry's, its points numbered on from the trial before.  Returns one
+    row per gate with the trial mean visibility and a 95% confidence
+    half-width; needs at least two trials.
     """
     if n_trials < 2:
         raise ValueError("a confidence interval needs at least two trials")
     delays_m = np.asarray(delays_m, dtype=float)
+    scan = geometry.with_delay(geometry.delay_b + delays_m)
     vis = np.zeros((len(gates_ps), n_trials))
     for trial in range(n_trials):
-        runs = _delay_runs(source1, source2, geometry, det_a, det_b, delays_m,
-                           duration, seed, trial * len(delays_m))
         # g2(0) per delay (rows) and gate (columns)
-        g2 = np.array([[estimate_g2(a, b, [0], g).values[0] for g in gates_ps]
-                       for a, b in runs])
+        g2 = g2_zero_scan(source1, source2, scan, det_a, det_b, duration, gates_ps,
+                          seed, first_trial=trial * delays_m.size)
         for gi in range(len(gates_ps)):
             vis[gi, trial] = fitted_visibility(delays_m, g2[:, gi], period_m)
     rows = []

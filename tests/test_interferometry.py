@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -395,23 +396,30 @@ def _scalar_scan(geometries, source_kind, det_a, det_b):
     return np.array(rows)
 
 
+def _fields(geometries):
+    return [dataclasses.astuple(geo) for geo in geometries]
+
+
 @pytest.mark.parametrize("source_kind", ["coherent", "thermal"])
 def test_batch_scans_equal_the_scalar_loop(source_kind):
     det_a, det_b = DetectorSetting(math.pi / 4, 0.3), DetectorSetting(0.7, 2.1)
     xs = np.linspace(0.2e-3, 14.4e-3, 37)
-    free = fringe_scan(InterferometerGeometry.from_free_space(125e-6, 0.40, xs,
-                                                              LAM1, LAM2, LAM3),
-                       source_kind, det_a, det_b)
-    reference = _scalar_scan([InterferometerGeometry.from_free_space(
-        125e-6, 0.40, x, LAM1, LAM2, LAM3) for x in xs], source_kind, det_a, det_b)
+    batch = InterferometerGeometry.from_free_space(125e-6, 0.40, xs, LAM1, LAM2, LAM3)
+    scalars = [InterferometerGeometry.from_free_space(125e-6, 0.40, x, LAM1, LAM2, LAM3)
+               for x in xs]
+    assert _fields(batch.points()) == _fields(scalars)
+    free = fringe_scan(batch, source_kind, det_a, det_b)
+    reference = _scalar_scan(scalars, source_kind, det_a, det_b)
     assert np.array_equal(np.column_stack([free.probability, free.constant_term,
                                            free.interference_term]), reference)
     geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.031, 0.052, 0.047, 0.018,
                                  delay_b=1e-4)
+    assert next(geo.points()) is geo and len(list(geo.points())) == 1
     delays = np.linspace(0, 3 * LAM3, 41)
+    scalars = [geo.with_delay(geo.delay_b + d) for d in delays]
+    assert _fields(geo.with_delay(geo.delay_b + delays).points()) == _fields(scalars)
     scan = delay_scan(geo, delays, source_kind, det_a, det_b)
-    reference = _scalar_scan([geo.with_delay(geo.delay_b + d) for d in delays],
-                             source_kind, det_a, det_b)
+    reference = _scalar_scan(scalars, source_kind, det_a, det_b)
     assert np.array_equal(np.column_stack([scan.probability, scan.constant_term,
                                            scan.interference_term]), reference)
 

@@ -206,6 +206,40 @@ def test_every_scenario_runs_end_to_end(tmp_path, name):
         assert BRANCH_RESULTS[name] in manifest["results"]
 
 
+# sha256 of the data files of the tiny runs of every Monte Carlo scan over a
+# batch geometry: a change to the points, their trial numbers or their order
+# changes them
+PINNED_DATA_FILES = {
+    "free_space_hbt": {
+        "fringe_analytic.csv":
+            "20a02df0004f994b8826251cda03c4bd879b447a69c530c9a77226c33d7f1b99",
+        "fringe_mc.csv":
+            "ba4a2041db6837c6b1a429d5b8854b14d75674ebcafe1849fa6f48edb16f82d1"},
+    "gate_time_study": {
+        "gate_time.csv":
+            "2faf44fdc4941bc890f31bdf699f9d0505e238b7217d77daa1843e24ae99b878"},
+    "laser_delay_scan": {
+        "delay_scan_analytic.csv":
+            "61e0c71c566a936a86a89d30d20c8d9658ba52937aa581f1b525842d4aba7b9e",
+        "delay_scan_mc.csv":
+            "5ad53e1d1b59bdbea94837478bbb8b8c150649795b5efdaf498ae148169b1ff7"},
+    "laser_fft": {
+        "delay_scan_mc.csv":
+            "e6d63c4f8bb79df86ea523ea77c2f69e04e5b0117841427fc4573a06de28f0f6",
+        "spectrum.csv":
+            "ab00c96babcadd61fe7beda94c0a03a54fe1db1bf5f0a22f30775f935aee4483"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATA_FILES))
+def test_scan_data_files_match_pinned_digests(tmp_path, name):
+    cfg = apply_overrides(default_config(name), TINY_OVERRIDES[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        manifest = run_scenario(cfg, tmp_path / "run")
+    assert manifest["data_files"] == PINNED_DATA_FILES[name]
+
+
 @pytest.mark.parametrize("name, visibility", [("laser_delay_scan", 0.5),
                                               ("thermal_delay_scan", 1 / 3)])
 def test_analytic_visibility_is_the_law_value(tmp_path, name, visibility):

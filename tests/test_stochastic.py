@@ -20,7 +20,6 @@ from chromint.interferometry import (
 from chromint.scenarios import _write_g2_csv
 from chromint.selftest import check_thermal_g2
 from chromint.stochastic import (
-    CoincidencePartial,
     EventStream,
     G2Curve,
     PS_PER_S,
@@ -292,13 +291,13 @@ def test_g2_coarse_grid_is_one_pass(monkeypatch):
     # 76 offsets at a 4-gate step: the three empty offsets between two
     # requested ones cost far less pair work than another pass over the bins
     passes = []
-    window_sums = CoincidencePartial._window_sums
+    window_sums = stochastic._window_sums
 
-    def counted(self, first, last):
-        passes.append((first, last))
-        return window_sums(self, first, last)
+    def counted(*args):
+        passes.append(args[-2:])  # (first, last) after the bins and counts
+        return window_sums(*args)
 
-    monkeypatch.setattr(CoincidencePartial, "_window_sums", counted)
+    monkeypatch.setattr(stochastic, "_window_sums", counted)
     rng = substream(78, 0, 0)
     duration_ps, gate = 1_000_000_000, 1000
     a, b = (EventStream(d, np.unique(rng.integers(0, duration_ps, 100_000)),
