@@ -358,8 +358,11 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
 
 def _collapse(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values of the sorted `bins` and how often each occurs."""
-    ends = np.flatnonzero(np.diff(bins, append=bins[-1:] + 1)) + 1
-    return bins[ends - 1], np.diff(ends, prepend=0)
+    if not bins.size:
+        return bins, np.zeros(0, np.int64)
+    # the index of each run's last element
+    ends = np.append(np.flatnonzero(bins[1:] != bins[:-1]), bins.size - 1)
+    return bins[ends], np.diff(ends, prepend=-1)
 
 
 def _runs(offsets: list[int], pair_work: float, pass_work: int):

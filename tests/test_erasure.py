@@ -28,6 +28,7 @@ from chromint.fock import (
     inner_product,
     single_photon_with_pump,
 )
+from test_fock import dense_hamiltonian
 
 
 def brute_force_filtered(input_mode, n_mean, theta, phase=0.0):
@@ -38,7 +39,7 @@ def brute_force_filtered(input_mode, n_mean, theta, phase=0.0):
     chi_t = theta / math.sqrt(n_mean)
     ham = TrilinearHamiltonian(basis)
     psi0 = single_photon_with_pump(input_mode, CoherentSpec(n_mean, phase), basis)
-    psi = expm(-1j * ham.matrix.toarray() * chi_t) @ psi0.amplitudes
+    psi = expm(-1j * dense_hamiltonian(ham) * chi_t) @ psi0.amplitudes
     mask = basis.occupations()[:, 1] == 1
     kept = np.where(mask, psi, 0.0)
     prob = float(np.sum(np.abs(kept) ** 2))

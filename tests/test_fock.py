@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy.linalg import expm
 
 from chromint.fock import (
     BasisMismatchError,
@@ -82,19 +82,25 @@ def test_coherent_cutoff_too_small():
         assert err.value.leakage > 0
 
 
+def dense_hamiltonian(ham):
+    """H as a dense (dim, dim) matrix: column k is H applied to the k-th
+    basis state."""
+    units = np.eye(ham.basis.dim, dtype=complex).reshape(-1, *ham.basis.shape)
+    return np.stack([ham.apply(unit).ravel() for unit in units], axis=1)
+
+
 def assert_hermitian(matrix):
-    assert abs(matrix - matrix.conj().T).nnz == 0
+    assert np.array_equal(matrix, matrix.conj().T)
 
 
 def test_hamiltonian_hermitian_and_sector_structure():
     basis = FockBasis(1, 1, 12)
-    ham = TrilinearHamiltonian(basis)
-    assert sparse.issparse(ham.matrix)
-    assert_hermitian(ham.matrix)
+    matrix = dense_hamiltonian(TrilinearHamiltonian(basis))
+    assert_hermitian(matrix)
     occ = basis.occupations()
     n12 = occ[:, 0] + occ[:, 1]
     n13 = occ[:, 0] - occ[:, 2]
-    rows, cols = ham.matrix.nonzero()
+    rows, cols = matrix.nonzero()
     assert rows.size > 0
     assert np.array_equal(n12[rows], n12[cols])
     assert np.array_equal(n13[rows], n13[cols])
@@ -103,12 +109,12 @@ def test_hamiltonian_hermitian_and_sector_structure():
 def test_hamiltonian_multiphoton_signal_cutoffs():
     # two-photon signal sectors stay available for the superposition cases
     basis = FockBasis(2, 2, 8)
-    ham = TrilinearHamiltonian(basis)
-    assert_hermitian(ham.matrix)
+    matrix = dense_hamiltonian(TrilinearHamiltonian(basis))
+    assert_hermitian(matrix)
     i = np.ravel_multi_index((2, 0, 3), basis.shape)
     j = np.ravel_multi_index((1, 1, 2), basis.shape)
-    assert ham.matrix[j, i] == pytest.approx(1j * math.sqrt(2 * 1 * 3))
-    assert ham.matrix[i, j] == pytest.approx(-1j * math.sqrt(2 * 1 * 3))
+    assert matrix[j, i] == pytest.approx(1j * math.sqrt(2 * 1 * 3))
+    assert matrix[i, j] == pytest.approx(-1j * math.sqrt(2 * 1 * 3))
 
 
 def test_closed_form_identity_at_zero_coupling():
@@ -193,7 +199,22 @@ def test_unitarity_and_sector_expectations(chi_t, phase):
         assert abs(charge(evolved, signs) - charge(state, signs)) < 1e-11
 
 
-def test_brute_force_sparse_path_above_dense_limit():
+@pytest.mark.parametrize("cutoffs,start", [((2, 2, 8), (2, 0, 3)),
+                                            ((3, 4, 30), (3, 0, 10)),
+                                            ((1, 1, 40), (1, 0, 20))])
+@pytest.mark.parametrize("chi_t", [-0.7, 0.01, 2.0, 10.0])
+def test_brute_force_matches_dense_expm(cutoffs, start, chi_t):
+    # up to a few hundred Taylor steps on multi-photon sectors; the charges
+    # n1+n2 and n1-n3 keep each start state off the pump cutoff shell
+    basis = FockBasis(*cutoffs)
+    ham = TrilinearHamiltonian(basis)
+    state = fock_state(basis, *start)
+    evolved = evolve_brute_force(state, ham, chi_t)
+    reference = expm(-1j * chi_t * dense_hamiltonian(ham)) @ state.amplitudes
+    assert np.max(np.abs(evolved.amplitudes - reference)) < 1e-12
+
+
+def test_brute_force_large_pump_cutoff():
     # pump cutoff 510 (dimension 2044): the largest basis the fock tests evolve
     basis = FockBasis(1, 1, 510)
     ham = TrilinearHamiltonian(basis)

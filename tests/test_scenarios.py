@@ -362,13 +362,21 @@ def test_runtime_rejects_are_config_errors(tmp_path, capsys, command, scenario,
 
 def test_cli_import_leaves_out_stats_and_optimize():
     # scipy.stats and scipy.optimize take most of a cold start; no run
-    # needs the first, and only the curve fits load the second
-    code = ("import sys, chromint.cli; "
-            "print(*[m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    # needs the first, and only the curve fits load the second.  The exact
+    # layer runs on numpy alone, so no submodule loads scipy.sparse or
+    # scipy.linalg either
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+    code = (f"import sys\nheavy = {heavy!r}\n"
+            "import chromint.cli\n"
+            "print(*[m for m in heavy if m in sys.modules])\n"
+            "from chromint import erasure, fock, interferometry, scenarios, selftest, stochastic\n"
+            "print(*[m for m in heavy if m in sys.modules])\n")
     src = Path(scenarios.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert proc.stdout.split() == [], f"import chromint.cli loads {proc.stdout.strip()}"
+    after_cli, after_all = proc.stdout.split("\n")[:2]
+    assert after_cli == "", f"import chromint.cli loads {after_cli}"
+    assert after_all == "", f"importing every submodule loads {after_all}"
 
 
 def test_cli_selftest_failure_exits_3(capsys, monkeypatch):
