@@ -24,7 +24,6 @@ from .scenarios import (
     load_config,
     run_scenario,
 )
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,6 +110,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "selftest":
+            from .selftest import run_selftest  # loads the exact layer
             return EXIT_OK if run_selftest(full=args.full) else EXIT_SELFTEST
         if args.command == "scan":
             return _cmd_scan(args)

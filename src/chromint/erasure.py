@@ -1,5 +1,5 @@
-"""Color-erasure detector model: post-selection, indistinguishability and
-the effective two-mode color rotation.
+"""The color-erasure detector on the exact Fock layer: post-selection,
+indistinguishability and the approach to the strong-pump color rotation.
 
 A detector converts between the two signal colors with mixing angle
 theta = chi*T*sqrt(N) and pump phase phi, filters one output color, and in
@@ -8,7 +8,7 @@ the strong-pump limit acts on the signal color qubit as the unitary
     [[cos(theta), -exp(-i*phi)*sin(theta)],
      [exp(i*phi)*sin(theta),  cos(theta)]]
 
-over the basis {|1>_1 |0>_2, |0>_1 |1>_2}.
+over the basis {|1>_1 |0>_2, |0>_1 |1>_2}: interferometry.effective_rotation.
 """
 
 from __future__ import annotations
@@ -27,39 +27,11 @@ from .fock import (
     evolve_closed_form,
     inner_product,
 )
+from .interferometry import effective_rotation
+from .interferometry import DetectorSetting  # re-export: perfbench's exact_oracle builds it
 
 # Post-selection branches below this probability are treated as empty.
 EMPTY_BRANCH_PROB = 1e-15
-
-
-@dataclass(frozen=True)
-class DetectorSetting:
-    """Operating point of one color-erasure detector.
-
-    theta is the conversion angle chi*T*sqrt(N), or None for a detector
-    without a conversion stage (pump off), which sees both colors;
-    interferometry.detector_couplings states what each detector sees.
-    output_filter selects which color is detected (1 or 2);
-    visibility_degradation is a scalar standing in for multimode noise and
-    multiplies interference terms downstream, never the constant terms.
-    """
-
-    theta: float | None
-    pump_phase: float = 0.0
-    output_filter: int = 2
-    efficiency: float = 1.0
-    dark_count_rate: float = 0.0
-    visibility_degradation: float = 1.0
-
-    def __post_init__(self):
-        if self.output_filter not in (1, 2):
-            raise ValueError("output_filter must be 1 or 2")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-        if not 0.0 <= self.visibility_degradation <= 1.0:
-            raise ValueError("visibility_degradation must lie in [0, 1]")
-        if self.dark_count_rate < 0.0:
-            raise ValueError("dark_count_rate must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -156,17 +128,6 @@ def reduced_signal_density(state: TripleModeState) -> np.ndarray:
     rho = psi @ psi.conj().T
     rho /= np.trace(rho).real
     return rho
-
-
-def effective_rotation(theta: float, phase: float = 0.0) -> np.ndarray:
-    """Strong-pump color rotation on the signal qubit.
-
-    Columns applied to (1,0) and (0,1) give the asymptotic post-conversion
-    states of an incoming color-1 and color-2 photon respectively.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -np.exp(-1j * phase) * s],
-                     [np.exp(1j * phase) * s, c]], dtype=complex)
 
 
 def rotation_output(input_mode: int, theta: float, phase: float = 0.0) -> ColorQubitState:

@@ -1,8 +1,9 @@
-"""Closed-form chromatic intensity interferometry.
+"""Closed-form chromatic intensity interferometry and the detector model.
 
 Propagation amplitudes from geometry, coincidence probabilities for
 single-photon, coherent-superposition and incoherent-mixture sources,
-source-phase averaging, and analytic fringe-scan generation.
+source-phase averaging, analytic fringe scans, and the one model of the
+color-erasure detector (DetectorSetting) that the law and Monte Carlo share.
 
 Source 1 emits at wavelength lambda1 (long), source 2 at lambda2 (short);
 the pump wavelength lambda3 satisfies 1/lambda3 = 1/lambda2 - 1/lambda1.
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .erasure import DetectorSetting, effective_rotation
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -285,7 +284,47 @@ def coincidence_thermal(amps: PropagationAmplitudes, theta: float,
 
 
 # ---------------------------------------------------------------------------
-# Semiclassical pair-detection law and analytic delay scans.
+# The color-erasure detector and the semiclassical pair-detection law.
+
+def effective_rotation(theta: float, phase: float = 0.0) -> np.ndarray:
+    """Strong-pump color rotation on the signal qubit.
+
+    Columns applied to (1,0) and (0,1) give the asymptotic post-conversion
+    states of an incoming color-1 and color-2 photon respectively.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -np.exp(-1j * phase) * s],
+                     [np.exp(1j * phase) * s, c]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class DetectorSetting:
+    """Operating point of one color-erasure detector.
+
+    theta is the conversion angle chi*T*sqrt(N), or None for a detector
+    without a conversion stage (pump off; see detector_couplings).
+    output_filter selects which color is detected (1 or 2);
+    visibility_degradation is a scalar standing in for multimode noise and
+    multiplies interference terms downstream, never the constant terms.
+    """
+
+    theta: float | None
+    pump_phase: float = 0.0
+    output_filter: int = 2
+    efficiency: float = 1.0
+    dark_count_rate: float = 0.0
+    visibility_degradation: float = 1.0
+
+    def __post_init__(self):
+        if self.output_filter not in (1, 2):
+            raise ValueError("output_filter must be 1 or 2")
+        if not 0.0 <= self.efficiency <= 1.0:
+            raise ValueError("efficiency must lie in [0, 1]")
+        if not 0.0 <= self.visibility_degradation <= 1.0:
+            raise ValueError("visibility_degradation must lie in [0, 1]")
+        if self.dark_count_rate < 0.0:
+            raise ValueError("dark_count_rate must be nonnegative")
+
 
 def detector_couplings(det: DetectorSetting, geometry: InterferometerGeometry
                        ) -> tuple[complex, complex, bool]:
@@ -294,16 +333,30 @@ def detector_couplings(det: DetectorSetting, geometry: InterferometerGeometry
     k1 and k2 are the amplitude couplings of source-1 and source-2 light
     into the detected output color; beats says whether the two colors
     interfere there.  A converting detector's couplings are the row of
-    erasure.effective_rotation for the filtered color, and its colors always
-    beat.  A detector without a conversion stage (theta None, the pump off)
-    sees both colors at unit coupling, and they beat only when their
-    wavelengths coincide to 1e-12 relative.
+    effective_rotation for the filtered color, and its colors always beat.
+    A detector without a conversion stage (theta None, the pump off) sees
+    both colors at unit coupling, and they beat only when their wavelengths
+    coincide to 1e-12 relative.
     """
     if det.theta is None:
         same = abs(geometry.lambda1 - geometry.lambda2) <= 1e-12 * geometry.lambda1
         return 1.0 + 0.0j, 1.0 + 0.0j, same
     k1, k2 = effective_rotation(det.theta, det.pump_phase)[det.output_filter - 1]
     return complex(k1), complex(k2), True
+
+
+def detector_rates(det: DetectorSetting, geometry: InterferometerGeometry, w1: float,
+                   w2: float, psi: float = 0.0) -> tuple[float, float, float, float]:
+    """Rate terms (b1, b2, swing, offset) of one detector, efficiency folded
+    in: at source intensities i1, i2 and beat phase phi it detects
+    b1*i1 + b2*i2 + swing*sqrt(i1*i2)*cos(phi + offset) photons per second,
+    for source photon rates w1, w2 at it (s^-1) and path-phase difference psi."""
+    k1, k2, beats = detector_couplings(det, geometry)
+    cross = (math.sqrt(det.visibility_degradation) * k1 * np.conj(k2)
+             * math.sqrt(w1 * w2) * np.exp(1j * psi)) if beats else 0.0j
+    eff = det.efficiency
+    return (eff * abs(k1) ** 2 * w1, eff * abs(k2) ** 2 * w2,
+            eff * 2.0 * abs(cross), float(np.angle(cross)))
 
 
 def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
@@ -314,38 +367,32 @@ def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
 
     Returns (baseline, amplitude, offset) for the given detector pair,
     wavelengths and source statistics; Delta is the geometric fringe phase.
-    weight1/weight2 are the relative mean photon fluxes of the two sources
-    at each detector.  The fringe needs the colors to beat at both
-    detectors.  The visibility-degradation factors enter the interference
-    amplitude once per detector as sqrt(v_deg), so a matched pair scales
-    the fringe by v_deg, never the baseline.
+    weight1/weight2 are each source's photon rate at each detector in s^-1.
+    From each detector's detector_rates, with S = b1 + b2, the amplitude is
+    swing_A*swing_B/(2*S_A*S_B) and the thermal pedestal
+    (b1_A*b1_B + b2_A*b2_B)/(S_A*S_B); dark counts at rate d dilute both by
+    rho = S/(S + d) per detector.
     """
-    k1a, k2a, beats_a = detector_couplings(det_a, geometry)
-    k1b, k2b, beats_b = detector_couplings(det_b, geometry)
-    s_a = abs(k1a) ** 2 * weight1 + abs(k2a) ** 2 * weight2
-    s_b = abs(k1b) ** 2 * weight1 + abs(k2b) ** 2 * weight2
+    (b1a, b2a, swing_a, offset_a), (b1b, b2b, swing_b, offset_b) = (
+        detector_rates(det, geometry, weight1, weight2) for det in (det_a, det_b))
+    s_a, s_b = b1a + b2a, b1b + b2b
     if s_a <= 0 or s_b <= 0:
         raise ValueError("detector sees no light; check couplings and weights")
-    v_pair = math.sqrt(det_a.visibility_degradation * det_b.visibility_degradation)
-    offset = (cmath.phase(k1a) - cmath.phase(k2a)
-              - cmath.phase(k1b) + cmath.phase(k2b))
-    cross = abs(k1a * k2a * k1b * k2b) * weight1 * weight2 if beats_a and beats_b else 0.0
-    amp = v_pair * 2.0 * cross / (s_a * s_b)
-    if source_kind == "coherent":
-        return 1.0, amp, offset
-    if source_kind == "thermal":
-        pedestal = (abs(k1a * k1b) ** 2 * weight1 ** 2
-                    + abs(k2a * k2b) ** 2 * weight2 ** 2) / (s_a * s_b)
-        return 1.0 + pedestal, amp, offset
-    raise ValueError(f"unknown source kind {source_kind!r}")
+    dilution = s_a / (s_a + det_a.dark_count_rate) * (s_b / (s_b + det_b.dark_count_rate))
+    pedestal = {"coherent": 0.0, "thermal": (b1a * b1b + b2a * b2b) / (s_a * s_b)}
+    if source_kind not in pedestal:
+        raise ValueError(f"unknown source kind {source_kind!r}")
+    return (1.0 + dilution * pedestal[source_kind],
+            dilution * swing_a * swing_b / (2.0 * s_a * s_b), offset_a - offset_b)
 
 
 def fringe_scan(geometry: InterferometerGeometry, source_kind: str,
-                det_a: DetectorSetting, det_b: DetectorSetting) -> np.recarray:
+                det_a: DetectorSetting, det_b: DetectorSetting,
+                weight1: float = 0.5, weight2: float = 0.5) -> np.recarray:
     """Analytic normalized coincidence over a batch geometry (free space:
     one per detector separation), one record per geometry with the fields
     probability, constant_term and interference_term."""
-    base, amp, offset = pair_fringe_law(det_a, det_b, geometry, source_kind)
+    base, amp, offset = pair_fringe_law(det_a, det_b, geometry, source_kind, weight1, weight2)
     osc = amp * np.cos(fringe_phase(geometry) + offset)
     scan = np.rec.fromarrays(np.broadcast_arrays(base + osc, base, osc),
                              names="probability,constant_term,interference_term")
@@ -355,12 +402,12 @@ def fringe_scan(geometry: InterferometerGeometry, source_kind: str,
 
 
 def delay_scan(geometry: InterferometerGeometry, delays: np.ndarray,
-               source_kind: str, det_a: DetectorSetting, det_b: DetectorSetting
-               ) -> np.recarray:
+               source_kind: str, det_a: DetectorSetting, det_b: DetectorSetting,
+               weight1: float = 0.5, weight2: float = 0.5) -> np.recarray:
     """Analytic normalized coincidence versus arm-B optical delay.
 
-    For balanced coherent sources and matched pi/4 detectors the emitted
-    curve is 1 + 0.5*v_deg*cos(2*pi*d/lambda3 + const).
+    For balanced coherent sources and matched pi/4 detectors without dark
+    counts the curve is 1 + 0.5*v_deg*cos(2*pi*d/lambda3 + const).
     """
     delayed = geometry.with_delay(geometry.delay_b + np.asarray(delays, dtype=float))
-    return fringe_scan(delayed, source_kind, det_a, det_b)
+    return fringe_scan(delayed, source_kind, det_a, det_b, weight1, weight2)

@@ -34,9 +34,9 @@ import scipy
 import yaml
 
 from . import __version__
-from .erasure import DetectorSetting, erasure_overlap
 from .interferometry import (
     SPEED_OF_LIGHT,
+    DetectorSetting,
     InterferometerGeometry,
     delay_scan,
     fringe_phase,
@@ -232,7 +232,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.source_kind not in ("coherent", "thermal"):
         raise ConfigError(f"unknown source_kind {cfg.source_kind!r}")
     for name in ("source_rate_hz", "coherence_time_ps", "duration_ps", "gate_ps",
-                 "tau_step_ps", "delay_span_periods"):
+                 "tau_step_ps", "delay_span_periods", "efficiency"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     for name in ("gates_ps", "overlap_mean_photons"):
@@ -291,6 +291,11 @@ def make_detectors(cfg: ScenarioConfig) -> tuple[DetectorSetting, DetectorSettin
                   visibility_degradation=cfg.v_deg)
     return (DetectorSetting(theta, cfg.pump_phase_a, **common),
             DetectorSetting(theta, cfg.pump_phase_b, **common))
+
+
+def _rates(cfg: ScenarioConfig) -> tuple[float, float]:
+    """Each source's photon rate at each detector in s^-1, as simulated."""
+    return cfg.source_rate_hz / 2.0, cfg.source_rate_hz / 2.0
 
 
 def _splitter_detector(cfg: ScenarioConfig) -> DetectorSetting:
@@ -360,10 +365,10 @@ def _run_delay_scan(cfg: ScenarioConfig, out: Path) -> dict:
     g2 = _mc_delay_scan(cfg, out, delays)
     geometry = make_geometry(cfg)
     det_a, det_b = make_detectors(cfg)
-    analytic = delay_scan(geometry, delays, cfg.source_kind, det_a, det_b)
+    analytic = delay_scan(geometry, delays, cfg.source_kind, det_a, det_b, *_rates(cfg))
     _write_scan_csv(out / "delay_scan_analytic.csv", "delay_m", delays, analytic)
     vis = fitted_visibility(delays, g2, cfg.lambda3_m)
-    base, amp, _ = pair_fringe_law(det_a, det_b, geometry, cfg.source_kind)
+    base, amp, _ = pair_fringe_law(det_a, det_b, geometry, cfg.source_kind, *_rates(cfg))
     return {"fitted_visibility": vis, "mean_g2": float(np.mean(g2)),
             "analytic_visibility": amp / base}
 
@@ -416,7 +421,7 @@ def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
     xs = np.linspace(cfg.separation_min_m, cfg.separation_max_m,
                      cfg.separation_points)
     geometry = _free_space_geometry(cfg, xs)
-    analytic = fringe_scan(geometry, cfg.source_kind, *make_detectors(cfg))
+    analytic = fringe_scan(geometry, cfg.source_kind, *make_detectors(cfg), *_rates(cfg))
     _write_scan_csv(out / "fringe_analytic.csv", "separation_m", xs, analytic)
     g2 = _mc_scan(cfg, geometry)
     write_csv(out / "fringe_mc.csv", "separation_m,g2", xs, g2)
@@ -446,6 +451,7 @@ def _run_gate_time(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_overlap_scan(cfg: ScenarioConfig, out: Path) -> dict:
+    from .erasure import erasure_overlap  # the exact layer: only this scan loads it
     ns = [float(n) for n in cfg.overlap_mean_photons]
     overlaps = np.array([erasure_overlap(n, cfg.overlap_theta, cfg.overlap_phase)
                          for n in ns])

@@ -13,8 +13,6 @@ import time
 import numpy as np
 
 from .erasure import (
-    DetectorSetting,
-    effective_rotation,
     erasure_overlap,
     evolved_signal_density,
     pure_state_fidelity,
@@ -30,12 +28,14 @@ from .fock import (
     single_photon_with_pump,
 )
 from .interferometry import (
+    DetectorSetting,
     InterferometerGeometry,
     SPEED_OF_LIGHT,
     amplitudes,
     coincidence_single_photon,
     coincidence_superposition,
     coincidence_thermal,
+    effective_rotation,
     fringe_phase,
     time_average_superposition,
 )

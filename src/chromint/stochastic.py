@@ -54,8 +54,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import stdtrit
 
-from .erasure import DetectorSetting
-from .interferometry import SPEED_OF_LIGHT, InterferometerGeometry, detector_couplings
+from .interferometry import SPEED_OF_LIGHT, DetectorSetting, InterferometerGeometry, detector_rates
 
 PS_PER_S = 1_000_000_000_000
 FFT_MIN_POINTS = 16  # shortest delay scan fringe_fft resolves
@@ -264,11 +263,8 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
 
     The detection rate of each detector is the semiclassical intensity of
     the two interfering source fields through its couplings, scaled by its
-    efficiency; interferometry.detector_couplings decides the couplings and
-    whether the colors beat, so a detector without a conversion stage
-    (theta None) sees both colors and they beat only if their wavelengths
-    coincide.  The interference part carries sqrt(v_deg) per detector, so a
-    matched pair degrades the coincidence fringe by v_deg exactly once.
+    efficiency: interferometry.detector_rates gives its rate terms, the
+    same ones pair_fringe_law reads.
 
     Arrivals are drawn by thinning (see the module docstring): with source
     intensities i1, i2, the rate b1*i1 + b2*i2 + 2*|c|*sqrt(i1*i2)*cos(.)
@@ -281,20 +277,10 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
                       "estimates may be statistically unstable", stacklevel=2)
     duration_ps = int(round(duration * PS_PER_S))
 
-    w1 = source1.mean_rate / 2.0
-    w2 = source2.mean_rate / 2.0 if source2 else 0.0
-
-    # per detector: b1, b2, the swing 2|c| and arg(c), efficiency folded in
-    det_consts = []
-    for det, name in ((det_a, "A"), (det_b, "B")):
-        k1, k2, beats = detector_couplings(det, geometry)
-        mix = beats and source2 is not None
-        psi = geometry.path_phase(1, name) - geometry.path_phase(2, name)
-        cross = (math.sqrt(det.visibility_degradation) * k1 * np.conj(k2)
-                 * math.sqrt(w1 * w2) * np.exp(1j * psi)) if mix else 0.0j
-        eff = det.efficiency
-        det_consts.append((eff * abs(k1) ** 2 * w1, eff * abs(k2) ** 2 * w2,
-                           eff * 2.0 * abs(cross), float(np.angle(cross))))
+    w1, w2 = source1.mean_rate / 2.0, source2.mean_rate / 2.0 if source2 else 0.0
+    det_consts = [detector_rates(det, geometry, w1, w2,
+                                 geometry.path_phase(1, name) - geometry.path_phase(2, name))
+                  for det, name in ((det_a, "A"), (det_b, "B"))]
     beating = any(swing for _, _, swing, _ in det_consts)
 
     # the bound is b_j + swing/2 per unit of source j's intensity: the lasers'

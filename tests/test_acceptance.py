@@ -18,8 +18,8 @@ import warnings
 
 import pytest
 
-from chromint.erasure import DetectorSetting, erasure_overlap
-from chromint.interferometry import InterferometerGeometry
+from chromint.erasure import erasure_overlap
+from chromint.interferometry import DetectorSetting, InterferometerGeometry
 from chromint.scenarios import apply_overrides, default_config, run_scenario
 from chromint.selftest import (
     check_color_rotation_limit,

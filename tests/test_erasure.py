@@ -8,8 +8,6 @@ from scipy.linalg import expm
 
 from chromint.erasure import (
     ColorQubitState,
-    DetectorSetting,
-    effective_rotation,
     erasure_overlap,
     evolved_signal_density,
     post_select,
@@ -28,6 +26,7 @@ from chromint.fock import (
     inner_product,
     single_photon_with_pump,
 )
+from chromint.interferometry import DetectorSetting, effective_rotation
 from test_fock import dense_hamiltonian
 
 

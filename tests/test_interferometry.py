@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromint.erasure import DetectorSetting
 from chromint.interferometry import (
     CoincidenceResult,
+    DetectorSetting,
     InterferometerGeometry,
     amplitudes,
     coincidence_single_photon,
@@ -438,6 +438,27 @@ def test_pair_fringe_law_unbalanced_reduces_visibility():
     _, amp_unbal, _ = pair_fringe_law(det, det, geo, "coherent", 0.8, 0.2)
     assert amp_bal == pytest.approx(0.5, abs=1e-12)
     assert amp_unbal < amp_bal
+
+
+@pytest.mark.parametrize("source_kind", ["coherent", "thermal"])
+def test_pair_fringe_law_dark_counts_dilute_each_detector(source_kind):
+    # a rotation row has |k1|^2 + |k2|^2 = 1, so a detector's signal rate
+    # at w photons/s from each source is eff*w, and its dark rate d leaves
+    # the share rho = eff*w/(eff*w + d) of its counts correlated
+    geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.031, 0.052, 0.047, 0.018)
+    det_a, det_b = (DetectorSetting(math.pi / 4, 0.3, efficiency=0.8),
+                    DetectorSetting(0.7, 2.1, efficiency=0.5))
+    w = 2e7
+    base, amp, offset = pair_fringe_law(det_a, det_b, geo, source_kind, w, w)
+    dark = (dataclasses.replace(det_a, dark_count_rate=3e6),
+            dataclasses.replace(det_b, dark_count_rate=1e6))
+    base_d, amp_d, offset_d = pair_fringe_law(*dark, geo, source_kind, w, w)
+    rho = 0.8 * w / (0.8 * w + 3e6) * (0.5 * w / (0.5 * w + 1e6))
+    assert amp_d == pytest.approx(rho * amp, rel=1e-12)
+    assert base_d - 1.0 == pytest.approx(rho * (base - 1.0), rel=1e-12, abs=0.0)
+    assert offset_d == offset
+    if source_kind == "thermal":
+        assert base > 1.0
 
 
 def test_scan_csv_format(tmp_path):

@@ -228,6 +228,17 @@ PINNED_DATA_FILES = {
             "e6d63c4f8bb79df86ea523ea77c2f69e04e5b0117841427fc4573a06de28f0f6",
         "spectrum.csv":
             "ab00c96babcadd61fe7beda94c0a03a54fe1db1bf5f0a22f30775f935aee4483"},
+    # the law's thermal pedestal, and colors that beat only at one wavelength
+    "thermal_delay_scan": {
+        "delay_scan_analytic.csv":
+            "ebfbbc10beddd60f3042ae710249ae930b0b34576bdf42f942e5fb722c81f29a",
+        "delay_scan_mc.csv":
+            "2bc37b3d8f451d2496ed34fec6260d5cb93c628dee29b4fd12bcb8740865451e"},
+    "free_space_same_wavelength": {
+        "fringe_analytic.csv":
+            "d24b2df8ff5ed08204ddfbfccd404db58d092cc98f4f3d55004f2018e06101f4",
+        "fringe_mc.csv":
+            "a4ab1742775b4ac4dfb0f6377e70da46d72fe87dd1284a632ed25c286ce39103"},
 }
 
 
@@ -240,17 +251,31 @@ def test_scan_data_files_match_pinned_digests(tmp_path, name):
     assert manifest["data_files"] == PINNED_DATA_FILES[name]
 
 
-@pytest.mark.parametrize("name, visibility", [("laser_delay_scan", 0.5),
-                                              ("thermal_delay_scan", 1 / 3)])
-def test_analytic_visibility_is_the_law_value(tmp_path, name, visibility):
+@pytest.mark.parametrize("run, visibility", [
+    ("laser_delay_scan", 0.5), ("thermal_delay_scan", 1 / 3),
+    # 2 MHz of dark counts dilute each detector's 3.9 MHz of signal by 3.9/5.9
+    ("laser_delay_scan dark_count_rate_hz=2e6", 0.5 * (3.9 / 5.9) ** 2)])
+def test_analytic_visibility_is_the_law_value(tmp_path, run, visibility):
     # pump phases 0.5 and 0 move the fringe crest off every grid point
+    name, *extra = run.split()
     cfg = apply_overrides(default_config(name), ["duration_ps=1e8", "delay_points=5",
-                                                 "pump_phase_a=0.5"])
+                                                 "pump_phase_a=0.5", *extra])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         manifest = run_scenario(cfg, tmp_path / "run")
     assert manifest["results"]["analytic_visibility"] == pytest.approx(visibility,
                                                                        abs=1e-12)
+
+
+def test_dark_count_dilution_matches_monte_carlo(tmp_path):
+    # the law reads 0.218 here; over seeds 1-40 the fitted visibility had
+    # mean 0.216 and standard deviation 0.014, so 0.06 is over 4 of them
+    cfg = apply_overrides(default_config("laser_delay_scan"),
+                          ["duration_ps=1e10", "dark_count_rate_hz=2e6"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = run_scenario(cfg, tmp_path / "run")["results"]
+    assert abs(results["fitted_visibility"] - results["analytic_visibility"]) < 0.06
 
 
 def test_gate_time_study_pump_off_uses_standard_detection(tmp_path, monkeypatch):
@@ -343,6 +368,8 @@ REJECTED_AT_CONFIG_TIME = [
      "separation_max_m=0.0002:0.0152:2"),
     ("gate_time_study", "gate_trials=0", "gate_trials=0:4:2"),
     ("gate_time_study", "gate_trials=1", "gate_trials=1:4:2"),
+    # a detector that sees no light: no law or fit describes its run
+    ("laser_delay_scan", "efficiency=0", "efficiency=0:0.195:2"),
 ]
 
 
@@ -360,23 +387,36 @@ def test_runtime_rejects_are_config_errors(tmp_path, capsys, command, scenario,
     assert not (tmp_path / "out").exists()
 
 
+def loaded_after(heavy: tuple, *imports: str) -> list[str]:
+    """Per import statement, run in turn in a fresh interpreter, the names
+    in `heavy` that sys.modules then holds, space-separated."""
+    code = f"import sys\nheavy = {heavy!r}\n" + "".join(
+        f"{line}\nprint(*[m for m in heavy if m in sys.modules])\n" for line in imports)
+    src = Path(scenarios.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    return proc.stdout.split("\n")[:len(imports)]
+
+
 def test_cli_import_leaves_out_stats_and_optimize():
     # scipy.stats and scipy.optimize take most of a cold start; no run
     # needs the first, and only the curve fits load the second.  The exact
     # layer runs on numpy alone, so no submodule loads scipy.sparse or
     # scipy.linalg either
     heavy = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.linalg")
-    code = (f"import sys\nheavy = {heavy!r}\n"
-            "import chromint.cli\n"
-            "print(*[m for m in heavy if m in sys.modules])\n"
-            "from chromint import erasure, fock, interferometry, scenarios, selftest, stochastic\n"
-            "print(*[m for m in heavy if m in sys.modules])\n")
-    src = Path(scenarios.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    after_cli, after_all = proc.stdout.split("\n")[:2]
+    after_cli, after_all = loaded_after(
+        heavy, "import chromint.cli",
+        "from chromint import erasure, fock, interferometry, scenarios, selftest, stochastic")
     assert after_cli == "", f"import chromint.cli loads {after_cli}"
     assert after_all == "", f"importing every submodule loads {after_all}"
+
+
+def test_cli_import_leaves_out_the_exact_layer():
+    # the detector model lives in interferometry: only the overlap scan and
+    # the selftest load the Fock layer, when they run
+    after_cli, = loaded_after(("chromint.fock", "chromint.erasure", "chromint.selftest"),
+                              "import chromint.cli")
+    assert after_cli == "", f"import chromint.cli loads {after_cli}"
 
 
 def test_cli_selftest_failure_exits_3(capsys, monkeypatch):

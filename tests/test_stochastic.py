@@ -11,13 +11,19 @@ from scipy.stats import chisquare, ks_2samp, kstest
 from scipy.stats import t as t_dist
 
 from chromint import stochastic
-from chromint.erasure import DetectorSetting
 from chromint.interferometry import (
     SPEED_OF_LIGHT,
+    DetectorSetting,
     InterferometerGeometry,
     detector_couplings,
 )
-from chromint.scenarios import _write_g2_csv
+from chromint.scenarios import (
+    _write_g2_csv,
+    default_config,
+    make_detectors,
+    make_geometry,
+    make_sources,
+)
 from chromint.selftest import check_thermal_g2
 from chromint.stochastic import (
     EventStream,
@@ -100,7 +106,10 @@ def test_short_duration_warns():
 
 
 def pinned_setups():
-    """Source pair and detectors of each pinned stream digest."""
+    """Source pair, detectors and run (geometry, duration, seed, trial) of
+    each pinned stream digest."""
+    run = (GEO, 2e-3, 2718, 5)
+    gate_study = default_config("gate_time_study")
     thermal = ThermalFieldModel(2e7, 20e-9, "thermal")
     detuned = ThermalFieldModel(1.5e7, 7e-9, "thermal", 3e7)
     laser, _ = coherent_pair()
@@ -110,13 +119,20 @@ def pinned_setups():
                               dark_count_rate=5e5)
     off = DetectorSetting(None)
     return {
-        "thermal_pair": (thermal, thermal, conv, conv),
-        "unequal_thermal_pair": (thermal, detuned, lossy_a, lossy_b),
-        "laser_pair": (*coherent_pair(detuning=2e7), conv, conv),
-        "laser_thermal": (laser, thermal, conv, lossy_b),
-        "thermal_laser": (thermal, laser, lossy_a, conv),
-        "splitter": (thermal, None, off, off),
-        "pump_off_pair": (thermal, detuned, off, lossy_b),
+        "thermal_pair": (thermal, thermal, conv, conv, run),
+        "unequal_thermal_pair": (thermal, detuned, lossy_a, lossy_b, run),
+        "laser_pair": (*coherent_pair(detuning=2e7), conv, conv, run),
+        "laser_thermal": (laser, thermal, conv, lossy_b, run),
+        "thermal_laser": (thermal, laser, lossy_a, conv, run),
+        "splitter": (thermal, None, off, off, run),
+        "pump_off_pair": (thermal, detuned, off, lossy_b, run),
+        # the gate study's pair at delay 13 of 16, where source 2 splits its
+        # candidates between the detectors at share 0.5000000000000001: a
+        # one-ulp change in a detector's swing can make it 0.5, where
+        # numpy's binomial draw takes its other branch
+        "gate_study_pair": (*make_sources(gate_study), *make_detectors(gate_study),
+                            (make_geometry(gate_study).with_delay(
+                                13 * 1.5 * gate_study.lambda3_m / 16), 1e-3, 12345, 13)),
     }
 
 
@@ -144,13 +160,16 @@ PINNED_DIGESTS = {
     "unequal_thermal_pair": (
         "d0ebdb8e0b2119632fc4febd4e4b070ce5737031da8448f549fd612e37442d0d",
         "97558637ce79ac8c1ea0fa3b3d265aa196d3db7d84a976eb5ad3faade23eba2e"),
+    "gate_study_pair": (
+        "383845a2ca1be9e188970b175ee6acaccb3bf3bafcda93c5ca477c598c290435",
+        "845cedfe18fed2697a9177dbe11b65529558d660b22834bed00c9ee234dc8abd"),
 }
 
 
 def stream_digest(name):
     """sha256 of both detectors' timestamps of one pinned setup."""
-    s1, s2, det_a, det_b = pinned_setups()[name]
-    a, b = quiet_simulate(s1, s2, GEO, det_a, det_b, 2e-3, seed=2718, trial=5)
+    s1, s2, det_a, det_b, (geometry, duration, seed, trial) = pinned_setups()[name]
+    a, b = quiet_simulate(s1, s2, geometry, det_a, det_b, duration, seed=seed, trial=trial)
     return hashlib.sha256(a.timestamps.tobytes() + b.timestamps.tobytes()).hexdigest()
 
 
