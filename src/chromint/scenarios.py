@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -545,8 +545,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
             "seed": cfg.seed,
             "config_sha256": config_hash(cfg),
             "versions": {"chromint": __version__, "numpy": np.__version__,
-                         "scipy": scipy.__version__, "pyyaml": yaml.__version__,
-                         "python": platform.python_version()},
+                         "scipy": importlib.metadata.version("scipy"),
+                         "pyyaml": yaml.__version__, "python": platform.python_version()},
             "wall_time_s": round(elapsed, 3),
             "data_files": {name: hashlib.sha256((staging / name).read_bytes()).hexdigest()
                            for name in data_files},

@@ -1,10 +1,10 @@
 """The benchmark's workloads still drive the package's public API.
 
-One traced repetition of each of the three short workloads, run as the
-bench runs it: a fresh interpreter on perfbench/workloads.py with src/ on
-PYTHONPATH.  A renamed function or attribute, a changed return shape or a
-dropped constructor argument shows up as a failed check or a missing
-traced call in the repetition's `errors`.
+One traced repetition of each workload, run as the bench runs it: a fresh
+interpreter on perfbench/workloads.py with src/ on PYTHONPATH.  A renamed
+function or attribute, a changed return shape or a dropped constructor
+argument shows up as a failed check or a missing traced call in the
+repetition's `errors`.
 """
 
 import json
@@ -19,9 +19,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# laser_scan is the one short workload that goes through cli.main,
-# run_scenario and simulate_events
-@pytest.mark.parametrize("workload", ["exact_oracle", "timetag_g2", "laser_scan"])
+# laser_scan and thermal_gates go through cli.main, run_scenario and
+# simulate_events, one per source kind: thermal_gates also checks the
+# 200 ns washout and its 40 generation and 120 estimator calls
+@pytest.mark.parametrize("workload", ["exact_oracle", "timetag_g2", "laser_scan",
+                                      "thermal_gates"])
 def test_workload_repetition_has_no_errors(tmp_path, workload):
     cmd = [sys.executable, str(ROOT / "perfbench" / "workloads.py"),
            "--workload", workload, "--seed", "1", "--trace", "1",

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.metadata
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from chromint import scenarios, selftest, stochastic
@@ -145,6 +147,16 @@ def test_overlap_scan_outputs(tmp_path):
                                          "python"}
 
 
+def test_manifest_scipy_version_is_the_installed_one(tmp_path):
+    # read from the installed distribution, without importing scipy: the
+    # same string as the imported module's
+    cfg = apply_overrides(default_config("erasure_overlap_scan"),
+                          ["overlap_mean_photons=4"])
+    manifest = run_scenario(cfg, tmp_path / "run")
+    assert (manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
+            == scipy.__version__)
+
+
 def test_manifest_lists_only_files_of_this_run(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
@@ -214,31 +226,31 @@ PINNED_DATA_FILES = {
         "fringe_analytic.csv":
             "20a02df0004f994b8826251cda03c4bd879b447a69c530c9a77226c33d7f1b99",
         "fringe_mc.csv":
-            "ba4a2041db6837c6b1a429d5b8854b14d75674ebcafe1849fa6f48edb16f82d1"},
+            "95ec629ee3b585183f901cd6cfed9c331c6f824b900c1f3c387996016a31f697"},
     "gate_time_study": {
         "gate_time.csv":
-            "2faf44fdc4941bc890f31bdf699f9d0505e238b7217d77daa1843e24ae99b878"},
+            "9e03f4544bd9ff4002b7bd8036720e679589ae87a30c31095a27d244e44bdcfa"},
     "laser_delay_scan": {
         "delay_scan_analytic.csv":
             "61e0c71c566a936a86a89d30d20c8d9658ba52937aa581f1b525842d4aba7b9e",
         "delay_scan_mc.csv":
-            "5ad53e1d1b59bdbea94837478bbb8b8c150649795b5efdaf498ae148169b1ff7"},
+            "1729aeb90206893e72b900651f12522861f830e45b54a02880dd5a663555b3d2"},
     "laser_fft": {
         "delay_scan_mc.csv":
-            "e6d63c4f8bb79df86ea523ea77c2f69e04e5b0117841427fc4573a06de28f0f6",
+            "ceaa3f12bc5c378dc8628f8d2be9cfe42ad3dcda108b038c21b8a9e35865d588",
         "spectrum.csv":
-            "ab00c96babcadd61fe7beda94c0a03a54fe1db1bf5f0a22f30775f935aee4483"},
+            "225e5f0a8cdf8f8c13e0755d67c3fc4620fe734c7bfca6196eea2ab0a52b8b9b"},
     # the law's thermal pedestal, and colors that beat only at one wavelength
     "thermal_delay_scan": {
         "delay_scan_analytic.csv":
             "ebfbbc10beddd60f3042ae710249ae930b0b34576bdf42f942e5fb722c81f29a",
         "delay_scan_mc.csv":
-            "2bc37b3d8f451d2496ed34fec6260d5cb93c628dee29b4fd12bcb8740865451e"},
+            "6ff9fac18e644ab49cde3c1e21eea25d717093837600d9edfc183993eb392e0e"},
     "free_space_same_wavelength": {
         "fringe_analytic.csv":
             "d24b2df8ff5ed08204ddfbfccd404db58d092cc98f4f3d55004f2018e06101f4",
         "fringe_mc.csv":
-            "a4ab1742775b4ac4dfb0f6377e70da46d72fe87dd1284a632ed25c286ce39103"},
+            "e92a0c4362a25917f6a77b51272f5fa23f6c233235735c8a2b25c7569fc0c461"},
 }
 
 

@@ -111,7 +111,8 @@ def pinned_setups():
     run = (GEO, 2e-3, 2718, 5)
     gate_study = default_config("gate_time_study")
     thermal = ThermalFieldModel(2e7, 20e-9, "thermal")
-    detuned = ThermalFieldModel(1.5e7, 7e-9, "thermal", 3e7)
+    detuned = ThermalFieldModel(1.5e7, 20e-9, "thermal", 3e7)
+    short = ThermalFieldModel(2e7, 7e-9, "thermal")
     laser, _ = coherent_pair()
     conv = DetectorSetting(math.pi / 4)
     lossy_a = DetectorSetting(math.pi / 4, efficiency=0.8, dark_count_rate=2e5)
@@ -124,6 +125,7 @@ def pinned_setups():
         "laser_pair": (*coherent_pair(detuning=2e7), conv, conv, run),
         "laser_thermal": (laser, thermal, conv, lossy_b, run),
         "thermal_laser": (thermal, laser, lossy_a, conv, run),
+        "unequal_tc_pair": (thermal, short, conv, conv, run),
         "splitter": (thermal, None, off, off, run),
         "pump_off_pair": (thermal, detuned, off, lossy_b, run),
         # the gate study's pair at delay 13 of 16, where source 2 splits its
@@ -137,32 +139,32 @@ def pinned_setups():
 
 
 # sha256 of each setup's streams in one batch and at _CHUNK = 1000: a change
-# to any random draw, its order or its count changes them
+# to any random draw, its order or its count changes them. None marks a setup
+# with no stream: a thermal pair draws from one slot table and a laser pair
+# from one beat walk, so a mixed pair, or thermal sources of unequal coherence
+# times, is refused before any draw
 PINNED_DIGESTS = {
-    "laser_pair": (
-        "96535f45d78f7b0dfff21a2e08c66c207befeea2141da819fc43bf27f05b17c6",
-        "25b0526d255a0e6c440bbf3ef7da76924a13942d74467ea07eb938ef4d672d17"),
-    "laser_thermal": (
-        "509b258ae9b01b5ebed17b1141707810f3b53f272d90a524095ea05e1142fee6",
-        "17278519fec25be9d8f82b5a72acb25ee95aa24c539602315b937091d8555e7b"),
-    "pump_off_pair": (
-        "21cef3f38c7a150cd8837a947551108e213e19cd931ee2d37add526a1fe1b75c",
-        "8f28117314dcc9dff415bd9b160be5f2aeba3673dd0f2b412f8b5dec6b1ebb65"),
-    "splitter": (
-        "3eb45c2af1b4ff14b08acaab2ecd21e634126559022303eceb295010604542e2",
-        "19da301c0db764a61132fee67e39942c6740728485a3a8148be9c3f1b119e50b"),
-    "thermal_laser": (
-        "026a785b9bca2e00107b48885ffb35a5019bdcd6a65225ca4b5e056a79c5e90f",
-        "5d8af29341dea427950a7fcb441db5e6f20f5277dcc6aa77e84566dc85c48c51"),
-    "thermal_pair": (
-        "13ace2b342a8c3c81aadc7130c956ed27b7c084aecb2e73d76b58f5f82d6a558",
-        "7055b4370c28179259b75dddbee155dbf925a565e3b30139be44c141771d98bd"),
-    "unequal_thermal_pair": (
-        "d0ebdb8e0b2119632fc4febd4e4b070ce5737031da8448f549fd612e37442d0d",
-        "97558637ce79ac8c1ea0fa3b3d265aa196d3db7d84a976eb5ad3faade23eba2e"),
     "gate_study_pair": (
-        "383845a2ca1be9e188970b175ee6acaccb3bf3bafcda93c5ca477c598c290435",
-        "845cedfe18fed2697a9177dbe11b65529558d660b22834bed00c9ee234dc8abd"),
+        "17161de0781f334c19c1a39e0b9f670f0c99390e9ea1c25e3dd1e9dca3631f10",
+        "455231b8c2b1404241488ab352f17d28359a41590796a0a7c92387fdc48fe478"),
+    "laser_pair": (
+        "68ec4141949ec077d32960aaf399d99d3d66f874cdf8dbc116da4eee03cdfe17",
+        "aaf39e3b97df2e173402dc5c44ec5f527e4e1188b003612a3999a2b1f20bae87"),
+    "laser_thermal": (None, None),
+    "pump_off_pair": (
+        "89095d5c57cd2bbf416d3a64876d51cf22e882a7d4ae12215dbf607c722c5a33",
+        "d13706ad0a94d5b72c6280d55b37a62bb8738cb9bb376d0421aa51451762cdfa"),
+    "splitter": (
+        "a497df42afd169554dfb0fdd992da2d4d5aba0317f171eaf9c495a759bf2d758",
+        "75c91589f8e512c59bfdc210c3146bd1576d465b8a55f5c059faab4e5b20b973"),
+    "thermal_pair": (
+        "d40d90eda8b6e1b184b695e678318dee279bbdb4546daa89fb1b7a40ff6e2547",
+        "08f8f68bc1a820de292a22db6dd5691788a6fc068a82809bc461a312f99735e7"),
+    "thermal_laser": (None, None),
+    "unequal_tc_pair": (None, None),
+    "unequal_thermal_pair": (
+        "c165ac5bd5cec959476fc0f012dbf7fc4b3acbbc4f46e86f50394578ad7172f4",
+        "48965b469e59077168cbb85faa4829710d021d6acc3564c434c669cd9857e458"),
 }
 
 
@@ -180,7 +182,12 @@ def test_streams_match_pinned_digests(monkeypatch, name, batched):
     # batch and in about a hundred, whose ends fall inside slots
     if batched:
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-    assert stream_digest(name) == PINNED_DIGESTS[name][batched]
+    expected = PINNED_DIGESTS[name][batched]
+    if expected is None:
+        with pytest.raises(ValueError, match="pair"):
+            stream_digest(name)
+    else:
+        assert stream_digest(name) == expected
 
 
 def test_substream_roles_disjoint():
@@ -338,25 +345,30 @@ def test_thermal_splitter_g2_of_two():
     assert ok, detail
 
 
-def assert_bose_einstein(stream, tc):
-    """Counts per coherence slot follow the geometric (Bose-Einstein) law."""
-    slot_ps = int(round(tc * 1e12))
-    n_slots = stream.duration_ps // slot_ps
-    counts = np.bincount((stream.timestamps // slot_ps).astype(np.int64),
-                         minlength=n_slots)
-    mean = counts.mean()
-    kmax = int(counts.max())
-    observed = np.bincount(counts, minlength=kmax + 1).astype(float)
-    r = mean / (1.0 + mean)
-    expected = n_slots * (1 - r) * r ** np.arange(kmax + 1)
-    # pool the tail so expected counts stay above 5
+def assert_bose_einstein(stream, tc, seed, trial=0):
+    """Counts per coherence slot follow the geometric (Bose-Einstein) law.
+    The slots are the run's own: the lattice offset u*tc is the first draw
+    of the run's field stream (role 0)."""
+    u = substream(seed, trial, 0).uniform()
+    slots = np.floor(stream.timestamps / (tc * PS_PER_S) - u).astype(np.int64)
+    # whole slots inside the run only
+    n_slots = int(stream.duration_ps / (tc * PS_PER_S) - u)
+    counts = np.bincount(slots[(slots >= 0) & (slots < n_slots)], minlength=n_slots)
+    r = counts.mean() / (1.0 + counts.mean())
+    expected = n_slots * (1 - r) * r ** np.arange(counts.max() + 1)
+    assert pooled_chisquare(np.bincount(counts), expected, ddof=1) > 0.01
+
+
+def pooled_chisquare(observed, expected, ddof=0):
+    """Chi-square p-value of counts per outcome against the expected ones,
+    the tail pooled so that expected counts stay above 5."""
+    observed, expected = observed.astype(float), expected.astype(float)
     while expected[-1] < 5 and expected.size > 3:
         expected[-2] += expected[-1]
         observed[-2] += observed[-1]
         expected, observed = expected[:-1], observed[:-1]
     expected *= observed.sum() / expected.sum()
-    stat, p = chisquare(observed, expected, ddof=1)
-    assert p > 0.01
+    return chisquare(observed, expected, ddof=ddof).pvalue
 
 
 def test_thermal_slot_counts_are_bose_einstein():
@@ -364,32 +376,43 @@ def test_thermal_slot_counts_are_bose_einstein():
     source = ThermalFieldModel(2e7, tc, "thermal")
     det = DetectorSetting(None, efficiency=1.0)
     a, _ = quiet_simulate(source, None, GEO, det, det, 2e-3, seed=404)
-    assert_bose_einstein(a, tc)
+    assert_bose_einstein(a, tc, seed=404)
+
+
+def gate_averaged_triangle(taus, gate, tc):
+    """Mean of (1 - |tau + D|/tc)+ over the offset D of two events' places
+    in their gate bins, triangular on [-gate, gate]."""
+    d = np.linspace(-gate, gate, 4001)
+    weight = gate - np.abs(d)
+    triangle = np.clip(1.0 - np.abs(np.add.outer(taus, d)) / tc, 0.0, None)
+    return triangle @ weight / weight.sum()
 
 
 def test_thermal_splitter_g2_is_triangular():
     # one thermal beam on a splitter: two times share a slot with
     # probability (1 - |tau|/tc)+ over the slot position, and a shared slot
     # doubles the pair rate, so g2(tau) = 1 + (1 - |tau|/tc)+, not the
-    # Lorentzian 1 + exp(-2|tau|/tc) (9% away at tc/4); the gate divides tc,
-    # so gate bins nest in slots and the law holds at whole-gate offsets
+    # Lorentzian 1 + exp(-2|tau|/tc) (9% away at tc/4); the lattice has a
+    # random offset, so the gate averages the triangle over the offset of
+    # two events' places in their bins: 1 + 1 - w/(3*tc) at tau = 0, the
+    # triangle itself at whole-gate offsets inside it
     tc, gate = 100e-9, 500
     source = ThermalFieldModel(4e7, tc, "thermal")
     det = DetectorSetting(None, efficiency=1.0)
     a, b = quiet_simulate(source, None, GEO, det, det, 0.1, seed=1759)
     fractions = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
     curve = estimate_g2(a, b, np.rint(fractions * tc * PS_PER_S), gate)
-    law = 1.0 + np.clip(1.0 - fractions, 0.0, None)
+    law = 1.0 + gate_averaged_triangle(fractions * tc, gate / PS_PER_S, tc)
     # 5 standard errors: g2 / sqrt(n_coinc) is the Poisson error of g2
     assert np.all(np.abs(curve.values / law - 1.0) < 5.0 / np.sqrt(curve.n_coincidence))
 
 
 def test_thermal_splitter_g2_is_gate_averaged_triangle():
-    # a gate w <= tc that does not divide tc straddles a slot edge with
-    # probability w/tc, at a uniform place, and then splits a pair of its
-    # events across the edge with mean probability 1/3, so the splitter's
-    # g2(0) is the triangle averaged over the gate, 2 - w/(3*tc): 1.974 at
-    # criterion 08's 500 ps, 1.843 at 3000 ps, where 2.0 is excluded
+    # a gate w <= tc straddles a slot edge with probability w/tc, at a
+    # uniform place, and then splits a pair of its events across the edge
+    # with mean probability 1/3, so the splitter's g2(0) is the triangle
+    # averaged over the gate, 2 - w/(3*tc): 1.974 at criterion 08's 500 ps,
+    # 1.843 at 3000 ps, where 2.0 is excluded
     tc, gate = 6366e-12, 3000
     source = ThermalFieldModel(2e7, tc, "thermal")
     det = DetectorSetting(None, efficiency=0.55)
@@ -401,12 +424,28 @@ def test_thermal_splitter_g2_is_gate_averaged_triangle():
     assert abs(g2 - 2.0) > 5 * se
 
 
+def test_thermal_splitter_g2_is_stationary_at_a_dividing_gate():
+    # the slot lattice sits at a random offset, so a gate that divides tc
+    # straddles slot edges like any other: at w = tc/4 the splitter reads
+    # 2 - 1/12, not the 2 of gate bins nested in slots aligned to t = 0
+    tc, gate, seeds = 20e-9, 5000, range(40)
+    source = ThermalFieldModel(2e7, tc, "thermal")
+    det = DetectorSetting(None, efficiency=1.0)
+    g2 = [estimate_g2(*quiet_simulate(source, None, GEO, det, det, 5e-3, seed=seed),
+                      [0], gate).values[0]
+          for seed in seeds]
+    mean, se = np.mean(g2), np.std(g2, ddof=1) / math.sqrt(len(g2))
+    assert abs(mean - (2 - 1 / 12)) < 5 * se
+    assert abs(mean - 2) > 5 * se
+
+
 def test_thermal_pair_g2_at_zero_delay():
     # two thermal sources beating at a detector: its rate is
     # b1*i1 + b2*i2 + s*sqrt(i1*i2)*cos(phase + o), s = 2*sqrt(b1*b2), with
-    # i ~ Exp(1) and a uniform phase per slot.  The gate divides tc, so both
-    # events of a pair share their slots, and over i and the phase
-    # g2(0) = 1 + (b1A*b1B + b2A*b2B + sA*sB*cos(oA - oB)/2) / (nA * nB)
+    # i ~ Exp(1) and a uniform phase per slot.  Both events of a pair in one
+    # gate bin share their slots with probability f = 1 - w/(3*tc), and over
+    # i and the phase
+    # g2(0) = 1 + f*(b1A*b1B + b2A*b2B + sA*sB*cos(oA - oB)/2) / (nA * nB)
     # with nA = b1A + b2A and nB = b1B + b2B, the singles rates
     tc, gate, rate, duration = 20e-9, 1000, 2e7, 0.05
     source = ThermalFieldModel(rate, tc, "thermal")
@@ -421,7 +460,7 @@ def test_thermal_pair_g2_at_zero_delay():
         terms.append((b1, b2, 2 * math.sqrt(b1 * b2), offset))
     (b1a, b2a, sa, oa), (b1b, b2b, sb, ob) = terms
     excess = b1a * b1b + b2a * b2b + sa * sb * math.cos(oa - ob) / 2
-    law = 1 + excess / ((b1a + b2a) * (b1b + b2b))
+    law = 1 + (1 - gate / (3 * tc * PS_PER_S)) * excess / ((b1a + b2a) * (b1b + b2b))
     curve = estimate_g2(a, b, [0], gate)
     assert abs(curve.values[0] / law - 1.0) < 5.0 / math.sqrt(curve.n_coincidence[0])
     for stream, (b1, b2, s, _) in zip((a, b), terms):
@@ -432,38 +471,38 @@ def test_thermal_pair_g2_at_zero_delay():
 
 
 def test_thermal_slot_field_across_batches():
-    # a slot's intensity and phase are drawn once, whichever batch reads
-    # them and whether an own candidate reads them by its table row or the
-    # other source's candidate by its time (batch ends fall inside slots,
-    # and each batch reads from the end of the one before); over all slots,
-    # those that received candidates (Gamma given the count) and those that
-    # did not (Exp(1 + a)), they follow the prior: intensity Exp(1), phase
-    # uniform
+    # a slot's intensities and phase are drawn once, whichever batch reads
+    # them (batch ends fall inside slots, and the candidates carried past
+    # one read row 0 of the next table).  Over the slots with candidates,
+    # the count is the sum of two independent geometric (Bose-Einstein)
+    # counts of means a1 and a2, given that it is not zero; with the empty
+    # slots' intensities drawn from their posterior Exp(1 + a_j), each
+    # source's intensity follows the prior Exp(1), and the phase is uniform
     tc = 20e-9
-    envelope = stochastic._Envelope(ThermalFieldModel(2e7, tc, "thermal"),
-                                    (1e7, 1e7), substream(8, 0, 0))
-    drawn, start, shared = {}, 0.0, 0
+    pair = stochastic._ThermalPair(tc, 0.0, [(1e7, 0.6e7), (0.2e7, 0.5e7)],
+                                   substream(8, 0, 0))
+    drawn, counts, start = {}, {}, 0.0
     for end in np.arange(1, 2000) * 7.3 * tc:
-        (t_a, rows_a), (t_b, rows_b) = envelope.candidates(end)
-        own = envelope.table[0].take(np.concatenate((rows_a, rows_b)))
-        # one time inside each slot's part of [start, end)
-        cuts = np.arange(math.ceil(start / tc), math.ceil(end / tc)) * tc
-        edges = np.concatenate(([start], cuts[(cuts > start) & (cuts < end)], [end]))
-        others = (edges[:-1] + edges[1:]) / 2
-        blocks = [(t_a, rows_a), (others, None), (t_b, rows_b)]
-        intensity, phase = envelope.field(np.concatenate([t for t, _ in blocks]), None, blocks)
-        slots = np.concatenate((own[:t_a.size], np.floor(others / tc).astype(int),
-                                own[t_a.size:]))
-        for k, value in zip(slots, zip(intensity, phase)):
-            assert drawn.setdefault(k, value) == value
-        # every own candidate's slot is read by a time of the other source too
-        assert np.isin(own, np.floor(others / tc)).all()
-        shared += own.size
+        batch = pair.candidates(start, end)
+        for (t, _), field in zip(batch, pair.field(batch)):
+            for k, value in zip(np.floor(t / tc - pair.offset).astype(int), zip(*field)):
+                assert drawn.setdefault(k, value) == value
+                counts[k] = counts.get(k, 0) + 1
         start = end
-    assert shared > 5_000
-    intensity, phase = np.array(list(drawn.values())).T
-    assert intensity.size > 14_000
-    assert kstest(intensity, "expon").pvalue > 0.01
+    # the slots wholly inside the run
+    inside = [k for k in drawn if 0 <= k < pair.next_slot - 1]
+    n = np.array([counts[k] for k in inside])
+    (a1, a2), kmax = pair.a, n.max()
+    geometric = [(1 - a / (1 + a)) * (a / (1 + a)) ** np.arange(kmax + 1) for a in (a1, a2)]
+    law = np.convolve(*geometric)[:kmax + 1]
+    assert pooled_chisquare(np.bincount(n)[1:], n.size * law[1:] / law[1:].sum()) > 0.01
+    assert n.size > 4_000 and pair.next_slot - 1 > 14_000
+    empty = pair.next_slot - 1 - n.size
+    rng = np.random.default_rng(8)
+    i1, i2, phase = np.array([drawn[k] for k in inside]).T
+    for i, a in ((i1, a1), (i2, a2)):
+        prior = np.concatenate((i, rng.exponential(1 / (1 + a), empty)))
+        assert kstest(prior, "expon").pvalue > 0.01
     assert kstest(phase / (2 * math.pi), "uniform").pvalue > 0.01
 
 
@@ -488,7 +527,7 @@ def test_batches_keep_the_laws(monkeypatch):
         for s in streams:
             mean = 1e7 * 2e-3
             assert abs(s.count - mean) < 5 * math.sqrt(mean + 1e14 * tc * 2e-3)
-            assert_bose_einstein(s, tc)
+            assert_bose_einstein(s, tc, seed=405)
 
 
 def test_thinning_invariance():
@@ -530,20 +569,20 @@ def test_constant_rate_interarrivals_are_exponential():
 @given(st.floats(0.0, math.pi / 2), st.floats(0.0, 2 * math.pi),
        st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0),
        st.floats(0.0, 3e-6),
-       st.sampled_from([("coherent", "coherent"), ("thermal", "thermal"),
-                        ("coherent", "thermal")]),
+       st.sampled_from([("coherent", "coherent"), ("thermal", "thermal")]),
        st.sampled_from([1.0, 1.7]), st.booleans(), st.integers(0, 2 ** 32))
 def test_thinning_rate_within_bound(theta, phase_a, phase_b, v_deg, delay,
                                     kinds, stretch, standard, seed):
     # by AM-GM the rate never exceeds its bound and is never negative for
     # v_deg <= 1, so simulate_events never raises; each detector counts its
     # mean rate within 5 sigma, with the variance of the integrated
-    # intensity added to the shot noise.  Source 2 may have the longer
-    # coherence time, so the two slot grids differ, and the detectors'
+    # intensity added to the shot noise.  A second laser may have the
+    # longer coherence time (a thermal pair shares one), and the detectors'
     # efficiencies differ, so a thermal term splits unevenly between them.
     duration, rate = 1e-3, 2e7
     tcs = [50e-9 if kind == "coherent" else 5e-9 for kind in kinds]
-    tcs[1] *= stretch
+    if kinds[1] == "coherent":
+        tcs[1] *= stretch
     s1 = ThermalFieldModel(rate, tcs[0], kinds[0])
     s2 = ThermalFieldModel(rate, tcs[1], kinds[1], 10e6)
     # standard: no conversion stage, so two distinct colors do not beat
@@ -629,6 +668,16 @@ def test_fit_g2_envelope_recovers_decay():
     amp, decay, _ = fit_g2_envelope(taus, values, 25e6)
     assert amp == pytest.approx(0.5, abs=1e-6)
     assert decay == pytest.approx(100e-9, rel=1e-6)
+
+
+def test_fit_g2_envelope_seeds_inside_its_bounds():
+    # a short run's zero-delay bin can read g2 above 3, beyond the largest
+    # amplitude the fit allows (2): it is seeded inside the bounds
+    taus = np.arange(0, 300e-9, 4e-9)
+    values = 1.0 + 0.5 * np.exp(-taus / 100e-9) * np.cos(2 * math.pi * 25e6 * taus)
+    values[0] = 3.3
+    amp, decay, phase = fit_g2_envelope(taus, values, 25e6)
+    assert 0.0 <= amp <= 2.0 and 0.0 < decay and abs(phase) <= math.pi
 
 
 # ---------------------------------------------------------------------------
