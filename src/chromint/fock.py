@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 # Numerical contracts used throughout the package.
 EPS_NORM = 1e-12
@@ -126,8 +125,11 @@ class CoherentSpec:
             out = np.zeros(n_max + 1, dtype=complex)
             out[0] = 1.0
             return out
-        log_mag = -0.5 * self.mean_photons + 0.5 * n * np.log(self.mean_photons) \
-            - 0.5 * gammaln(n + 1)
+        # log |c_n| summed from the ratios |c_k / c_(k-1)| = sqrt(|a|^2 / k):
+        # the partial sums stay near the final magnitudes, so the series
+        # carries none of the rounding of n log|a|^2 and log n! cancelling
+        log_ratio = 0.5 * np.log(self.mean_photons / n[1:])
+        log_mag = np.cumsum(np.concatenate(([-0.5 * self.mean_photons], log_ratio)))
         return np.exp(log_mag) * np.exp(1j * n * self.phase)
 
 

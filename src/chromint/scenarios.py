@@ -398,10 +398,11 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
     if cfg.detuning_hz > 0 and cfg.pump_on and cfg.source_kind == "coherent":
         # exponential envelope fit; slot-model thermal sources decay with a
         # triangular correlation instead, so the fit applies to lasers only
-        amp, decay_s, _ = fit_g2_envelope(curve.taus_ps * 1e-12, curve.values,
-                                          cfg.detuning_hz)
+        amp, decay_s, _, at_bound = fit_g2_envelope(curve.taus_ps * 1e-12, curve.values,
+                                                    cfg.detuning_hz)
         result.update({"envelope_amplitude": amp,
                        "envelope_decay_ps": decay_s * 1e12,
+                       "envelope_at_bound": at_bound,
                        "configured_coherence_ps": cfg.coherence_time_ps})
     if cfg.source_kind == "thermal":
         # source characterization: one thermal beam on a balanced splitter

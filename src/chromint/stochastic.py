@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import stdtrit
 
 from .interferometry import SPEED_OF_LIGHT, DetectorSetting, InterferometerGeometry, detector_rates
 
@@ -499,27 +498,36 @@ def fringe_fft(delays_m: np.ndarray, values: np.ndarray
 
 
 def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float
-                    ) -> tuple[float, float, float]:
+                    ) -> tuple[float, float, float, bool]:
     """Fit g2(tau) = 1 + a*exp(-tau/t)*cos(2*pi*f*tau + phi) at known f.
 
-    Returns (amplitude, decay_time, phase).  The decay time estimates the
-    mutual coherence time of the source pair.
+    Returns (amplitude, decay_time, phase, at_bound).  The decay time
+    estimates the mutual coherence time of the source pair; at_bound says
+    that the amplitude or the decay time ended on its bound (0 <= a <= 2,
+    decay within a factor 1e3 of the tau span), so the value is the bound's,
+    not a fitted one.
     """
-    from scipy.optimize import curve_fit  # slow to import: only fits load it
+    from scipy.optimize import least_squares  # slow to import: only fits load it
     taus_s = np.asarray(taus_s, dtype=float)
     values = np.asarray(values, dtype=float)
     ok = np.isfinite(values)
     taus_s, values = taus_s[ok], values[ok]
 
-    def model(tau, a, t_dec, phi):
-        return 1.0 + a * np.exp(-tau / t_dec) * np.cos(2.0 * math.pi * beat_hz * tau + phi)
+    def residuals(p):
+        a, t_dec, phi = p
+        envelope = a * np.exp(-taus_s / t_dec)
+        return 1.0 + envelope * np.cos(2.0 * math.pi * beat_hz * taus_s + phi) - values
 
     span = taus_s.max() - taus_s.min() if taus_s.size else 1.0
     bounds = ([0.0, span * 1e-3, -math.pi], [2.0, span * 1e3, math.pi])
     # a short run's noisy peak may lie above g2 = 3: seed inside the bounds
     p0 = np.clip((max(values.max() - 1.0, 0.1), span / 3.0, 0.0), *bounds)
-    popt, _ = curve_fit(model, taus_s, values, p0=p0, bounds=bounds, maxfev=20000)
-    return float(popt[0]), float(popt[1]), float(popt[2])
+    fit = least_squares(residuals, p0, bounds=bounds, max_nfev=20000)
+    if not fit.success:
+        raise RuntimeError(f"envelope fit failed: {fit.message}")
+    # active_mask is -1/+1 where the solver left a parameter on its bound
+    return (float(fit.x[0]), float(fit.x[1]), float(fit.x[2]),
+            bool(fit.active_mask[:2].any()))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +548,36 @@ def g2_zero_scan(source1: ThermalFieldModel, source2: ThermalFieldModel,
             for i, point in enumerate(geometry.points()))
     return np.array([[estimate_g2(a, b, [0], g).values[0] for g in gates_ps]
                      for a, b in runs], dtype=float)
+
+
+def _t_quantile(p: float, nu: int) -> float:
+    """Quantile of Student's t with nu degrees of freedom at p > 1/2.
+
+    For integer nu the two-sided tail P(|T| > t) has a finite closed form
+    (Abramowitz & Stegun 26.7.3-4): with cos^2(theta) = nu / (nu + t^2) it
+    is (2/pi)*(atan(sqrt(nu)/t) - S) for odd nu and 1 - S for even nu, S a
+    finite series in cos^2(theta).  The tail is convex in t, so Newton's
+    method from t = 0 climbs to the root from below; it stops at the first
+    step that does not move t up.
+    """
+    tail = 2.0 * (1.0 - p)
+    odd = nu % 2
+    log_density0 = (math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)
+                    - 0.5 * math.log(nu * math.pi))
+    t = 0.0
+    while True:
+        cos2 = nu / (nu + t * t)
+        term = t / math.sqrt(nu + t * t) * (math.sqrt(cos2) if odd else 1.0)
+        series = 0.0
+        for j in range(2 + odd, nu + 1, 2):
+            series += term
+            term *= cos2 * (j - 1) / j
+        excess = (2.0 / math.pi * (math.atan2(math.sqrt(nu), t) - series) if odd
+                  else 1.0 - series) - tail
+        t_next = t + excess / (2.0 * math.exp(log_density0 + 0.5 * (nu + 1) * math.log(cos2)))
+        if t_next <= t:
+            return t
+        t = t_next
 
 
 def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
@@ -566,7 +604,7 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
         for gi in range(len(gates_ps)):
             vis[gi, trial] = fitted_visibility(delays_m, g2[:, gi], period_m)
     rows = []
-    tcrit = stdtrit(n_trials - 1, 0.975)  # Student-t 97.5% quantile
+    tcrit = _t_quantile(0.975, n_trials - 1)
     for gi, g in enumerate(gates_ps):
         mean = float(vis[gi].mean())
         half = float(tcrit * vis[gi].std(ddof=1) / math.sqrt(n_trials))

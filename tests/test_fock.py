@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from chromint.fock import (
     BasisMismatchError,
@@ -70,6 +71,19 @@ def test_coherent_phase_invisible_in_probabilities():
     turned = single_photon_with_pump(2, CoherentSpec(4.0, math.pi / 3), basis)
     assert np.allclose(np.abs(flat.amplitudes) ** 2, np.abs(turned.amplitudes) ** 2,
                        atol=1e-15)
+
+
+@pytest.mark.parametrize("mean_photons", [2.0 ** k for k in range(2, 11)])
+def test_amplitude_series_matches_gammaln_form(mean_photons):
+    # oracle: the series through scipy's log-gamma on the overlap ladder's
+    # pumps (4 .. 1024).  Its own rounding reaches 1.2e-12 relative in the
+    # far tail at 1024, so the error is read against the largest amplitude
+    n_max = default_pump_cutoff(mean_photons)
+    n = np.arange(n_max + 1)
+    oracle = np.exp(-0.5 * mean_photons + 0.5 * n * np.log(mean_photons)
+                    - 0.5 * gammaln(n + 1) + 0.7j * n)
+    series = CoherentSpec(mean_photons, 0.7).amplitude_series(n_max)
+    assert np.max(np.abs(series - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_coherent_cutoff_too_small():

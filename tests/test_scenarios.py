@@ -254,6 +254,19 @@ PINNED_DATA_FILES = {
 }
 
 
+@pytest.mark.parametrize("duration_ps, at_bound", [(1e8, True), (1e10, False)])
+def test_envelope_fit_reports_its_bound(tmp_path, duration_ps, at_bound):
+    # at 0.1 ms the envelope fit runs into its decay bound (1e3 tau spans,
+    # 3e8 ps), at 10 ms it fits the configured 106 ns coherence
+    cfg = apply_overrides(default_config("laser_g2_tau"),
+                          [f"duration_ps={duration_ps}", "seed=12345"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = run_scenario(cfg, tmp_path / "run")["results"]
+    assert results["envelope_at_bound"] is at_bound
+    assert (results["envelope_decay_ps"] == pytest.approx(1e3 * cfg.tau_max_ps)) is at_bound
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_DATA_FILES))
 def test_scan_data_files_match_pinned_digests(tmp_path, name):
     cfg = apply_overrides(default_config(name), TINY_OVERRIDES[name])
@@ -411,11 +424,12 @@ def loaded_after(heavy: tuple, *imports: str) -> list[str]:
 
 
 def test_cli_import_leaves_out_stats_and_optimize():
-    # scipy.stats and scipy.optimize take most of a cold start; no run
-    # needs the first, and only the curve fits load the second.  The exact
-    # layer runs on numpy alone, so no submodule loads scipy.sparse or
-    # scipy.linalg either
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+    # scipy takes most of a cold start: no run needs scipy.stats, only the
+    # curve fits load scipy.optimize, the gate study's Student-t quantile and
+    # the Fock pump series are numpy, and the exact layer runs on numpy
+    # alone, so no submodule loads any part of scipy
+    heavy = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize", "scipy.sparse",
+             "scipy.linalg")
     after_cli, after_all = loaded_after(
         heavy, "import chromint.cli",
         "from chromint import erasure, fock, interferometry, scenarios, selftest, stochastic")

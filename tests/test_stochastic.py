@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
-from scipy.stats import t as t_dist
 
 from chromint import stochastic
 from chromint.interferometry import (
@@ -665,9 +664,10 @@ def test_fit_fringe_free_period():
 def test_fit_g2_envelope_recovers_decay():
     taus = np.arange(0, 300e-9, 4e-9)
     values = 1.0 + 0.5 * np.exp(-taus / 100e-9) * np.cos(2 * math.pi * 25e6 * taus)
-    amp, decay, _ = fit_g2_envelope(taus, values, 25e6)
+    amp, decay, _, at_bound = fit_g2_envelope(taus, values, 25e6)
     assert amp == pytest.approx(0.5, abs=1e-6)
     assert decay == pytest.approx(100e-9, rel=1e-6)
+    assert not at_bound
 
 
 def test_fit_g2_envelope_seeds_inside_its_bounds():
@@ -676,7 +676,7 @@ def test_fit_g2_envelope_seeds_inside_its_bounds():
     taus = np.arange(0, 300e-9, 4e-9)
     values = 1.0 + 0.5 * np.exp(-taus / 100e-9) * np.cos(2 * math.pi * 25e6 * taus)
     values[0] = 3.3
-    amp, decay, phase = fit_g2_envelope(taus, values, 25e6)
+    amp, decay, phase, _ = fit_g2_envelope(taus, values, 25e6)
     assert 0.0 <= amp <= 2.0 and 0.0 < decay and abs(phase) <= math.pi
 
 
@@ -702,10 +702,40 @@ def test_gate_time_ci95_is_student_t(monkeypatch):
     (row,) = gate_study_with_visibilities(monkeypatch, vis, n_trials=4)
     half = row["ci95"] / (np.std(vis, ddof=1) / math.sqrt(4))
     # the 97.5% quantile of Student's t with 3 degrees of freedom (tables:
-    # 3.182446305284263), bit for bit the value scipy.stats.t.ppf gives
+    # 3.182446305284263), bit for bit the package's own quantile
     assert half == pytest.approx(3.182446305284263, rel=1e-12)
-    assert row["ci95"] == t_dist.ppf(0.975, 3) * np.std(vis, ddof=1) / math.sqrt(4)
+    assert row["ci95"] == (stochastic._t_quantile(0.975, 3) * np.std(vis, ddof=1)
+                           / math.sqrt(4))
     assert row["visibility"] == np.mean(vis) and row["trials"] == vis
+
+
+# Student's t 97.5% quantiles, solved at 40 significant digits and given to
+# 25: the root of the two-sided tail I_(nu/(nu+t^2))(nu/2, 1/2) = 0.05, a
+# regularized incomplete beta function (mpmath 1.3.0)
+T_975 = {
+    1: "12.70620473617470464602168", 2: "4.302652729749463852320944",
+    3: "3.182446305283709592723225", 4: "2.776445105197794357803105",
+    5: "2.570581835636315514696246", 6: "2.446911851144969971071297",
+    7: "2.364624251592785341680901", 8: "2.306004135204166683295121",
+    9: "2.26215716279820554260777", 10: "2.228138851986274748395491",
+    11: "2.2009851600916398678772", 12: "2.178812829667228866326344",
+    13: "2.160368656462792501530678", 14: "2.144786687917803828671412",
+    15: "2.131449545559775682145073", 16: "2.119905299221254674455701",
+    17: "2.109815577833317085929555", 18: "2.100922040241038488060872",
+    19: "2.093024054408309769177315", 20: "2.085963447265864842717361",
+    21: "2.079613844727680395121662", 22: "2.073873067904026165846478",
+    23: "2.068657610419048651508525", 24: "2.063898561628025849245784",
+    25: "2.059538552753297748892909", 26: "2.055529438642873213542017",
+    27: "2.051830516480285556152091", 28: "2.048407141795245159893884",
+    29: "2.045229642132704298193772", 30: "2.042272456301238309958042",
+    60: "2.000297822014260504503473", 100: "1.983971518523552286595185",
+    200: "1.971896223633909382225052",
+}
+
+
+@pytest.mark.parametrize("nu", sorted(T_975))
+def test_t_quantile_matches_40_digit_values(nu):
+    assert stochastic._t_quantile(0.975, nu) == pytest.approx(float(T_975[nu]), rel=1e-14)
 
 
 def test_gate_time_study_needs_two_trials(monkeypatch):
