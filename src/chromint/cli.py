@@ -80,12 +80,13 @@ def _cmd_scan(args) -> int:
     cfg = default_config(args.scenario)
     if key not in {f.name for f in dataclasses.fields(type(cfg))}:
         raise ConfigError(f"unknown sweep parameter {key!r}")
-    whole = type(getattr(cfg, key)) is int
+    default = getattr(cfg, key)
+    whole = type(default[0] if isinstance(default, list) else default) is int
     run_cfgs = []
     for value in np.linspace(lo, hi, num).tolist():
         if whole and value.is_integer():
-            # an int field takes whole sweep values; any other value is
-            # left to the config type check
+            # an int field, or a list field of ints, takes whole sweep
+            # values; any other value is left to the config type check
             value = int(value)
         run_cfgs.append((value, apply_overrides(cfg, _seed_override(args)
                                                 + [f"{key}={value!r}"])))

@@ -18,7 +18,6 @@ numpy record arrays, one row per point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -157,16 +156,12 @@ class CoincidenceResult:
             raise ValueError(f"negative probability {self.probability}")
 
 
-def amplitudes(geometry: InterferometerGeometry, theta1: float = 0.0,
-               theta2: float = 0.0) -> PropagationAmplitudes:
-    """D = (1/sqrt2) * exp(i*2*pi*L/lambda + i*theta_source) for each pair."""
+def amplitudes(geometry: InterferometerGeometry) -> PropagationAmplitudes:
+    """D = (1/sqrt2) * exp(i*2*pi*L/lambda) for each source-detector pair;
+    emission phases are applied by with_source_phases."""
     amp = 1.0 / math.sqrt(2.0)
-
-    def one(source, det, th):
-        return amp * cmath.exp(1j * (geometry.path_phase(source, det) + th))
-
-    return PropagationAmplitudes(one(1, "A", theta1), one(1, "B", theta1),
-                                 one(2, "A", theta2), one(2, "B", theta2))
+    return PropagationAmplitudes(*(amp * np.exp(1j * geometry.path_phase(source, det))
+                                   for source in (1, 2) for det in ("A", "B")))
 
 
 def fringe_phase(geometry: InterferometerGeometry) -> float:
@@ -175,55 +170,41 @@ def fringe_phase(geometry: InterferometerGeometry) -> float:
             - geometry.path_phase(1, "B") - geometry.path_phase(2, "A"))
 
 
+def _two_photon_paths(amps: PropagationAmplitudes, theta: float, phase: float) -> tuple:
+    """Amplitudes of the two-photon paths to one color-2 photon at each
+    detector: (direct, swap, pair1, pair2), one photon from each source into
+    A and B or into B and A, or both photons from source 1 or from source 2.
+    Each photon passes the detector's color rotation, whose color-2 row
+    (k1, k2) is what detector_couplings gives a filter-2 DetectorSetting."""
+    k1, k2 = effective_rotation(theta, phase)[1]
+    return (k1 * k2 * amps.d_1a * amps.d_2b, k1 * k2 * amps.d_1b * amps.d_2a,
+            k1 ** 2 * amps.d_1a * amps.d_1b, k2 ** 2 * amps.d_2a * amps.d_2b)
+
+
 def coincidence_single_photon(amps: PropagationAmplitudes,
                               theta: float) -> CoincidenceResult:
-    """Both-detectors-fire probability for one photon from each source.
-
-    Both detectors share the conversion angle theta and filter color 2:
-    probability = cos^2(theta) sin^2(theta) |D1A D2B + D1B D2A|^2.
-    """
-    w = (math.cos(theta) * math.sin(theta)) ** 2
-    cross = amps.d_1a * amps.d_2b
-    swap = amps.d_1b * amps.d_2a
-    constant = w * (abs(cross) ** 2 + abs(swap) ** 2)
-    interference = w * 2.0 * (cross * swap.conjugate()).real
-    return CoincidenceResult(constant + interference, constant, interference)
+    """Both-detectors-fire probability for one photon from each source,
+    both detectors at conversion angle theta and filter color 2:
+    |k1 k2 (D1A D2B + D1B D2A)|^2, which is (1/8)(1 + cos Delta) at pi/4."""
+    return coincidence_thermal(amps, theta, (0, 1, 0), (0, 1, 0))
 
 
 def _superposition_terms(amps: PropagationAmplitudes, theta: float,
                          phase: float, c: tuple, d: tuple) -> tuple:
     """(terms, constant, interference) of coincidence_superposition,
-    elementwise over array amplitudes."""
+    elementwise over array amplitudes: the terms expand |a_s + a_1 + a_2|^2,
+    a_s one photon from each source, a_1 and a_2 a pair from source 1 or 2."""
     if len(c) != 3 or len(d) != 3:
         raise ValueError("coefficient vectors must have three entries (n = 0, 1, 2)")
-    ct, st = math.cos(theta), math.sin(theta)
-    cross = amps.d_1a * amps.d_2b
-    swap = amps.d_1b * amps.d_2a
-    pair1 = amps.d_1a * amps.d_1b
-    pair2 = amps.d_2a * amps.d_2b
-    c0, c1, c2 = (complex(x) for x in c)
-    d0, d1, d2 = (complex(x) for x in d)
-    e_phi = cmath.exp(1j * phase)
-
-    t_single = abs(c1) ** 2 * abs(d1) ** 2 * ct ** 2 * st ** 2 * abs(cross + swap) ** 2
-    t_pair1 = abs(c2) ** 2 * abs(d0) ** 2 * st ** 4 * abs(pair1) ** 2
-    t_pair2 = abs(c0) ** 2 * abs(d2) ** 2 * ct ** 4 * abs(pair2) ** 2
-    t_cross_a = 2.0 * ct * st ** 3 * (c1 * d1 * c2.conjugate() * d0.conjugate()
-                                      / e_phi * (cross + swap)
-                                      * pair1.conjugate()).real
-    t_cross_b = 2.0 * ct ** 3 * st * (c1 * d1 * c0.conjugate() * d2.conjugate()
-                                      * e_phi * (cross + swap)
-                                      * pair2.conjugate()).real
-    t_cross_c = 2.0 * ct ** 2 * st ** 2 * (c2 * d0 * c0.conjugate() * d2.conjugate()
-                                           * e_phi ** 2 * pair1
-                                           * pair2.conjugate()).real
-    terms = (t_single, t_pair1, t_pair2, t_cross_a, t_cross_b, t_cross_c)
-
-    single_const = (abs(c1) ** 2 * abs(d1) ** 2 * ct ** 2 * st ** 2
-                    * (abs(cross) ** 2 + abs(swap) ** 2))
-    interference = (t_single - single_const) + t_cross_a + t_cross_b + t_cross_c
-    constant = single_const + t_pair1 + t_pair2
-    return terms, constant, interference
+    direct, swap, pair1, pair2 = _two_photon_paths(amps, theta, phase)
+    a_s = c[1] * d[1] * (direct + swap)
+    a_1, a_2 = c[2] * d[0] * pair1, c[0] * d[2] * pair2
+    terms = (abs(a_s) ** 2, abs(a_1) ** 2, abs(a_2) ** 2,
+             2.0 * (a_s * np.conj(a_1)).real, 2.0 * (a_s * np.conj(a_2)).real,
+             2.0 * (a_1 * np.conj(a_2)).real)
+    single_const = abs(c[1] * d[1]) ** 2 * (abs(direct) ** 2 + abs(swap) ** 2)
+    constant = single_const + terms[1] + terms[2]
+    return terms, constant, terms[0] - single_const + sum(terms[3:])
 
 
 def coincidence_superposition(amps: PropagationAmplitudes, theta: float,
@@ -253,34 +234,29 @@ def time_average_superposition(base: PropagationAmplitudes, theta: float,
     if grid_size < 4:
         raise ValueError("grid_size must be at least 4")
     phis = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    theta1, theta2 = np.meshgrid(phis, phis, indexing="ij")
+    # theta1 down the rows, theta2 along the columns; a term of one source's
+    # phases alone stays one row or column, whose mean is the grid's
     terms, constant, interference = _superposition_terms(
-        base.with_source_phases(theta1, theta2), theta, phase, c, d)
+        base.with_source_phases(phis[:, None], phis), theta, phase, c, d)
     return CoincidenceResult(sum(terms).mean(), constant.mean(),
                              interference.mean(), tuple(t.mean() for t in terms))
 
 
 def coincidence_thermal(amps: PropagationAmplitudes, theta: float,
                         p: tuple, q: tuple) -> CoincidenceResult:
-    """Coincidence probability for incoherent number mixtures (two lines).
-
-    probability = p1 q1 cos^2 sin^2 |D1A D2B + D1B D2A|^2
-                + p2 q0 sin^4 |D1A D1B|^2 + p0 q2 cos^4 |D2A D2B|^2;
-    the swap interference inside the first term is the only phase-sensitive
-    piece.
-    """
+    """Coincidence probability for incoherent number mixtures (two lines):
+    the incoherent sum p1 q1 |direct + swap|^2 + p2 q0 |pair1|^2
+    + p0 q2 |pair2|^2 of the two-photon paths, whose only phase-sensitive
+    piece is the swap interference inside the first term."""
     if len(p) != 3 or len(q) != 3:
         raise ValueError("probability vectors must have three entries (n = 0, 1, 2)")
-    ct, st = math.cos(theta), math.sin(theta)
-    cross = amps.d_1a * amps.d_2b
-    swap = amps.d_1b * amps.d_2a
-    t1 = p[1] * q[1] * ct ** 2 * st ** 2 * abs(cross + swap) ** 2
-    t2 = p[2] * q[0] * st ** 4 * abs(amps.d_1a * amps.d_1b) ** 2
-    t3 = p[0] * q[2] * ct ** 4 * abs(amps.d_2a * amps.d_2b) ** 2
-    interference = (p[1] * q[1] * ct ** 2 * st ** 2
-                    * 2.0 * (cross * swap.conjugate()).real)
-    constant = t1 + t2 + t3 - interference
-    return CoincidenceResult(t1 + t2 + t3, constant, interference, (t1, t2, t3))
+    # the pump phase drops out of every modulus of an incoherent sum
+    direct, swap, pair1, pair2 = _two_photon_paths(amps, theta, 0.0)
+    terms = (p[1] * q[1] * abs(direct + swap) ** 2, p[2] * q[0] * abs(pair1) ** 2,
+             p[0] * q[2] * abs(pair2) ** 2)
+    interference = p[1] * q[1] * 2.0 * (direct * np.conj(swap)).real
+    probability = sum(terms)
+    return CoincidenceResult(probability, probability - interference, interference, terms)
 
 
 # ---------------------------------------------------------------------------

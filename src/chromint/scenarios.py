@@ -95,7 +95,7 @@ class ScenarioConfig:
     gate_ps: int = 1000
     tau_max_ps: int = 300_000
     tau_step_ps: int = 4_000
-    gates_ps: list = field(default_factory=lambda: [100, 1000, 200000])
+    gates_ps: list[int] = field(default_factory=lambda: [100, 1000, 200000])
     gate_trials: int = 4
     # free space (Fig. 4 arrangement)
     source_separation_m: float = 125e-6
@@ -104,7 +104,7 @@ class ScenarioConfig:
     separation_max_m: float = 14.4e-3
     separation_points: int = 36
     # erasure overlap scan
-    overlap_mean_photons: list = field(default_factory=lambda: [4, 8, 16, 32, 64, 128])
+    overlap_mean_photons: list[float] = field(default_factory=lambda: [4, 8, 16, 32, 64, 128])
     overlap_theta: float = math.pi / 4.0
     overlap_phase: float = 0.0
     # hardware metadata, not modeled physics
@@ -123,6 +123,10 @@ def default_config(scenario: str) -> ScenarioConfig:
     return config_from_mapping({"scenario": scenario})
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -130,11 +134,12 @@ def _is_number(value) -> bool:
 # Values each annotated field type accepts.  bool is a subclass of int, so
 # it is excluded from the numeric types explicitly.
 _TYPE_CHECKS = {
-    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    int: _is_int,
     float: _is_number,
     bool: lambda v: isinstance(v, bool),
     str: lambda v: isinstance(v, str),
-    list: lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    list[int]: lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    list[float]: lambda v: isinstance(v, list) and all(map(_is_number, v)),
     dict: lambda v: isinstance(v, dict),
 }
 
@@ -144,11 +149,9 @@ def _check_types(cfg: ScenarioConfig) -> None:
     for name, kind in typing.get_type_hints(ScenarioConfig).items():
         value = getattr(cfg, name)
         if not _TYPE_CHECKS[kind](value):
-            expected = "list of numbers" if kind is list else kind.__name__
-            hint = (" (YAML reads 1e3 without a decimal point as a string)"
-                    if isinstance(value, str) and kind in (int, float) else "")
+            expected = kind if typing.get_origin(kind) else kind.__name__
             raise ConfigError(f"{name} must be {expected}, got "
-                              f"{type(value).__name__} {value!r}{hint}")
+                              f"{type(value).__name__} {value!r}")
 
 
 def config_from_mapping(data: dict) -> ScenarioConfig:
@@ -169,9 +172,27 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     return cfg
 
 
+class _NumberLoader(yaml.SafeLoader):
+    """Safe YAML that also reads exponent floats such as 2e9 as numbers.
+
+    PyYAML follows YAML 1.1, which reads 2e9 and 1.0e9 as strings; YAML 1.2
+    and Python read them as floats.  Config files and overrides both use it.
+    """
+
+
+_NumberLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
+def _read_yaml(text: str):
+    return yaml.load(text, Loader=_NumberLoader)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        data = yaml.safe_load(Path(path).read_text())
+        data = _read_yaml(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_mapping(data)
@@ -184,24 +205,6 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
-
-
-class _OverrideLoader(yaml.SafeLoader):
-    """Safe YAML that also reads exponent floats such as 2e9 as numbers.
-
-    PyYAML follows YAML 1.1, which reads 2e9 and 1.5e11 as strings; YAML 1.2
-    and Python read them as floats.
-    """
-
-
-_OverrideLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
-    list("-+0123456789"))
-
-
-def _yaml_scalar(raw: str):
-    return yaml.load(raw, Loader=_OverrideLoader)
 
 
 def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig:
@@ -220,9 +223,9 @@ def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig
             raise ConfigError(f"unknown override key {key!r}")
         try:
             if isinstance(data[key], list):
-                data[key] = [_yaml_scalar(x) for x in raw.split(",")]
+                data[key] = [_read_yaml(x) for x in raw.split(",")]
             else:
-                data[key] = _yaml_scalar(raw)
+                data[key] = _read_yaml(raw)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse override {item!r}: {exc}") from exc
     return config_from_mapping(data)
@@ -434,17 +437,21 @@ def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def analytic_fringe_period(cfg: ScenarioConfig) -> float:
-    """Local fringe period in detector separation at the scan center."""
+    """Local fringe period in detector separation at the scan center.
+
+    fringe_phase is reduced modulo 2*pi per path, so the centred difference
+    is brought back to (-pi, pi] before it is read as a slope."""
     x0 = 0.5 * (cfg.separation_min_m + cfg.separation_max_m)
     dx = 1e-6
-    slope = (fringe_phase(_free_space_geometry(cfg, x0 + dx))
-             - fringe_phase(_free_space_geometry(cfg, x0 - dx))) / (2 * dx)
+    slope = math.remainder(fringe_phase(_free_space_geometry(cfg, x0 + dx))
+                           - fringe_phase(_free_space_geometry(cfg, x0 - dx)),
+                           2.0 * math.pi) / (2 * dx)
     return abs(2.0 * math.pi / slope) if slope else 0.0
 
 
 def _run_gate_time(cfg: ScenarioConfig, out: Path) -> dict:
     rows = gate_time_study(*make_sources(cfg), make_geometry(cfg), *make_detectors(cfg),
-                           _delays(cfg), cfg.duration_s, [int(g) for g in cfg.gates_ps],
+                           _delays(cfg), cfg.duration_s, cfg.gates_ps,
                            cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials)
     write_csv(out / "gate_time.csv", "gate_ps,visibility,ci95_halfwidth",
               *([r[key] for r in rows] for key in ("gate_ps", "visibility", "ci95")))

@@ -105,7 +105,8 @@ def check_superposition_reduction() -> tuple[bool, str]:
     for _ in range(100):
         geo = _random_geometry(rng)
         theta = rng.uniform(0.1, 1.4)
-        amps = amplitudes(geo, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        amps = amplitudes(geo).with_source_phases(rng.uniform(0, 2 * math.pi),
+                                                  rng.uniform(0, 2 * math.pi))
         full = coincidence_superposition(amps, theta, 0.3, (0, 1, 0), (0, 1, 0))
         single = coincidence_single_photon(amps, theta)
         worst = max(worst, abs(full.probability - single.probability))

@@ -157,7 +157,8 @@ def test_fringe_phase_ignores_source_phases():
     geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.021, 0.043, 0.017, 0.038)
     ref = coincidence_single_photon(amplitudes(geo), math.pi / 4).probability
     for t1, t2 in ((0.9, 0.0), (0.0, 2.2), (1.3, 4.4)):
-        shifted = coincidence_single_photon(amplitudes(geo, t1, t2), math.pi / 4)
+        shifted = coincidence_single_photon(
+            amplitudes(geo).with_source_phases(t1, t2), math.pi / 4)
         assert shifted.probability == pytest.approx(ref, abs=1e-13)
 
 
@@ -196,7 +197,8 @@ def test_superposition_reduces_to_single_photon():
     rng = np.random.default_rng(3)
     for _ in range(100):
         geo = random_geometry(rng)
-        amp = amplitudes(geo, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        amp = amplitudes(geo).with_source_phases(rng.uniform(0, 2 * math.pi),
+                                                 rng.uniform(0, 2 * math.pi))
         theta = rng.uniform(0.05, 1.5)
         full = coincidence_superposition(amp, theta, 0.9, (0, 1, 0), (0, 1, 0))
         single = coincidence_single_photon(amp, theta)
@@ -230,8 +232,8 @@ def test_superposition_matches_quantum_pipeline():
                   np.array([eps, 1, 0]) / math.sqrt(1 + eps ** 2)))
     for c, d in draws:
         geo = random_geometry(rng)
-        amp = amplitudes(geo, rng.uniform(0, 2 * math.pi),
-                         rng.uniform(0, 2 * math.pi))
+        amp = amplitudes(geo).with_source_phases(rng.uniform(0, 2 * math.pi),
+                                                 rng.uniform(0, 2 * math.pi))
         theta = rng.uniform(0.1, 1.4)
         phase = rng.uniform(0, 2 * math.pi)
         truth = hbt2_pipeline_probability(amp, theta, phase, c, d)
@@ -350,11 +352,41 @@ def test_thermal_equals_random_phase_monte_carlo_average():
        st.floats(0.0, 2 * math.pi))
 def test_probabilities_in_unit_interval(theta, t1, t2):
     geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.02, 0.07, 0.011, 0.047)
-    amp = amplitudes(geo, t1, t2)
+    amp = amplitudes(geo).with_source_phases(t1, t2)
     for res in (coincidence_single_photon(amp, theta),
                 coincidence_superposition(amp, theta, 0.3, (0.6, 0.8, 0), (0, 0.8, 0.6)),
                 coincidence_thermal(amp, theta, (0.5, 0.5, 0), (0, 0.5, 0.5))):
         assert -1e-12 <= res.probability <= 1.0 + 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(0.2, 1.3), st.floats(0.0, 2 * math.pi),
+       st.lists(st.floats(0.01, 0.2), min_size=4, max_size=4),
+       st.sampled_from(["coherent", "thermal"]))
+def test_weak_source_formulas_are_the_pair_fringe_law(theta, phase, paths, source_kind):
+    """The rate law is the photon-number formulas' weak-source limit, for two
+    filter-2 detectors at one theta and pump phase: phase-averaged coherent
+    sources at c = d = (1, eps, eps^2), thermal mixtures at
+    p = q = (1, eps, 2 eps^2).  The formulas' fringe is read from their
+    interference terms at delays 0 and lambda3/4, a quarter period apart."""
+    geo = InterferometerGeometry(LAM1, LAM2, LAM3, *paths)
+    eps = 1e-3
+
+    def formula(delay):
+        amps = amplitudes(geo.with_delay(delay))
+        if source_kind == "coherent":
+            weak = (1.0, eps, eps ** 2)
+            return time_average_superposition(amps, theta, phase, weak, weak, 16)
+        weak = (1.0, eps, 2 * eps ** 2)
+        return coincidence_thermal(amps, theta, weak, weak)
+
+    at_zero, at_quarter = formula(0.0), formula(LAM3 / 4)
+    fringe = complex(at_zero.interference_term, -at_quarter.interference_term)
+    det = DetectorSetting(theta, phase, output_filter=2)
+    base, amp, offset = pair_fringe_law(det, det, geo, source_kind)
+    assert abs(fringe) / at_zero.constant_term == pytest.approx(amp / base, abs=1e-6)
+    assert abs(math.remainder(cmath.phase(fringe) - fringe_phase(geo) - offset,
+                              2 * math.pi)) < 1e-6
 
 
 def test_delay_scan_coherent_law():

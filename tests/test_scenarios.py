@@ -22,6 +22,7 @@ from chromint.scenarios import (
     config_from_mapping,
     config_hash,
     default_config,
+    load_config,
     run_scenario,
     serialize_config,
 )
@@ -99,7 +100,8 @@ def test_config_field_types_checked(key, value):
 
 
 def test_cli_rejects_exponent_string_for_int_field(tmp_path, capsys):
-    # YAML 1.1 reads 1e3 (no decimal point) as the string "1e3"
+    # a config file reads 1e3 as the float 1000.0, as an override does, and
+    # an integer field takes no float
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text("scenario: laser_delay_scan\ngate_ps: 1e3\n")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
@@ -108,7 +110,8 @@ def test_cli_rejects_exponent_string_for_int_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", ["pump_on=ture", "gate_ps=999.5",
-                                      "delay_points=4.9"])
+                                      "delay_points=4.9", "gates_ps=0.5,1000",
+                                      "gates_ps=100.7,1000"])
 def test_cli_override_is_type_checked(tmp_path, capsys, override):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text("scenario: erasure_overlap_scan\n"
@@ -117,6 +120,17 @@ def test_cli_override_is_type_checked(tmp_path, capsys, override):
                  "--override", override]) == 2
     assert override.partition("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_file_reads_numbers_like_overrides(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("scenario: gate_time_study\nduration_ps: 1.0e9\n"
+                        "source_rate_hz: 2e7\ngates_ps: [100, 1000]\n")
+    from_file = load_config(cfg_path)
+    assert from_file.duration_ps == 1e9 and from_file.source_rate_hz == 2e7
+    assert from_file == apply_overrides(default_config("gate_time_study"),
+                                        ["duration_ps=1.0e9", "source_rate_hz=2e7",
+                                         "gates_ps=100,1000"])
 
 
 def test_validation_bounds():
@@ -330,6 +344,25 @@ PUMP_OFF_LAYERS = {
 }
 
 
+@pytest.mark.parametrize("name", ["free_space_hbt", "free_space_same_wavelength"])
+def test_analytic_fringe_period_across_path_phase_wraps(name):
+    # each path phase is reduced modulo 2*pi, and at some screen distances
+    # one wraps between the two points of the period's centred difference
+    # (at 0.3005 m for free_space_hbt); the reference differences the
+    # unreduced phase, from path-length differences
+    for distance in np.linspace(0.30, 0.33, 121).tolist():
+        cfg = apply_overrides(default_config(name), [f"screen_distance_m={distance!r}"])
+        x0 = 0.5 * (cfg.separation_min_m + cfg.separation_max_m)
+
+        def phase(x):
+            geo = scenarios._free_space_geometry(cfg, x)
+            return 2 * math.pi * ((geo.l_1a - geo.l_1b) / geo.lambda1
+                                  + (geo.l_2b - geo.l_2a) / geo.lambda2)
+
+        expected = 2 * math.pi * 2e-6 / abs(phase(x0 + 1e-6) - phase(x0 - 1e-6))
+        assert scenarios.analytic_fringe_period(cfg) == pytest.approx(expected, rel=1e-6)
+
+
 @pytest.mark.parametrize("name", list(PUMP_OFF_LAYERS))
 def test_pump_off_analytic_curve_matches_monte_carlo(tmp_path, name):
     overrides, stem = PUMP_OFF_LAYERS[name]
@@ -515,6 +548,17 @@ def test_cli_scan_int_field(tmp_path, capsys):
                  "--out", str(tmp_path / "s2")]) == 2
     assert "delay_points" in capsys.readouterr().err
     assert not (tmp_path / "s2").exists()
+    # a list field of integers takes whole values the same way
+    assert main(["scan", "--scenario", "erasure_overlap_scan",
+                 "--param", "gates_ps=100:1000:2",
+                 "--out", str(tmp_path / "gates")]) == 0
+    sweep = json.loads((tmp_path / "gates" / "sweep.json").read_text())
+    assert [yaml.safe_load((tmp_path / "gates" / r["dir"] / "config.yaml").read_text())
+            ["gates_ps"] for r in sweep["runs"]] == [[100], [1000]]
+    assert main(["scan", "--scenario", "erasure_overlap_scan",
+                 "--param", "gates_ps=100:101:3",
+                 "--out", str(tmp_path / "g2")]) == 2
+    assert "gates_ps" in capsys.readouterr().err
 
 
 def test_mutated_color_rotation_breaks_reduction_identity():
