@@ -72,10 +72,6 @@ class FockBasis:
     def dim(self) -> int:
         return math.prod(self.shape)
 
-    def occupations(self) -> np.ndarray:
-        """(dim, 3) integer array of occupation triples in flat order."""
-        return np.indices(self.shape).reshape(3, -1).T
-
 
 @dataclass(frozen=True)
 class TripleModeState:
@@ -253,9 +249,3 @@ def evolve_brute_force(state: TripleModeState, hamiltonian: TrilinearHamiltonian
         raise CutoffError(f"evolved state leaks {leak:.3e} onto the pump cutoff shell", leak)
     return evolved
 
-
-def inner_product(a: TripleModeState, b: TripleModeState) -> complex:
-    """<a|b>, conjugate linear in the first argument."""
-    if a.basis != b.basis:
-        raise BasisMismatchError("inner product requires a common basis")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

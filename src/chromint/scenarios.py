@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.metadata
 import json
 import math
 import os
 import platform
 import re
 import shutil
+import sys
 import tempfile
 import time
 import typing
@@ -553,7 +553,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
             "seed": cfg.seed,
             "config_sha256": config_hash(cfg),
             "versions": {"chromint": __version__, "numpy": np.__version__,
-                         "scipy": importlib.metadata.version("scipy"),
+                         # null unless the process loaded scipy (only the fits do)
+                         "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
                          "pyyaml": yaml.__version__, "python": platform.python_version()},
             "wall_time_s": round(elapsed, 3),
             "data_files": {name: hashlib.sha256((staging / name).read_bytes()).hexdigest()

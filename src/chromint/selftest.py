@@ -12,12 +12,7 @@ import time
 
 import numpy as np
 
-from .erasure import (
-    erasure_overlap,
-    evolved_signal_density,
-    pure_state_fidelity,
-    rotation_output,
-)
+from .erasure import erasure_overlap, evolved_signal_density
 from .fock import (
     CoherentSpec,
     FockBasis,
@@ -88,11 +83,11 @@ def check_color_rotation_limit() -> tuple[bool, str]:
     of either input color is within 1 - 3/sqrt(N) of the asymptotic color
     rotation, whose two outputs are orthogonal."""
     n_mean, theta, phase = 64.0, 0.9, 0.4
-    fids = [pure_state_fidelity(evolved_signal_density(mode, n_mean, theta, phase),
-                                rotation_output(mode, theta, phase))
-            for mode in (1, 2)]
-    ortho = abs(np.vdot(rotation_output(1, theta, phase).vector,
-                        rotation_output(2, theta, phase).vector))
+    outputs = effective_rotation(theta, phase).T  # row k-1: color k's output
+    # pure-state fidelity <v|rho|v>
+    fids = [np.vdot(v, evolved_signal_density(mode, n_mean, theta, phase) @ v).real
+            for mode, v in zip((1, 2), outputs)]
+    ortho = abs(np.vdot(*outputs))
     floor = 1.0 - 3.0 / math.sqrt(n_mean)
     return min(fids) >= floor and ortho <= 1e-12, (
         f"fidelities {fids[0]:.5f}/{fids[1]:.5f} >= {floor:.5f}, "

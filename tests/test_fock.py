@@ -18,7 +18,6 @@ from chromint.fock import (
     default_pump_cutoff,
     evolve_brute_force,
     evolve_closed_form,
-    inner_product,
     single_photon_with_pump,
 )
 
@@ -41,13 +40,9 @@ def test_basis_index_roundtrip(c1, c2, c3):
     basis = FockBasis(c1, c2, c3)
     assert basis.dim == (c1 + 1) * (c2 + 1) * (c3 + 1)
     state = TripleModeState(basis, np.arange(basis.dim) * (1.0 - 0.5j))
-    assert np.array_equal(state.grid[tuple(basis.occupations().T)], state.amplitudes)
-
-
-def test_basis_is_lexicographic():
-    basis = FockBasis(1, 1, 2)
-    triples = [tuple(t) for t in basis.occupations()]
-    assert triples == sorted(triples)
+    # amplitude k is that of the k-th occupation triple in lexicographic order
+    triples = np.indices(basis.shape).reshape(3, -1)
+    assert np.array_equal(state.grid[tuple(triples)], state.amplitudes)
 
 
 def test_coherent_vacuum():
@@ -111,9 +106,9 @@ def test_hamiltonian_hermitian_and_sector_structure():
     basis = FockBasis(1, 1, 12)
     matrix = dense_hamiltonian(TrilinearHamiltonian(basis))
     assert_hermitian(matrix)
-    occ = basis.occupations()
-    n12 = occ[:, 0] + occ[:, 1]
-    n13 = occ[:, 0] - occ[:, 2]
+    n1, n2, n3 = np.indices(basis.shape).reshape(3, -1)
+    n12 = n1 + n2
+    n13 = n1 - n3
     rows, cols = matrix.nonzero()
     assert rows.size > 0
     assert np.array_equal(n12[rows], n12[cols])
@@ -205,9 +200,8 @@ def test_unitarity_and_sector_expectations(chi_t, phase):
     assert abs(evolved.norm - 1.0) < 1e-12
 
     def charge(s, signs):
-        occ = s.basis.occupations()
-        q = signs[0] * occ[:, 0] + signs[1] * occ[:, 1] + signs[2] * occ[:, 2]
-        return float(np.sum(q * np.abs(s.amplitudes) ** 2))
+        q = np.tensordot(signs, np.indices(s.basis.shape), axes=1)
+        return float(np.sum(q * np.abs(s.grid) ** 2))
 
     for signs in ((1, 1, 0), (1, 0, -1)):
         assert abs(charge(evolved, signs) - charge(state, signs)) < 1e-11
@@ -247,23 +241,17 @@ def pump_state(mean_photons, basis):
 
 
 def test_inner_product_contracts():
+    # <a|b> is np.vdot of the amplitude vectors
     basis = FockBasis(1, 1, 30)
-    coh = pump_state(4.0, basis)
-    vac = pump_state(0.0, basis)
-    assert inner_product(coh, coh) == pytest.approx(1.0)
+    coh = pump_state(4.0, basis).amplitudes
+    vac = pump_state(0.0, basis).amplitudes
+    assert np.vdot(coh, coh) == pytest.approx(1.0)
     # closed form: <0|alpha> = exp(-|alpha|^2/2) = exp(-2)
-    assert abs(inner_product(vac, coh)) == pytest.approx(math.exp(-2.0), abs=1e-12)
-    assert inner_product(fock_state(basis, 1, 0, 3), fock_state(basis, 0, 1, 3)) == 0.0
+    assert abs(np.vdot(vac, coh)) == pytest.approx(math.exp(-2.0), abs=1e-12)
+    assert np.vdot(fock_state(basis, 1, 0, 3).amplitudes,
+                   fock_state(basis, 0, 1, 3).amplitudes) == 0.0
     # conjugate linearity in the first argument
-    scaled = TripleModeState(basis, coh.amplitudes * np.exp(0.3j))
-    assert inner_product(scaled, coh) == pytest.approx(np.exp(-0.3j), abs=1e-12)
-
-
-def test_inner_product_basis_mismatch():
-    a = pump_state(1.0, FockBasis(1, 1, 30))
-    b = pump_state(1.0, FockBasis(1, 1, 31))
-    with pytest.raises(BasisMismatchError):
-        inner_product(a, b)
+    assert np.vdot(coh * np.exp(0.3j), coh) == pytest.approx(np.exp(-0.3j), abs=1e-12)
 
 
 def test_validate_flags_pump_shell_leakage():
@@ -273,3 +261,7 @@ def test_validate_flags_pump_shell_leakage():
     with pytest.raises(CutoffError) as err:
         evolve_brute_force(fock_state(basis, 1, 0, 6), TrilinearHamiltonian(basis), 0.1)
     assert err.value.leakage > 0.9
+    # as is a Hamiltonian on another basis than the state's
+    other = TrilinearHamiltonian(FockBasis(1, 1, 7))
+    with pytest.raises(BasisMismatchError):
+        evolve_brute_force(fock_state(basis, 1, 0, 3), other, 0.1)

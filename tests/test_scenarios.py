@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.metadata
 import json
 import math
 import os
@@ -162,13 +161,21 @@ def test_overlap_scan_outputs(tmp_path):
 
 
 def test_manifest_scipy_version_is_the_installed_one(tmp_path):
-    # read from the installed distribution, without importing scipy: the
-    # same string as the imported module's
+    # the version of the scipy the process has loaded: this process has,
+    # while a fresh `chromint run` of a scenario without fits loads none
+    # and records null
     cfg = apply_overrides(default_config("erasure_overlap_scan"),
                           ["overlap_mean_photons=4"])
     manifest = run_scenario(cfg, tmp_path / "run")
-    assert (manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
-            == scipy.__version__)
+    assert manifest["versions"]["scipy"] == scipy.__version__
+    cfg_path = tmp_path / "overlap.yaml"
+    cfg_path.write_text("scenario: erasure_overlap_scan\noverlap_mean_photons: [4]\n")
+    src = Path(scenarios.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-m", "chromint.cli", "run", str(cfg_path),
+                    "--out", str(tmp_path / "fresh")], capture_output=True,
+                   env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    fresh = json.loads((tmp_path / "fresh" / "manifest.json").read_text())
+    assert fresh["versions"]["scipy"] is None
 
 
 def test_manifest_lists_only_files_of_this_run(tmp_path):
@@ -460,9 +467,11 @@ def test_cli_import_leaves_out_stats_and_optimize():
     # scipy takes most of a cold start: no run needs scipy.stats, only the
     # curve fits load scipy.optimize, the gate study's Student-t quantile and
     # the Fock pump series are numpy, and the exact layer runs on numpy
-    # alone, so no submodule loads any part of scipy
+    # alone, so no submodule loads any part of scipy.  The manifest reads
+    # scipy's version from the loaded module: importlib.metadata would load
+    # email, zipfile and csv into every run's start
     heavy = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize", "scipy.sparse",
-             "scipy.linalg")
+             "scipy.linalg", "importlib.metadata")
     after_cli, after_all = loaded_after(
         heavy, "import chromint.cli",
         "from chromint import erasure, fock, interferometry, scenarios, selftest, stochastic")
