@@ -398,9 +398,7 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
     _write_g2_csv(out / "g2_tau.csv", curve)
     result: dict = {"n_a": curve.n_a, "n_b": curve.n_b,
                     "g2_zero": float(curve.values[0])}
-    if cfg.detuning_hz > 0 and cfg.pump_on and cfg.source_kind == "coherent":
-        # exponential envelope fit; slot-model thermal sources decay with a
-        # triangular correlation instead, so the fit applies to lasers only
+    if _fits_envelope(cfg):
         amp, decay_s, _, at_bound = fit_g2_envelope(curve.taus_ps * 1e-12, curve.values,
                                                     cfg.detuning_hz)
         result.update({"envelope_amplitude": amp,
@@ -419,6 +417,13 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
         _write_g2_csv(out / "splitter_g2.csv", sp)
         result["splitter_g2_zero"] = float(sp.values[0])
     return result
+
+
+def _fits_envelope(cfg: ScenarioConfig) -> bool:
+    """Whether a g2(tau) run fits its exponential envelope: slot-model
+    thermal sources decay with a triangular correlation instead, so the fit
+    applies to beating lasers only."""
+    return cfg.detuning_hz > 0 and cfg.pump_on and cfg.source_kind == "coherent"
 
 
 def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
@@ -525,6 +530,12 @@ SCENARIOS: dict[str, tuple[Callable[[ScenarioConfig, Path], dict], dict]] = {
 _DELAY_RUNNERS = (_run_delay_scan, _run_fft, _run_gate_time)
 
 
+def _fits(cfg: ScenarioConfig) -> bool:
+    """Whether a run fits a curve, its only use of scipy."""
+    runner = SCENARIOS[cfg.scenario][0]
+    return runner is _run_free_space or (runner is _run_g2_tau and _fits_envelope(cfg))
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
     """Run one scenario into out_dir; returns the written manifest.
 
@@ -553,8 +564,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
             "seed": cfg.seed,
             "config_sha256": config_hash(cfg),
             "versions": {"chromint": __version__, "numpy": np.__version__,
-                         # null unless the process loaded scipy (only the fits do)
-                         "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+                         # the scipy of the run's fit, null for a run without
+                         # one, whatever ran before it in the process
+                         "scipy": sys.modules["scipy"].__version__ if _fits(cfg) else None,
                          "pyyaml": yaml.__version__, "python": platform.python_version()},
             "wall_time_s": round(elapsed, 3),
             "data_files": {name: hashlib.sha256((staging / name).read_bytes()).hexdigest()

@@ -161,21 +161,28 @@ def test_overlap_scan_outputs(tmp_path):
 
 
 def test_manifest_scipy_version_is_the_installed_one(tmp_path):
-    # the version of the scipy the process has loaded: this process has,
-    # while a fresh `chromint run` of a scenario without fits loads none
-    # and records null
-    cfg = apply_overrides(default_config("erasure_overlap_scan"),
-                          ["overlap_mean_photons=4"])
-    manifest = run_scenario(cfg, tmp_path / "run")
-    assert manifest["versions"]["scipy"] == scipy.__version__
-    cfg_path = tmp_path / "overlap.yaml"
-    cfg_path.write_text("scenario: erasure_overlap_scan\noverlap_mean_photons: [4]\n")
+    # the version of the scipy a run's fit used, and null for a run without
+    # a fit, in any process and in any order: here, where scipy is loaded,
+    # the overlap scan runs after an envelope fit; a fresh `chromint run`
+    # of each loads scipy only if it fits
+    runs = {"laser_g2_tau": (["duration_ps=1e8"], scipy.__version__),
+            "erasure_overlap_scan": (["overlap_mean_photons=4"], None)}
     src = Path(scenarios.__file__).resolve().parents[1]
-    subprocess.run([sys.executable, "-m", "chromint.cli", "run", str(cfg_path),
-                    "--out", str(tmp_path / "fresh")], capture_output=True,
-                   env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    fresh = json.loads((tmp_path / "fresh" / "manifest.json").read_text())
-    assert fresh["versions"]["scipy"] is None
+    for name, (overrides, version) in runs.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # short runs warn by design
+            manifest = run_scenario(apply_overrides(default_config(name), overrides),
+                                    tmp_path / name)
+        assert manifest["versions"]["scipy"] == version
+        cfg_path = tmp_path / f"{name}.yaml"
+        cfg_path.write_text(f"scenario: {name}\n")
+        subprocess.run([sys.executable, "-m", "chromint.cli", "run", str(cfg_path),
+                        "--out", str(tmp_path / f"fresh_{name}"),
+                        *(arg for item in overrides for arg in ("--override", item))],
+                       capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                       check=True)
+        fresh = json.loads((tmp_path / f"fresh_{name}" / "manifest.json").read_text())
+        assert fresh["versions"]["scipy"] == version
 
 
 def test_manifest_lists_only_files_of_this_run(tmp_path):
@@ -250,7 +257,7 @@ PINNED_DATA_FILES = {
             "95ec629ee3b585183f901cd6cfed9c331c6f824b900c1f3c387996016a31f697"},
     "gate_time_study": {
         "gate_time.csv":
-            "9e03f4544bd9ff4002b7bd8036720e679589ae87a30c31095a27d244e44bdcfa"},
+            "ddb02b8ce1b220e2a2fcd2524768dcf409ee5b7781a0a07974b9641861202e8f"},
     "laser_delay_scan": {
         "delay_scan_analytic.csv":
             "61e0c71c566a936a86a89d30d20c8d9658ba52937aa581f1b525842d4aba7b9e",
@@ -266,7 +273,7 @@ PINNED_DATA_FILES = {
         "delay_scan_analytic.csv":
             "ebfbbc10beddd60f3042ae710249ae930b0b34576bdf42f942e5fb722c81f29a",
         "delay_scan_mc.csv":
-            "6ff9fac18e644ab49cde3c1e21eea25d717093837600d9edfc183993eb392e0e"},
+            "04403a12e45ef65306929f64b669ea96d0eb8d0fd43abd7dd6e69aeb35fbebf0"},
     "free_space_same_wavelength": {
         "fringe_analytic.csv":
             "d24b2df8ff5ed08204ddfbfccd404db58d092cc98f4f3d55004f2018e06101f4",
@@ -477,6 +484,20 @@ def test_cli_import_leaves_out_stats_and_optimize():
         "from chromint import erasure, fock, interferometry, scenarios, selftest, stochastic")
     assert after_cli == "", f"import chromint.cli loads {after_cli}"
     assert after_all == "", f"importing every submodule loads {after_all}"
+
+
+def test_cli_run_without_a_fit_leaves_out_scipy_and_metadata(tmp_path):
+    # recording the manifest's versions loads neither scipy nor
+    # importlib.metadata: a run without a fit ends as lean as it started
+    cfg_path = tmp_path / "scan.yaml"
+    cfg_path.write_text("scenario: laser_delay_scan\nduration_ps: 1.0e9\ndelay_points: 4\n")
+    argv = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
+    after_run, = loaded_after(
+        ("scipy", "importlib.metadata"),
+        "import contextlib, io\nfrom chromint.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0")
+    assert after_run == "", f"a laser_delay_scan run loads {after_run}"
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_cli_import_leaves_out_the_exact_layer():

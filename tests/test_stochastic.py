@@ -128,9 +128,9 @@ def pinned_setups():
         "splitter": (thermal, None, off, off, run),
         "pump_off_pair": (thermal, detuned, off, lossy_b, run),
         # the gate study's pair at delay 13 of 16, where source 2 splits its
-        # candidates between the detectors at share 0.5000000000000001: a
-        # one-ulp change in a detector's swing can make it 0.5, where
-        # numpy's binomial draw takes its other branch
+        # candidates between the detectors at share 0.5000000000000001, one
+        # ulp off the balanced 0.5: a candidate's uniform u goes to A below
+        # the share, and the share also scales u into the candidate's place
         "gate_study_pair": (*make_sources(gate_study), *make_detectors(gate_study),
                             (make_geometry(gate_study).with_delay(
                                 13 * 1.5 * gate_study.lambda3_m / 16), 1e-3, 12345, 13)),
@@ -144,26 +144,26 @@ def pinned_setups():
 # times, is refused before any draw
 PINNED_DIGESTS = {
     "gate_study_pair": (
-        "17161de0781f334c19c1a39e0b9f670f0c99390e9ea1c25e3dd1e9dca3631f10",
-        "455231b8c2b1404241488ab352f17d28359a41590796a0a7c92387fdc48fe478"),
+        "9c422c0f20e8bd94f1bf4ff88d70163cf11f6c043d2357f917a1e90396735b24",
+        "807ff236cf858468f538231a24afeade60f5fd18510e8b4650136b2d93ef7382"),
     "laser_pair": (
         "68ec4141949ec077d32960aaf399d99d3d66f874cdf8dbc116da4eee03cdfe17",
         "aaf39e3b97df2e173402dc5c44ec5f527e4e1188b003612a3999a2b1f20bae87"),
     "laser_thermal": (None, None),
     "pump_off_pair": (
-        "89095d5c57cd2bbf416d3a64876d51cf22e882a7d4ae12215dbf607c722c5a33",
-        "d13706ad0a94d5b72c6280d55b37a62bb8738cb9bb376d0421aa51451762cdfa"),
+        "7fe4dcefdaade5d618b2b940e73b7e60c7dca2992a82b6e8f86ffc4013e84835",
+        "778a8d99f2d938996702f913c1b250f76b46fb85aa3ce958d06a94f7e267208b"),
     "splitter": (
-        "a497df42afd169554dfb0fdd992da2d4d5aba0317f171eaf9c495a759bf2d758",
-        "75c91589f8e512c59bfdc210c3146bd1576d465b8a55f5c059faab4e5b20b973"),
+        "d1b869e2dee3ac84fb46d4baa96c48a23a2929061e739ccf5cb0ea2b5e27fe09",
+        "e136f99ebbe675e861e19127712d310ef7367429bcbce1b63114da541dd6f05d"),
     "thermal_pair": (
-        "d40d90eda8b6e1b184b695e678318dee279bbdb4546daa89fb1b7a40ff6e2547",
-        "08f8f68bc1a820de292a22db6dd5691788a6fc068a82809bc461a312f99735e7"),
+        "5858c503d53f2349d7f4a85022092733d62c474103b4ae0620f5a12fa22dae25",
+        "9758648bfca3cb5b882d9ffc55ffba4911591df44d46659fdb40df0180c3015b"),
     "thermal_laser": (None, None),
     "unequal_tc_pair": (None, None),
     "unequal_thermal_pair": (
-        "c165ac5bd5cec959476fc0f012dbf7fc4b3acbbc4f46e86f50394578ad7172f4",
-        "48965b469e59077168cbb85faa4829710d021d6acc3564c434c669cd9857e458"),
+        "2e0ae13a605643ba3768a7e9dfd2f6396032dfbc4b361eb7adac15964ae448ce",
+        "51621a89e75f7795937b833ea87cdf645b393e14a1a44ad2a0fc763cd0c1efb8"),
 }
 
 
@@ -503,6 +503,54 @@ def test_thermal_slot_field_across_batches():
         prior = np.concatenate((i, rng.exponential(1 / (1 + a), empty)))
         assert kstest(prior, "expon").pvalue > 0.01
     assert kstest(phase / (2 * math.pi), "uniform").pvalue > 0.01
+
+
+def slot_counts(drawn, n_rows):
+    """Per detector, its candidates in each table row of one batch, rows 2
+    to n_rows - 1: the run's ends can cut the first and the last."""
+    return [np.bincount(rows, minlength=n_rows + 1)[2:n_rows] for _, rows in drawn]
+
+
+def test_thermal_slot_intensity_is_gamma_given_its_count():
+    # a source's intensity in a slot where it puts n candidates is
+    # Gamma(n + 1, rate 1 + a): n + 1 unit exponentials over 1 + a.  Source
+    # 1 lights only detector A and source 2 only B, so each detector's
+    # count in a slot is one source's n.  Six KS tests: each at p > 0.001
+    tc = 20e-9
+    pair = stochastic._ThermalPair(tc, 0.0, [(5e7, 0.0), (0.0, 3e7)], substream(31, 0, 0))
+    drawn = pair.candidates(0.0, 20_000 * tc)
+    n_rows = pair.table[0].size - 1
+    for n, a, intensity in zip(slot_counts(drawn, n_rows), pair.a, pair.table):
+        scaled = (1.0 + a) * intensity[2:n_rows]
+        for k in (0, 1, 2):
+            assert (n == k).sum() > 1_000
+            assert kstest(scaled[n == k], "gamma", args=(k + 1,)).pvalue > 0.001
+
+
+def test_thermal_candidate_detector_and_place():
+    # one uniform u per candidate: detector A below the share w, so A's
+    # count in a slot of n candidates is Binomial(n, w), and the candidate
+    # sits at u/w (A) or (u - w)/(1 - w) (B) of its own slot: uniform there.
+    # Five tests, each at p > 0.001
+    tc, w = 20e-9, 0.3
+    beam = stochastic._ThermalPair(tc, 0.0, [(1.5e7, 3.5e7), (0.0, 0.0)], substream(32, 0, 0))
+    drawn = beam.candidates(0.0, 20_000 * tc)
+    n_rows = beam.table[0].size - 1
+    count_a, count_b = slot_counts(drawn, n_rows)
+    for k in (1, 2, 3):
+        law = [math.comb(k, m) * w ** m * (1 - w) ** (k - m) for m in range(k + 1)]
+        observed = np.bincount(count_a[count_a + count_b == k], minlength=k + 1)
+        assert pooled_chisquare(observed, observed.sum() * np.array(law)) > 0.001
+    places = []
+    for t, rows in drawn:
+        inner = (rows > 1) & (rows < n_rows)
+        x = t[inner] / tc - beam.offset
+        assert kstest(x % 1.0, "uniform").pvalue > 0.001
+        places.append((rows[inner], np.floor(x)))
+    # the candidates of one table row lie in one slot, and rows in distinct slots
+    rows, slots = map(np.concatenate, zip(*places))
+    distinct = np.unique(np.stack((rows, slots)), axis=1).shape[1]
+    assert distinct == np.unique(rows).size == np.unique(slots).size
 
 
 def test_batches_keep_the_laws(monkeypatch):
