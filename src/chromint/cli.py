@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -91,16 +92,18 @@ def _cmd_scan(args) -> int:
         run_cfgs.append((value, apply_overrides(cfg, _seed_override(args)
                                                 + [f"{key}={value!r}"])))
     out = Path(args.out)
+    # a previous sweep.json must not list runs replaced below
+    (out / "sweep.json").unlink(missing_ok=True)
     runs = []
     for i, (value, run_cfg) in enumerate(run_cfgs):
         run_dir = out / f"run_{i:03d}_{key}_{value:g}"
         manifest = run_scenario(run_cfg, run_dir)
         runs.append({"value": float(value), "dir": run_dir.name,
                      "results": manifest["results"]})
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.json").write_text(json.dumps(
-        {"scenario": args.scenario, "param": key, "runs": runs},
-        indent=2, sort_keys=True, default=str))
+    staged = out / ".sweep.json.partial"
+    staged.write_text(json.dumps({"scenario": args.scenario, "param": key, "runs": runs},
+                                 indent=2, sort_keys=True, default=str))
+    os.replace(staged, out / "sweep.json")
     print(f"swept {key} over {num} values into {out}")
     return EXIT_OK
 

@@ -2,8 +2,9 @@
 
 Propagation amplitudes from geometry, coincidence probabilities for
 single-photon, coherent-superposition and incoherent-mixture sources,
-source-phase averaging, analytic fringe scans, and the one model of the
-color-erasure detector (DetectorSetting) that the law and Monte Carlo share.
+source-phase averaging, analytic fringe scans, and the one model each of
+the color-erasure detector (DetectorSetting) and of the source pair
+(SourcePair) that the law and Monte Carlo share.
 
 Source 1 emits at wavelength lambda1 (long), source 2 at lambda2 (short);
 the pump wavelength lambda3 satisfies 1/lambda3 = 1/lambda2 - 1/lambda1.
@@ -260,7 +261,8 @@ def coincidence_thermal(amps: PropagationAmplitudes, theta: float,
 
 
 # ---------------------------------------------------------------------------
-# The color-erasure detector and the semiclassical pair-detection law.
+# The color-erasure detector, the source pair and the semiclassical
+# pair-detection law.
 
 def effective_rotation(theta: float, phase: float = 0.0) -> np.ndarray:
     """Strong-pump color rotation on the signal qubit.
@@ -300,6 +302,44 @@ class DetectorSetting:
             raise ValueError("visibility_degradation must lie in [0, 1]")
         if self.dark_count_rate < 0.0:
             raise ValueError("dark_count_rate must be nonnegative")
+
+
+@dataclass(frozen=True)
+class SourcePair:
+    """The two sources, one record that the law and the Monte Carlo share.
+
+    Both are of one kind and share coherence_time tc, the pair's mutual
+    coherence time.  "coherent" is two lasers of constant intensity whose
+    beat phase walks with variance 2|t|/tc (each laser's with |t|/tc), so
+    the beat decays as exp(-|tau|/tc) and each line is 1/(2*pi*tc) wide.
+    "thermal" gives each source one complex Gaussian amplitude per slot of
+    one lattice of period tc at a uniform random offset: a split beam has
+    g2(tau) = 1 + (1 - |tau|/tc)+, not a Lorentzian 1 + exp(-2|tau|/tc).
+    rate1 and rate2 are photon rates (s^-1), rate2 = 0 one beam on a
+    splitter; source 2's carrier lies detuning_hz above source 1's.
+    """
+
+    kind: str
+    rate1: float
+    rate2: float
+    coherence_time: float
+    detuning_hz: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("coherent", "thermal"):
+            raise ValueError(f"unknown source kind {self.kind!r}")
+        if self.rate1 <= 0.0:
+            raise ValueError("rate1 must be positive")
+        if self.rate2 < 0.0:
+            raise ValueError("rate2 must be nonnegative")
+        if self.coherence_time <= 0.0:
+            raise ValueError("coherence_time must be positive")
+
+    @property
+    def rates_at_detector(self) -> tuple[float, float]:
+        """Each source's photon rate at each detector in s^-1: the arms split
+        each source's light evenly between detectors A and B."""
+        return self.rate1 / 2.0, self.rate2 / 2.0
 
 
 def detector_couplings(det: DetectorSetting, geometry: InterferometerGeometry
@@ -343,7 +383,8 @@ def pair_fringe_law(det_a: DetectorSetting, det_b: DetectorSetting,
 
     Returns (baseline, amplitude, offset) for the given detector pair,
     wavelengths and source statistics; Delta is the geometric fringe phase.
-    weight1/weight2 are each source's photon rate at each detector in s^-1.
+    weight1/weight2 are each source's photon rate at each detector in s^-1
+    (SourcePair.rates_at_detector).
     From each detector's detector_rates, with S = b1 + b2, the amplitude is
     swing_A*swing_B/(2*S_A*S_B) and the thermal pedestal
     (b1_A*b1_B + b2_A*b2_B)/(S_A*S_B); dark counts at rate d dilute both by

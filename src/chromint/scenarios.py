@@ -38,6 +38,7 @@ from .interferometry import (
     SPEED_OF_LIGHT,
     DetectorSetting,
     InterferometerGeometry,
+    SourcePair,
     delay_scan,
     fringe_phase,
     fringe_scan,
@@ -46,7 +47,6 @@ from .interferometry import (
 from .stochastic import (
     FFT_MIN_POINTS,
     G2Curve,
-    ThermalFieldModel,
     estimate_g2,
     fit_fringe_free_period,
     fit_g2_envelope,
@@ -232,10 +232,7 @@ def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    if cfg.source_kind not in ("coherent", "thermal"):
-        raise ConfigError(f"unknown source_kind {cfg.source_kind!r}")
-    for name in ("source_rate_hz", "coherence_time_ps", "duration_ps", "gate_ps",
-                 "tau_step_ps", "delay_span_periods", "efficiency"):
+    for name in ("duration_ps", "gate_ps", "tau_step_ps", "delay_span_periods", "efficiency"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     for name in ("gates_ps", "overlap_mean_photons"):
@@ -260,7 +257,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         # the three-parameter envelope fit needs three tau points
         raise ConfigError("tau_max_ps must be at least 2 * tau_step_ps")
     # the constructors check the rest (the pump wavelength constraint, the
-    # detectors, the sources, the screen distance), here rather than mid-run
+    # detectors, the source pair, the screen distance), here rather than mid-run
     try:
         make_geometry(cfg)
         make_sources(cfg)
@@ -280,11 +277,9 @@ def make_geometry(cfg: ScenarioConfig) -> InterferometerGeometry:
                                   cfg.lambda3_m, ell, ell, ell, ell)
 
 
-def make_sources(cfg: ScenarioConfig) -> tuple[ThermalFieldModel, ThermalFieldModel]:
-    tc = cfg.coherence_time_ps * 1e-12
-    s1 = ThermalFieldModel(cfg.source_rate_hz, tc, cfg.source_kind, 0.0)
-    s2 = ThermalFieldModel(cfg.source_rate_hz, tc, cfg.source_kind, cfg.detuning_hz)
-    return s1, s2
+def make_sources(cfg: ScenarioConfig) -> SourcePair:
+    return SourcePair(cfg.source_kind, cfg.source_rate_hz, cfg.source_rate_hz,
+                      cfg.coherence_time_ps * 1e-12, cfg.detuning_hz)
 
 
 def make_detectors(cfg: ScenarioConfig) -> tuple[DetectorSetting, DetectorSetting]:
@@ -294,11 +289,6 @@ def make_detectors(cfg: ScenarioConfig) -> tuple[DetectorSetting, DetectorSettin
                   visibility_degradation=cfg.v_deg)
     return (DetectorSetting(theta, cfg.pump_phase_a, **common),
             DetectorSetting(theta, cfg.pump_phase_b, **common))
-
-
-def _rates(cfg: ScenarioConfig) -> tuple[float, float]:
-    """Each source's photon rate at each detector in s^-1, as simulated."""
-    return cfg.source_rate_hz / 2.0, cfg.source_rate_hz / 2.0
 
 
 def _splitter_detector(cfg: ScenarioConfig) -> DetectorSetting:
@@ -352,7 +342,7 @@ def _write_g2_csv(path: Path, curve: G2Curve) -> None:
 def _mc_scan(cfg: ScenarioConfig, geometry: InterferometerGeometry) -> np.ndarray:
     """The Monte Carlo g2(0) at each point of a batch geometry, at the
     configured gate."""
-    return g2_zero_scan(*make_sources(cfg), geometry, *make_detectors(cfg),
+    return g2_zero_scan(make_sources(cfg), geometry, *make_detectors(cfg),
                         cfg.duration_s, [cfg.gate_ps], cfg.seed)[:, 0]
 
 
@@ -366,12 +356,12 @@ def _mc_delay_scan(cfg: ScenarioConfig, out: Path, delays: np.ndarray) -> np.nda
 def _run_delay_scan(cfg: ScenarioConfig, out: Path) -> dict:
     delays = _delays(cfg)
     g2 = _mc_delay_scan(cfg, out, delays)
-    geometry = make_geometry(cfg)
+    geometry, pair = make_geometry(cfg), make_sources(cfg)
     det_a, det_b = make_detectors(cfg)
-    analytic = delay_scan(geometry, delays, cfg.source_kind, det_a, det_b, *_rates(cfg))
+    analytic = delay_scan(geometry, delays, pair.kind, det_a, det_b, *pair.rates_at_detector)
     _write_scan_csv(out / "delay_scan_analytic.csv", "delay_m", delays, analytic)
     vis = fitted_visibility(delays, g2, cfg.lambda3_m)
-    base, amp, _ = pair_fringe_law(det_a, det_b, geometry, cfg.source_kind, *_rates(cfg))
+    base, amp, _ = pair_fringe_law(det_a, det_b, geometry, pair.kind, *pair.rates_at_detector)
     return {"fitted_visibility": vis, "mean_g2": float(np.mean(g2)),
             "analytic_visibility": amp / base}
 
@@ -389,26 +379,25 @@ def _run_fft(cfg: ScenarioConfig, out: Path) -> dict:
 
 
 def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
-    geometry = make_geometry(cfg)
-    s1, s2 = make_sources(cfg)
+    geometry, pair = make_geometry(cfg), make_sources(cfg)
     det_a, det_b = make_detectors(cfg)
     taus = np.arange(0, cfg.tau_max_ps + 1, cfg.tau_step_ps, dtype=np.int64)
-    a, b = simulate_events(s1, s2, geometry, det_a, det_b, cfg.duration_s, cfg.seed)
+    a, b = simulate_events(pair, geometry, det_a, det_b, cfg.duration_s, cfg.seed)
     curve = estimate_g2(a, b, taus, cfg.gate_ps)
     _write_g2_csv(out / "g2_tau.csv", curve)
     result: dict = {"n_a": curve.n_a, "n_b": curve.n_b,
                     "g2_zero": float(curve.values[0])}
-    if _fits_envelope(cfg):
+    if _fits_envelope(cfg, pair):
         amp, decay_s, _, at_bound = fit_g2_envelope(curve.taus_ps * 1e-12, curve.values,
                                                     cfg.detuning_hz)
         result.update({"envelope_amplitude": amp,
                        "envelope_decay_ps": decay_s * 1e12,
                        "envelope_at_bound": at_bound,
                        "configured_coherence_ps": cfg.coherence_time_ps})
-    if cfg.source_kind == "thermal":
+    if pair.kind == "thermal":
         # source characterization: one thermal beam on a balanced splitter
         splitter_det = _splitter_detector(cfg)
-        a, b = simulate_events(s1, None, geometry,
+        a, b = simulate_events(dataclasses.replace(pair, rate2=0.0), geometry,
                                splitter_det, splitter_det, cfg.duration_s,
                                cfg.seed, trial=len(taus) + 1)
         sp_taus = np.arange(0, 10 * int(cfg.coherence_time_ps) + 1,
@@ -419,18 +408,19 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
     return result
 
 
-def _fits_envelope(cfg: ScenarioConfig) -> bool:
+def _fits_envelope(cfg: ScenarioConfig, pair: SourcePair) -> bool:
     """Whether a g2(tau) run fits its exponential envelope: slot-model
     thermal sources decay with a triangular correlation instead, so the fit
     applies to beating lasers only."""
-    return cfg.detuning_hz > 0 and cfg.pump_on and cfg.source_kind == "coherent"
+    return pair.kind == "coherent" and pair.detuning_hz > 0 and cfg.pump_on
 
 
 def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
     xs = np.linspace(cfg.separation_min_m, cfg.separation_max_m,
                      cfg.separation_points)
     geometry = _free_space_geometry(cfg, xs)
-    analytic = fringe_scan(geometry, cfg.source_kind, *make_detectors(cfg), *_rates(cfg))
+    pair = make_sources(cfg)
+    analytic = fringe_scan(geometry, pair.kind, *make_detectors(cfg), *pair.rates_at_detector)
     _write_scan_csv(out / "fringe_analytic.csv", "separation_m", xs, analytic)
     g2 = _mc_scan(cfg, geometry)
     write_csv(out / "fringe_mc.csv", "separation_m,g2", xs, g2)
@@ -455,7 +445,7 @@ def analytic_fringe_period(cfg: ScenarioConfig) -> float:
 
 
 def _run_gate_time(cfg: ScenarioConfig, out: Path) -> dict:
-    rows = gate_time_study(*make_sources(cfg), make_geometry(cfg), *make_detectors(cfg),
+    rows = gate_time_study(make_sources(cfg), make_geometry(cfg), *make_detectors(cfg),
                            _delays(cfg), cfg.duration_s, cfg.gates_ps,
                            cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials)
     write_csv(out / "gate_time.csv", "gate_ps,visibility,ci95_halfwidth",
@@ -533,7 +523,8 @@ _DELAY_RUNNERS = (_run_delay_scan, _run_fft, _run_gate_time)
 def _fits(cfg: ScenarioConfig) -> bool:
     """Whether a run fits a curve, its only use of scipy."""
     runner = SCENARIOS[cfg.scenario][0]
-    return runner is _run_free_space or (runner is _run_g2_tau and _fits_envelope(cfg))
+    return runner is _run_free_space or (runner is _run_g2_tau
+                                         and _fits_envelope(cfg, make_sources(cfg)))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:

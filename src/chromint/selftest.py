@@ -26,6 +26,7 @@ from .interferometry import (
     DetectorSetting,
     InterferometerGeometry,
     SPEED_OF_LIGHT,
+    SourcePair,
     amplitudes,
     coincidence_single_photon,
     coincidence_superposition,
@@ -36,7 +37,6 @@ from .interferometry import (
 )
 from .stochastic import (
     EventStream,
-    ThermalFieldModel,
     estimate_g2,
     fitted_visibility,
     fringe_fft,
@@ -191,11 +191,11 @@ def check_poisson_independence() -> tuple[bool, str]:
 
 
 def check_thermal_g2() -> tuple[bool, str]:
-    source = ThermalFieldModel(2e7, 6.366e-9, "thermal")
+    beam = SourcePair("thermal", 2e7, 0.0, 6.366e-9)
     det = DetectorSetting(None, efficiency=0.55)
     # 0.15 s: about 4500 coincidences, so the window is 5 standard errors
     # g2/sqrt(n_coinc) wide
-    a, b = simulate_events(source, None, LASER_GEOMETRY, det, det, 0.15, 99)
+    a, b = simulate_events(beam, LASER_GEOMETRY, det, det, 0.15, 99)
     g2 = estimate_g2(a, b, [0], 500).values[0]
     return abs(g2 - 2.0) < 0.15, f"splitter g2(0) = {g2:.3f}"
 
@@ -203,11 +203,9 @@ def check_thermal_g2() -> tuple[bool, str]:
 def check_laser_visibility() -> tuple[bool, str]:
     lam3 = 1949.157e-9
     delays = np.linspace(0, 1.5 * lam3, 9, endpoint=False)
-    s1 = ThermalFieldModel(4e7, 318e-9, "coherent")
-    s2 = ThermalFieldModel(4e7, 318e-9, "coherent")
+    pair = SourcePair("coherent", 4e7, 4e7, 318e-9)
     det = DetectorSetting(math.pi / 4, efficiency=0.5)
-    g2 = g2_zero_scan(s1, s2, LASER_GEOMETRY.with_delay(delays), det, det, 0.03,
-                      [1000], 515)
+    g2 = g2_zero_scan(pair, LASER_GEOMETRY.with_delay(delays), det, det, 0.03, [1000], 515)
     vis = fitted_visibility(delays, g2[:, 0], lam3)
     return abs(vis - 0.5) < 0.06, f"fitted visibility = {vis:.3f}"
 

@@ -11,17 +11,19 @@ the rate, each kept with probability rate/bound.  By AM-GM the cross term
 2|c|*sqrt(i1*i2)*cos(.) of source intensities i1, i2 is at most
 |c|*(i1 + i2), so each detector's bound has one linear term per source.
 
-Both sources of a pair are of one kind.  A laser pair has constant bounds
-(i = 1), whose candidates are drawn per detector, and one beat phase
-phi0 + 2*pi*(f1 - f2)*t + W(t): the difference of two phase walks is one
-Wiener process W of variance t*(1/tc1 + 1/tc2), stepped exactly between
-the candidate times.  A thermal pair shares one coherence time tc and one
-stationary slot lattice [(k + u)*tc, (k + 1 + u)*tc), u ~ U(0, 1) drawn
-once per run.  Source j puts Poisson(a_j*i_j) candidates into a slot of
-intensity i_j ~ Exp(1): geometric (Bose-Einstein) with mean a_j (Mandel,
-Proc. Phys. Soc. 74, 233 (1959)).  Only slots that receive one are drawn,
-by geometric skips, each with both counts, both intensities and a uniform
-phase difference into one table.  Given its n_j candidates,
+A source pair (interferometry.SourcePair) is of one kind, with one mutual
+coherence time tc.  A laser pair has constant bounds (i = 1), whose
+candidates are drawn per detector, and one beat phase
+phi0 + 2*pi*(f1 - f2)*t + W(t): the difference of two phase walks of
+variance t/tc is one Wiener process W of variance 2t/tc, stepped exactly
+between the candidate times, so the beat decays as exp(-|tau|/tc) and each
+laser's line is 1/(2*pi*tc) wide.  A thermal pair shares one stationary
+slot lattice [(k + u)*tc, (k + 1 + u)*tc), u ~ U(0, 1) drawn once per run.
+Source j puts Poisson(a_j*i_j) candidates into a slot of intensity
+i_j ~ Exp(1): geometric (Bose-Einstein) with mean a_j (Mandel, Proc. Phys.
+Soc. 74, 233 (1959)).  Only slots that receive one are drawn, by geometric
+skips, each with both counts, both intensities and a uniform phase
+difference into one table.  Given its n_j candidates,
 i_j ~ Gamma(n_j + 1, rate 1 + a_j): n_j + 1 unit exponentials, one for the
 slot and one per candidate, summed over 1 + a_j.  Each candidate carries its
 slot's table row and draws one uniform u: it goes to detector A if u < w_j,
@@ -60,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .interferometry import SPEED_OF_LIGHT, DetectorSetting, InterferometerGeometry, detector_rates
+from .interferometry import (SPEED_OF_LIGHT, DetectorSetting, InterferometerGeometry,
+                             SourcePair, detector_rates)
 
 PS_PER_S = 1_000_000_000_000
 FFT_MIN_POINTS = 16  # shortest delay scan fringe_fft resolves
@@ -73,35 +76,6 @@ def substream(seed: int, trial: int, role: int) -> Generator:
         raise ValueError("role must be in 0..5")
     key = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((trial << 3) | role)]
     return Generator(Philox(key=key))
-
-
-@dataclass(frozen=True)
-class ThermalFieldModel:
-    """Stochastic field envelope of one source.
-
-    mode "coherent" is a constant-intensity field whose phase random-walks
-    with the configured coherence time (Lorentzian line, linewidth
-    1/(pi*coherence_time)); mode "thermal" draws an independent complex
-    Gaussian amplitude for each coherence slot of a lattice of period tc at
-    a uniform random offset, so slot intensities are exponential
-    (Bose-Einstein counts per slot); a split beam has
-    g2(tau) = 1 + (1 - |tau|/tc)+, not a Lorentzian 1 + exp(-2|tau|/tc).
-    carrier_offset_hz shifts the field frequency; the offset difference of a
-    source pair sets the beat rate seen in g2(tau).
-    """
-
-    mean_rate: float
-    coherence_time: float
-    mode: str = "coherent"
-    carrier_offset_hz: float = 0.0
-
-    def __post_init__(self):
-        if self.mean_rate <= 0:
-            raise ValueError("mean_rate must be positive")
-        if self.coherence_time <= 0:
-            raise ValueError("coherence_time must be positive")
-        if self.mode not in ("coherent", "thermal"):
-            raise ValueError("mode must be 'coherent' or 'thermal'")
 
 
 @dataclass(frozen=True)
@@ -152,13 +126,13 @@ class G2Curve:
 class _LaserPair:
     """A laser pair: per detector, candidates at its constant bound, drawn
     from that detector's stream; the beat phase phi0 + 2*pi*(f1 - f2)*t +
-    W(t), W stepped with variance dt*(1/tc1 + 1/tc2) over the candidates of
-    both detectors in time order."""
+    W(t), W stepped with variance 2*dt/tc over the candidates of both
+    detectors in time order."""
 
-    def __init__(self, sources: list[ThermalFieldModel], carrier: float,
-                 bounds: list[float], rng_det: list[Generator], rng: Generator):
+    def __init__(self, tc: float, carrier: float, bounds: list[float],
+                 rng_det: list[Generator], rng: Generator):
         self.carrier, self.bounds, self.rng_det, self.rng = carrier, bounds, rng_det, rng
-        self.diffusion = sum(1.0 / s.coherence_time for s in sources)
+        self.diffusion = 2.0 / tc
         self.time, self.walk = 0.0, float(rng.uniform(0.0, 2.0 * math.pi))
 
     def candidates(self, start: float, end: float) -> list:
@@ -282,8 +256,7 @@ def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
     return np.concatenate(found).astype(np.int64)
 
 
-def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | None,
-                    geometry: InterferometerGeometry,
+def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
                     det_a: DetectorSetting, det_b: DetectorSetting,
                     duration: float, seed: int, trial: int = 0
                     ) -> tuple[EventStream, EventStream]:
@@ -291,50 +264,41 @@ def simulate_events(source1: ThermalFieldModel, source2: ThermalFieldModel | Non
 
     The detection rate of each detector is the semiclassical intensity of
     the two interfering source fields through its couplings, scaled by its
-    efficiency: interferometry.detector_rates gives its rate terms, the
-    same ones pair_fringe_law reads.
+    efficiency: interferometry.detector_rates gives its rate terms from the
+    pair's rates at the detector, the same ones pair_fringe_law reads.
 
     Arrivals are drawn by thinning (see the module docstring): with source
     intensities i1, i2, the rate b1*i1 + b2*i2 + 2*|c|*sqrt(i1*i2)*cos(.)
     has the bound b1*i1 + b2*i2 + |c|*(i1 + i2).  A rate outside [0, bound]
     raises RuntimeError.  Dark counts are merged in from their own streams.
-    A laser paired with a thermal source, or a thermal pair of unequal
-    coherence times, raises ValueError.
     """
-    sources = [source1] + ([source2] if source2 is not None else [])
-    thermal = source1.mode == "thermal"
-    if any(s.mode != source1.mode for s in sources):
-        raise ValueError("a source pair is two lasers or two thermal sources")
-    if thermal and any(s.coherence_time != source1.coherence_time for s in sources):
-        raise ValueError("a thermal pair needs one coherence time")
-    if duration < 100.0 * max(s.coherence_time for s in sources):
+    if duration < 100.0 * pair.coherence_time:
         warnings.warn(f"duration {duration:g}s is under 100 coherence times; "
                       "estimates may be statistically unstable", stacklevel=2)
     duration_ps = int(round(duration * PS_PER_S))
 
-    w1, w2 = source1.mean_rate / 2.0, source2.mean_rate / 2.0 if source2 else 0.0
-    det_consts = [detector_rates(det, geometry, w1, w2,
+    det_consts = [detector_rates(det, geometry, *pair.rates_at_detector,
                                  geometry.path_phase(1, name) - geometry.path_phase(2, name))
                   for det, name in ((det_a, "A"), (det_b, "B"))]
     beating = any(swing for _, _, swing, _ in det_consts)
 
     # the bound is b_j + swing/2 per unit of source j's intensity, per detector
     weights = [tuple(c[j] + c[2] / 2.0 for c in det_consts) for j in (0, 1)]
-    carrier = 2.0 * math.pi * (source1.carrier_offset_hz
-                               - (source2.carrier_offset_hz if source2 else 0.0))
+    carrier = -2.0 * math.pi * pair.detuning_hz
     rng_det = [substream(seed, trial, 2), substream(seed, trial, 3)]
     rng_field = substream(seed, trial, 0)
-    if thermal:
-        pair = _ThermalPair(source1.coherence_time, carrier, weights, rng_field)
+    if pair.kind == "thermal":
+        sources = _ThermalPair(pair.coherence_time, carrier, weights, rng_field)
     else:
-        pair = _LaserPair(sources, carrier, [sum(w) for w in zip(*weights)], rng_det, rng_field)
+        sources = _LaserPair(pair.coherence_time, carrier, [sum(w) for w in zip(*weights)],
+                             rng_det, rng_field)
     expected = duration * sum(map(sum, weights))
     edges = np.linspace(0.0, duration, 1 + max(1, math.ceil(expected / _CHUNK)))
     times = [[], []]
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        drawn = pair.candidates(t0, t1)
+        drawn = sources.candidates(t0, t1)
         if beating:
-            fields = pair.field(drawn)
+            fields = sources.field(drawn)
         for d, (td, _) in enumerate(drawn):
             if beating:
                 b1, b2, swing, offset = det_consts[d]
@@ -564,17 +528,16 @@ def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float
 # ---------------------------------------------------------------------------
 # Composite studies.
 
-def g2_zero_scan(source1: ThermalFieldModel, source2: ThermalFieldModel,
-                 geometry: InterferometerGeometry, det_a: DetectorSetting,
-                 det_b: DetectorSetting, duration: float, gates_ps: list[int],
-                 seed: int, first_trial: int = 0) -> np.ndarray:
+def g2_zero_scan(pair: SourcePair, geometry: InterferometerGeometry,
+                 det_a: DetectorSetting, det_b: DetectorSetting, duration: float,
+                 gates_ps: list[int], seed: int, first_trial: int = 0) -> np.ndarray:
     """Monte Carlo g2(0) at each point of a batch geometry and each gate.
 
     Point i is simulated once, as trial first_trial + i for `duration`
     seconds, and its streams are counted at every gate, so gate-to-gate
     differences carry no extra shot noise.  Returns a points x gates array.
     """
-    runs = (simulate_events(source1, source2, point, det_a, det_b, duration, seed,
+    runs = (simulate_events(pair, point, det_a, det_b, duration, seed,
                             trial=first_trial + i)
             for i, point in enumerate(geometry.points()))
     return np.array([[estimate_g2(a, b, [0], g).values[0] for g in gates_ps]
@@ -611,9 +574,8 @@ def _t_quantile(p: float, nu: int) -> float:
         t = t_next
 
 
-def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
-                    geometry: InterferometerGeometry, det_a: DetectorSetting,
-                    det_b: DetectorSetting, delays_m: np.ndarray,
+def gate_time_study(pair: SourcePair, geometry: InterferometerGeometry,
+                    det_a: DetectorSetting, det_b: DetectorSetting, delays_m: np.ndarray,
                     duration: float, gates_ps: list[int], period_m: float,
                     seed: int, n_trials: int = 4) -> list[dict]:
     """Fringe visibility versus coincidence gate width.
@@ -630,7 +592,7 @@ def gate_time_study(source1: ThermalFieldModel, source2: ThermalFieldModel,
     vis = np.zeros((len(gates_ps), n_trials))
     for trial in range(n_trials):
         # g2(0) per delay (rows) and gate (columns)
-        g2 = g2_zero_scan(source1, source2, scan, det_a, det_b, duration, gates_ps,
+        g2 = g2_zero_scan(pair, scan, det_a, det_b, duration, gates_ps,
                           seed, first_trial=trial * delays_m.size)
         for gi in range(len(gates_ps)):
             vis[gi, trial] = fitted_visibility(delays_m, g2[:, gi], period_m)

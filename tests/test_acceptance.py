@@ -19,7 +19,7 @@ import warnings
 import pytest
 
 from chromint.erasure import erasure_overlap
-from chromint.interferometry import DetectorSetting, InterferometerGeometry
+from chromint.interferometry import DetectorSetting, InterferometerGeometry, SourcePair
 from chromint.scenarios import apply_overrides, default_config, run_scenario
 from chromint.selftest import (
     check_color_rotation_limit,
@@ -27,7 +27,7 @@ from chromint.selftest import (
     check_oracle_equivalence,
     check_phase_average,
 )
-from chromint.stochastic import ThermalFieldModel, estimate_g2, simulate_events
+from chromint.stochastic import estimate_g2, simulate_events
 
 warnings.filterwarnings("ignore")
 
@@ -161,10 +161,10 @@ def test_criterion_07_fourier_peak(fft_on, fft_off):
 
 
 def test_criterion_08_thermal_statistics(thermal_scan, laser_scan_matched_rate):
-    source = ThermalFieldModel(2e7, 6366e-12, "thermal")
+    beam = SourcePair("thermal", 2e7, 0.0, 6366e-12)
     det = DetectorSetting(None, efficiency=0.55)
     geo = InterferometerGeometry(LAM1, LAM2, LAM3, 0.05, 0.05, 0.05, 0.05)
-    a, b = simulate_events(source, None, geo, det, det, 0.05, seed=808)
+    a, b = simulate_events(beam, geo, det, det, 0.05, seed=808)
     g2_zero = estimate_g2(a, b, [0], 500).values[0]
     baseline = thermal_scan["results"]["mean_g2"]
     vis_th = thermal_scan["results"]["fitted_visibility"]

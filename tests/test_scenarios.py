@@ -12,7 +12,7 @@ import pytest
 import scipy
 import yaml
 
-from chromint import scenarios, selftest, stochastic
+from chromint import cli, scenarios, selftest, stochastic
 from chromint.cli import main
 from chromint.scenarios import (
     SCENARIOS,
@@ -337,7 +337,7 @@ def test_gate_time_study_pump_off_uses_standard_detection(tmp_path, monkeypatch)
     simulate = stochastic.simulate_events
 
     def recorded(*args, **kwargs):
-        calls.append(args[3:5])
+        calls.append(args[2:4])
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(stochastic, "simulate_events", recorded)
@@ -442,6 +442,9 @@ REJECTED_AT_CONFIG_TIME = [
     ("gate_time_study", "gate_trials=1", "gate_trials=1:4:2"),
     # a detector that sees no light: no law or fit describes its run
     ("laser_delay_scan", "efficiency=0", "efficiency=0:0.195:2"),
+    # the source pair's own checks, reached through make_sources
+    ("thermal_delay_scan", "source_rate_hz=0", "source_rate_hz=0:2e7:2"),
+    ("laser_g2_tau", "coherence_time_ps=0", "coherence_time_ps=0:106103:2"),
 ]
 
 
@@ -456,6 +459,17 @@ def test_runtime_rejects_are_config_errors(tmp_path, capsys, command, scenario,
             "scan": ["scan", "--scenario", scenario, "--param", sweep]}[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_source_kind_is_a_config_error(tmp_path, capsys):
+    # a kind is no number, so it has no sweep: a `run` override only
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("scenario: laser_delay_scan\n")
+    assert main(["run", str(cfg_path), "--override", "source_kind=lamp",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'lamp'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -561,6 +575,39 @@ def test_cli_scan(tmp_path, capsys):
     assert main(["scan", "--scenario", "erasure_overlap_scan",
                  "--param", "overlap_theta=bad",
                  "--out", str(tmp_path / "s2")]) == 2
+    capsys.readouterr()
+
+
+def test_interrupted_rescan_leaves_no_stale_sweep_listing(tmp_path, monkeypatch, capsys):
+    # a re-sweep into the same directory that stops after its first run
+    # (Ctrl-C, a full disk) leaves no sweep.json listing the earlier sweep's
+    # results next to a run directory that now holds the new run
+    out = tmp_path / "sweep"
+    argv = ["scan", "--scenario", "erasure_overlap_scan",
+            "--param", "overlap_theta=0.4:0.8:2", "--out", str(out)]
+    assert main(argv + ["--seed", "5"]) == 0
+    assert (out / "sweep.json").exists()
+    runs = []
+
+    def interrupted(cfg, out_dir):
+        runs.append(cfg.seed)
+        if len(runs) == 2:
+            raise KeyboardInterrupt
+        return run_scenario(cfg, out_dir)
+
+    monkeypatch.setattr(cli, "run_scenario", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--seed", "6"])
+    assert runs == [6, 6]
+    assert sorted(p.name for p in out.iterdir()) == ["run_000_overlap_theta_0.4",
+                                                     "run_001_overlap_theta_0.8"]
+    monkeypatch.undo()
+    assert main(argv + ["--seed", "6"]) == 0
+    sweep = json.loads((out / "sweep.json").read_text())
+    assert [r["value"] for r in sweep["runs"]] == [0.4, 0.8]
+    assert sorted(p.name for p in out.iterdir()) == ["run_000_overlap_theta_0.4",
+                                                     "run_001_overlap_theta_0.8",
+                                                     "sweep.json"]
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import time
@@ -14,6 +15,7 @@ from chromint.interferometry import (
     SPEED_OF_LIGHT,
     DetectorSetting,
     InterferometerGeometry,
+    SourcePair,
     detector_couplings,
 )
 from chromint.scenarios import (
@@ -28,7 +30,6 @@ from chromint.stochastic import (
     EventStream,
     G2Curve,
     PS_PER_S,
-    ThermalFieldModel,
     estimate_g2,
     fit_fringe,
     fit_fringe_free_period,
@@ -44,8 +45,7 @@ GEO = InterferometerGeometry(LAM1, LAM2, LAM3, 0.05, 0.05, 0.05, 0.05)
 
 
 def coherent_pair(rate=2e7, tc=318e-9, detuning=0.0):
-    return (ThermalFieldModel(rate, tc, "coherent"),
-            ThermalFieldModel(rate, tc, "coherent", detuning))
+    return SourcePair("coherent", rate, rate, tc, detuning)
 
 
 def quiet_simulate(*args, **kwargs):
@@ -65,20 +65,20 @@ def test_event_stream_validation():
 
 
 def test_simulation_determinism():
-    s1, s2 = coherent_pair()
+    pair = coherent_pair()
     det = DetectorSetting(math.pi / 4)
-    runs = [quiet_simulate(s1, s2, GEO, det, det, 2e-3, seed=77, trial=3)
+    runs = [quiet_simulate(pair, GEO, det, det, 2e-3, seed=77, trial=3)
             for _ in range(2)]
     for d in (0, 1):
         assert np.array_equal(runs[0][d].timestamps, runs[1][d].timestamps)
-    other = quiet_simulate(s1, s2, GEO, det, det, 2e-3, seed=77, trial=4)
+    other = quiet_simulate(pair, GEO, det, det, 2e-3, seed=77, trial=4)
     assert not np.array_equal(runs[0][0].timestamps, other[0].timestamps)
 
 
 def test_poisson_rate_and_dedup():
-    source = ThermalFieldModel(2e7, 318e-9, "coherent")
+    beam = SourcePair("coherent", 2e7, 0.0, 318e-9)
     det = DetectorSetting(None)
-    a, b = quiet_simulate(source, None, GEO, det, det, 5e-3, seed=5)
+    a, b = quiet_simulate(beam, GEO, det, det, 5e-3, seed=5)
     # one source seen without conversion: mean detected rate = rate/2
     expect = 2e7 / 2 * 5e-3
     for s in (a, b):
@@ -87,21 +87,47 @@ def test_poisson_rate_and_dedup():
         assert s.duration_ps == 5_000_000_000
 
 
+@pytest.mark.parametrize("fields,match", [
+    (("lamp", 2e7, 2e7, 1e-9), "kind"),
+    (("coherent", 0.0, 2e7, 1e-9), "rate1"),
+    (("thermal", -2e7, 2e7, 1e-9), "rate1"),
+    (("coherent", 2e7, -1.0, 1e-9), "rate2"),
+    (("thermal", 2e7, 2e7, 0.0), "coherence_time"),
+    (("coherent", 2e7, 2e7, -1e-9), "coherence_time"),
+], ids=["kind", "rate1=0", "rate1<0", "rate2<0", "tc=0", "tc<0"])
+def test_source_pair_rejects_what_no_source_can_be(fields, match):
+    with pytest.raises(ValueError, match=match):
+        SourcePair(*fields)
+
+
+def test_source_pair_rates_at_detector_are_the_simulated_ones():
+    # rate2 = 0 is one beam on a splitter.  Two colors seen without
+    # conversion do not beat, so each detector counts both sources' rates
+    # at it: the singles law of test_poisson_rate_and_dedup
+    assert SourcePair("thermal", 2e7, 0.0, 1e-9).rates_at_detector == (1e7, 0.0)
+    pair = SourcePair("coherent", 2e7, 0.6e7, 318e-9)
+    assert pair.rates_at_detector == (1e7, 0.3e7)
+    det = DetectorSetting(None)
+    a, b = quiet_simulate(pair, GEO, det, det, 5e-3, seed=5)
+    expect = sum(pair.rates_at_detector) * 5e-3
+    for s in (a, b):
+        assert abs(s.count - expect) < 6 * math.sqrt(expect)
+
+
 def test_dark_counts_only():
-    source = ThermalFieldModel(1e3, 1e-6, "coherent")
+    beam = SourcePair("coherent", 1e3, 0.0, 1e-6)
     det = DetectorSetting(0.0, output_filter=2, efficiency=0.0,
                           dark_count_rate=2e5)
-    a, _ = quiet_simulate(source, None, GEO, det, det, 10e-3, seed=6)
+    a, _ = quiet_simulate(beam, GEO, det, det, 10e-3, seed=6)
     # efficiency 0 silences the source; only darks remain
     expect = 2e5 * 10e-3
     assert abs(a.count - expect) < 6 * math.sqrt(expect)
 
 
 def test_short_duration_warns():
-    s1, s2 = coherent_pair(tc=1e-3)
     det = DetectorSetting(math.pi / 4)
     with pytest.warns(UserWarning):
-        simulate_events(s1, s2, GEO, det, det, 1e-3, seed=1)
+        simulate_events(coherent_pair(tc=1e-3), GEO, det, det, 1e-3, seed=1)
 
 
 def pinned_setups():
@@ -109,39 +135,32 @@ def pinned_setups():
     each pinned stream digest."""
     run = (GEO, 2e-3, 2718, 5)
     gate_study = default_config("gate_time_study")
-    thermal = ThermalFieldModel(2e7, 20e-9, "thermal")
-    detuned = ThermalFieldModel(1.5e7, 20e-9, "thermal", 3e7)
-    short = ThermalFieldModel(2e7, 7e-9, "thermal")
-    laser, _ = coherent_pair()
+    thermal = SourcePair("thermal", 2e7, 2e7, 20e-9)
+    # source 2 at a lower rate, detuned by 30 MHz
+    detuned = SourcePair("thermal", 2e7, 1.5e7, 20e-9, 3e7)
     conv = DetectorSetting(math.pi / 4)
     lossy_a = DetectorSetting(math.pi / 4, efficiency=0.8, dark_count_rate=2e5)
     lossy_b = DetectorSetting(math.pi / 3, pump_phase=0.4, efficiency=0.55,
                               dark_count_rate=5e5)
     off = DetectorSetting(None)
     return {
-        "thermal_pair": (thermal, thermal, conv, conv, run),
-        "unequal_thermal_pair": (thermal, detuned, lossy_a, lossy_b, run),
-        "laser_pair": (*coherent_pair(detuning=2e7), conv, conv, run),
-        "laser_thermal": (laser, thermal, conv, lossy_b, run),
-        "thermal_laser": (thermal, laser, lossy_a, conv, run),
-        "unequal_tc_pair": (thermal, short, conv, conv, run),
-        "splitter": (thermal, None, off, off, run),
-        "pump_off_pair": (thermal, detuned, off, lossy_b, run),
+        "thermal_pair": (thermal, conv, conv, run),
+        "unequal_thermal_pair": (detuned, lossy_a, lossy_b, run),
+        "laser_pair": (coherent_pair(detuning=2e7), conv, conv, run),
+        "splitter": (dataclasses.replace(thermal, rate2=0.0), off, off, run),
+        "pump_off_pair": (detuned, off, lossy_b, run),
         # the gate study's pair at delay 13 of 16, where source 2 splits its
         # candidates between the detectors at share 0.5000000000000001, one
         # ulp off the balanced 0.5: a candidate's uniform u goes to A below
         # the share, and the share also scales u into the candidate's place
-        "gate_study_pair": (*make_sources(gate_study), *make_detectors(gate_study),
+        "gate_study_pair": (make_sources(gate_study), *make_detectors(gate_study),
                             (make_geometry(gate_study).with_delay(
                                 13 * 1.5 * gate_study.lambda3_m / 16), 1e-3, 12345, 13)),
     }
 
 
 # sha256 of each setup's streams in one batch and at _CHUNK = 1000: a change
-# to any random draw, its order or its count changes them. None marks a setup
-# with no stream: a thermal pair draws from one slot table and a laser pair
-# from one beat walk, so a mixed pair, or thermal sources of unequal coherence
-# times, is refused before any draw
+# to any random draw, its order or its count changes them
 PINNED_DIGESTS = {
     "gate_study_pair": (
         "9c422c0f20e8bd94f1bf4ff88d70163cf11f6c043d2357f917a1e90396735b24",
@@ -149,7 +168,6 @@ PINNED_DIGESTS = {
     "laser_pair": (
         "68ec4141949ec077d32960aaf399d99d3d66f874cdf8dbc116da4eee03cdfe17",
         "aaf39e3b97df2e173402dc5c44ec5f527e4e1188b003612a3999a2b1f20bae87"),
-    "laser_thermal": (None, None),
     "pump_off_pair": (
         "7fe4dcefdaade5d618b2b940e73b7e60c7dca2992a82b6e8f86ffc4013e84835",
         "778a8d99f2d938996702f913c1b250f76b46fb85aa3ce958d06a94f7e267208b"),
@@ -159,8 +177,6 @@ PINNED_DIGESTS = {
     "thermal_pair": (
         "5858c503d53f2349d7f4a85022092733d62c474103b4ae0620f5a12fa22dae25",
         "9758648bfca3cb5b882d9ffc55ffba4911591df44d46659fdb40df0180c3015b"),
-    "thermal_laser": (None, None),
-    "unequal_tc_pair": (None, None),
     "unequal_thermal_pair": (
         "2e0ae13a605643ba3768a7e9dfd2f6396032dfbc4b361eb7adac15964ae448ce",
         "51621a89e75f7795937b833ea87cdf645b393e14a1a44ad2a0fc763cd0c1efb8"),
@@ -169,8 +185,8 @@ PINNED_DIGESTS = {
 
 def stream_digest(name):
     """sha256 of both detectors' timestamps of one pinned setup."""
-    s1, s2, det_a, det_b, (geometry, duration, seed, trial) = pinned_setups()[name]
-    a, b = quiet_simulate(s1, s2, geometry, det_a, det_b, duration, seed=seed, trial=trial)
+    pair, det_a, det_b, (geometry, duration, seed, trial) = pinned_setups()[name]
+    a, b = quiet_simulate(pair, geometry, det_a, det_b, duration, seed=seed, trial=trial)
     return hashlib.sha256(a.timestamps.tobytes() + b.timestamps.tobytes()).hexdigest()
 
 
@@ -181,12 +197,7 @@ def test_streams_match_pinned_digests(monkeypatch, name, batched):
     # batch and in about a hundred, whose ends fall inside slots
     if batched:
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-    expected = PINNED_DIGESTS[name][batched]
-    if expected is None:
-        with pytest.raises(ValueError, match="pair"):
-            stream_digest(name)
-    else:
-        assert stream_digest(name) == expected
+    assert stream_digest(name) == PINNED_DIGESTS[name][batched]
 
 
 def test_substream_roles_disjoint():
@@ -372,9 +383,9 @@ def pooled_chisquare(observed, expected, ddof=0):
 
 def test_thermal_slot_counts_are_bose_einstein():
     tc = 10e-9
-    source = ThermalFieldModel(2e7, tc, "thermal")
+    beam = SourcePair("thermal", 2e7, 0.0, tc)
     det = DetectorSetting(None, efficiency=1.0)
-    a, _ = quiet_simulate(source, None, GEO, det, det, 2e-3, seed=404)
+    a, _ = quiet_simulate(beam, GEO, det, det, 2e-3, seed=404)
     assert_bose_einstein(a, tc, seed=404)
 
 
@@ -396,9 +407,9 @@ def test_thermal_splitter_g2_is_triangular():
     # two events' places in their bins: 1 + 1 - w/(3*tc) at tau = 0, the
     # triangle itself at whole-gate offsets inside it
     tc, gate = 100e-9, 500
-    source = ThermalFieldModel(4e7, tc, "thermal")
+    beam = SourcePair("thermal", 4e7, 0.0, tc)
     det = DetectorSetting(None, efficiency=1.0)
-    a, b = quiet_simulate(source, None, GEO, det, det, 0.1, seed=1759)
+    a, b = quiet_simulate(beam, GEO, det, det, 0.1, seed=1759)
     fractions = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
     curve = estimate_g2(a, b, np.rint(fractions * tc * PS_PER_S), gate)
     law = 1.0 + gate_averaged_triangle(fractions * tc, gate / PS_PER_S, tc)
@@ -413,9 +424,9 @@ def test_thermal_splitter_g2_is_gate_averaged_triangle():
     # averaged over the gate, 2 - w/(3*tc): 1.974 at criterion 08's 500 ps,
     # 1.843 at 3000 ps, where 2.0 is excluded
     tc, gate = 6366e-12, 3000
-    source = ThermalFieldModel(2e7, tc, "thermal")
+    beam = SourcePair("thermal", 2e7, 0.0, tc)
     det = DetectorSetting(None, efficiency=0.55)
-    a, b = quiet_simulate(source, None, GEO, det, det, 0.15, seed=7)
+    a, b = quiet_simulate(beam, GEO, det, det, 0.15, seed=7)
     curve = estimate_g2(a, b, [0], gate)
     g2, se = curve.values[0], curve.values[0] / math.sqrt(curve.n_coincidence[0])
     law = 2.0 - gate / (3.0 * tc * PS_PER_S)
@@ -428,9 +439,9 @@ def test_thermal_splitter_g2_is_stationary_at_a_dividing_gate():
     # straddles slot edges like any other: at w = tc/4 the splitter reads
     # 2 - 1/12, not the 2 of gate bins nested in slots aligned to t = 0
     tc, gate, seeds = 20e-9, 5000, range(40)
-    source = ThermalFieldModel(2e7, tc, "thermal")
+    beam = SourcePair("thermal", 2e7, 0.0, tc)
     det = DetectorSetting(None, efficiency=1.0)
-    g2 = [estimate_g2(*quiet_simulate(source, None, GEO, det, det, 5e-3, seed=seed),
+    g2 = [estimate_g2(*quiet_simulate(beam, GEO, det, det, 5e-3, seed=seed),
                       [0], gate).values[0]
           for seed in seeds]
     mean, se = np.mean(g2), np.std(g2, ddof=1) / math.sqrt(len(g2))
@@ -447,9 +458,9 @@ def test_thermal_pair_g2_at_zero_delay():
     # g2(0) = 1 + f*(b1A*b1B + b2A*b2B + sA*sB*cos(oA - oB)/2) / (nA * nB)
     # with nA = b1A + b2A and nB = b1B + b2B, the singles rates
     tc, gate, rate, duration = 20e-9, 1000, 2e7, 0.05
-    source = ThermalFieldModel(rate, tc, "thermal")
+    pair = SourcePair("thermal", rate, rate, tc)
     det = DetectorSetting(math.pi / 4, efficiency=1.0)
-    a, b = quiet_simulate(source, source, GEO, det, det, duration, seed=1913)
+    a, b = quiet_simulate(pair, GEO, det, det, duration, seed=1913)
     terms = []
     for name in "AB":
         k1, k2, _ = detector_couplings(det, GEO)
@@ -558,9 +569,9 @@ def test_batches_keep_the_laws(monkeypatch):
     # crosses many batch ends, most of them inside a coherence slot
     monkeypatch.setattr(stochastic, "_CHUNK", 333)
     rate = 0.7 * 2e7 / 2
-    laser = ThermalFieldModel(2e7, 318e-9, "coherent")
+    laser = SourcePair("coherent", 2e7, 0.0, 318e-9)
     det = DetectorSetting(None, efficiency=0.7)
-    for s in simulate_events(laser, None, GEO, det, det, 2e-3, seed=22):
+    for s in simulate_events(laser, GEO, det, det, 2e-3, seed=22):
         assert abs(s.count - rate * 2e-3) < 5 * math.sqrt(rate * 2e-3)
         gaps = np.diff(s.timestamps) / PS_PER_S
         assert kstest(gaps, "expon", args=(0.0, 1.0 / rate)).pvalue > 0.01
@@ -569,8 +580,8 @@ def test_batches_keep_the_laws(monkeypatch):
     for tc in (10e-9, 1e-6):
         # at 1 us, each slot spans several batches
         monkeypatch.setattr(stochastic, "_CHUNK", 333 if tc < 1e-6 else 7)
-        beam = ThermalFieldModel(2e7, tc, "thermal")
-        streams = quiet_simulate(beam, None, GEO, det, det, 2e-3, seed=405)
+        beam = SourcePair("thermal", 2e7, 0.0, tc)
+        streams = quiet_simulate(beam, GEO, det, det, 2e-3, seed=405)
         for s in streams:
             mean = 1e7 * 2e-3
             assert abs(s.count - mean) < 5 * math.sqrt(mean + 1e14 * tc * 2e-3)
@@ -580,13 +591,13 @@ def test_batches_keep_the_laws(monkeypatch):
 def test_thinning_invariance():
     # efficiency scales the rate and its bound alike: singles scale by eta
     # and the distribution of g2(0) over seeds does not move
-    s1, s2 = coherent_pair(rate=3e7, tc=100e-9)
+    pair = coherent_pair(rate=3e7, tc=100e-9)
     singles, g2 = {}, {}
     for eta, seed0 in ((0.6, 0), (1.0, 1000)):
         det = DetectorSetting(math.pi / 4, efficiency=eta)
         singles[eta], g2[eta] = 0, []
         for seed in range(seed0, seed0 + 40):
-            a, b = quiet_simulate(s1, s2, GEO, det, det, 2e-3, seed=seed)
+            a, b = quiet_simulate(pair, GEO, det, det, 2e-3, seed=seed)
             singles[eta] += a.count + b.count
             g2[eta].append(estimate_g2(a, b, [0], 1000).values[0])
     # 80 streams of ~3e4 counts, super-Poissonian by the beat: the ratio's
@@ -601,9 +612,9 @@ def test_constant_rate_interarrivals_are_exponential():
     # keeps every candidate and arrivals form a homogeneous Poisson process:
     # exponential gaps, and arrival times uniform over the run
     eta = 0.7
-    source = ThermalFieldModel(2e7, 318e-9, "coherent")
+    beam = SourcePair("coherent", 2e7, 0.0, 318e-9)
     det = DetectorSetting(None, efficiency=eta)
-    a, b = simulate_events(source, None, GEO, det, det, 2e-3, seed=21)
+    a, b = simulate_events(beam, GEO, det, det, 2e-3, seed=21)
     rate = eta * 2e7 / 2
     for s in (a, b):
         gaps = np.diff(s.timestamps) / PS_PER_S
@@ -615,45 +626,39 @@ def test_constant_rate_interarrivals_are_exponential():
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(st.floats(0.0, math.pi / 2), st.floats(0.0, 2 * math.pi),
        st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0),
-       st.floats(0.0, 3e-6),
-       st.sampled_from([("coherent", "coherent"), ("thermal", "thermal")]),
-       st.sampled_from([1.0, 1.7]), st.booleans(), st.integers(0, 2 ** 32))
+       st.floats(0.0, 3e-6), st.sampled_from(["coherent", "thermal"]),
+       st.booleans(), st.integers(0, 2 ** 32))
 def test_thinning_rate_within_bound(theta, phase_a, phase_b, v_deg, delay,
-                                    kinds, stretch, standard, seed):
+                                    kind, standard, seed):
     # by AM-GM the rate never exceeds its bound and is never negative for
     # v_deg <= 1, so simulate_events never raises; each detector counts its
     # mean rate within 5 sigma, with the variance of the integrated
-    # intensity added to the shot noise.  A second laser may have the
-    # longer coherence time (a thermal pair shares one), and the detectors'
-    # efficiencies differ, so a thermal term splits unevenly between them.
+    # intensity added to the shot noise.  The detectors' efficiencies
+    # differ, so a thermal term splits unevenly between them.
     duration, rate = 1e-3, 2e7
-    tcs = [50e-9 if kind == "coherent" else 5e-9 for kind in kinds]
-    if kinds[1] == "coherent":
-        tcs[1] *= stretch
-    s1 = ThermalFieldModel(rate, tcs[0], kinds[0])
-    s2 = ThermalFieldModel(rate, tcs[1], kinds[1], 10e6)
+    tc = 50e-9 if kind == "coherent" else 5e-9
+    pair = SourcePair(kind, rate, rate, tc, 10e6)
     # standard: no conversion stage, so two distinct colors do not beat
     dets = [DetectorSetting(None if standard else theta, phase, output_filter=1,
                             efficiency=eff, visibility_degradation=v_deg)
             for phase, eff in ((phase_a, 0.5), (phase_b, 0.3))]
-    streams = simulate_events(s1, s2, GEO.with_delay(delay), *dets, duration, seed)
+    streams = simulate_events(pair, GEO.with_delay(delay), *dets, duration, seed)
     for stream, det in zip(streams, dets):
         k1, k2, beats = detector_couplings(det, GEO)
         b = [det.efficiency * abs(k) ** 2 * rate / 2 for k in (k1, k2)]
         cross2 = v_deg * b[0] * b[1] if beats else 0.0
         mean = sum(b) * duration
         # a thermal term varies slot by slot; the beat decorrelates within
-        # the longer coherence time
-        excess = duration * (4 * cross2 * max(tcs) + sum(
-            bj ** 2 * tc for bj, tc, kind in zip(b, tcs, kinds) if kind == "thermal"))
+        # the coherence time
+        excess = duration * tc * (4 * cross2 + (sum(bj ** 2 for bj in b)
+                                                if kind == "thermal" else 0.0))
         assert abs(stream.count - mean) <= 5 * math.sqrt(mean + excess)
 
 
 def test_g2_decorrelates_beyond_coherence_time():
     tc = 50e-9
-    s1, s2 = coherent_pair(rate=4e7, tc=tc)
     det = DetectorSetting(math.pi / 4)
-    a, b = simulate_events(s1, s2, GEO, det, det, 0.05, seed=2718)
+    a, b = simulate_events(coherent_pair(rate=4e7, tc=tc), GEO, det, det, 0.05, seed=2718)
     curve = estimate_g2(a, b, [0, int(tc * 1e12), int(20 * tc * 1e12)], 1000)
     near, one_tc, far = curve.values
     assert near > 1.2
@@ -739,9 +744,8 @@ def gate_study_with_visibilities(monkeypatch, visibilities, n_trials):
                         lambda *a, **k: G2Curve([0], [1.0], 1000, [0], 0, 0, 0))
     fitted = iter(visibilities)
     monkeypatch.setattr(stochastic, "fitted_visibility", lambda *a: next(fitted))
-    s1, s2 = coherent_pair()
     det = DetectorSetting(math.pi / 4)
-    return stochastic.gate_time_study(s1, s2, GEO, det, det, np.zeros(4), 1e-3,
+    return stochastic.gate_time_study(coherent_pair(), GEO, det, det, np.zeros(4), 1e-3,
                                       [1000], LAM3, seed=1, n_trials=n_trials)
 
 
