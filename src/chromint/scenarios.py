@@ -256,16 +256,21 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if runner is _run_g2_tau and cfg.tau_max_ps < 2 * cfg.tau_step_ps:
         # the three-parameter envelope fit needs three tau points
         raise ConfigError("tau_max_ps must be at least 2 * tau_step_ps")
-    # the constructors check the rest (the pump wavelength constraint, the
-    # detectors, the source pair, the screen distance), here rather than mid-run
-    try:
-        make_geometry(cfg)
-        make_sources(cfg)
-        make_detectors(cfg)
-        _splitter_detector(cfg)
-        _free_space_geometry(cfg, cfg.separation_min_m)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # the constructors check the rest here rather than mid-run, and an error
+    # names the config keys its builder reads
+    for build, keys in (
+            (make_geometry, "lambda1_nm, lambda2_nm, lambda3_nm, base_path_m"),
+            (make_sources, "source_kind, source_rate_hz, coherence_time_ps, detuning_hz"),
+            (make_detectors, "theta, pump_on, pump_phase_a, pump_phase_b, output_filter, "
+                             "efficiency, dark_count_rate_hz, v_deg"),
+            (_splitter_detector, "splitter_efficiency"),
+            (lambda c: _free_space_geometry(c, c.separation_min_m),
+             "source_separation_m, screen_distance_m, separation_min_m, lambda1_nm, "
+             "lambda2_nm, lambda3_nm")):
+        try:
+            build(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (read from {keys})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ the rate, each kept with probability rate/bound.  By AM-GM the cross term
 |c|*(i1 + i2), so each detector's bound has one linear term per source.
 
 A source pair (interferometry.SourcePair) is of one kind, with one mutual
-coherence time tc.  A laser pair has constant bounds (i = 1), whose
-candidates are drawn per detector, and one beat phase
+coherence time tc.  Either kind draws one candidate process for both
+detectors, and one uniform per candidate picks its detector: a Poisson
+process split by independent marks is an independent one per detector.
+A laser pair has constant intensities (i = 1) and one beat phase
 phi0 + 2*pi*(f1 - f2)*t + W(t): the difference of two phase walks of
 variance t/tc is one Wiener process W of variance 2t/tc, stepped exactly
 between the candidate times, so the beat decays as exp(-|tau|/tc) and each
@@ -25,18 +27,17 @@ Soc. 74, 233 (1959)).  Only slots that receive one are drawn, by geometric
 skips, each with both counts, both intensities and a uniform phase
 difference into one table.  Given its n_j candidates,
 i_j ~ Gamma(n_j + 1, rate 1 + a_j): n_j + 1 unit exponentials, one for the
-slot and one per candidate, summed over 1 + a_j.  Each candidate carries its
-slot's table row and draws one uniform u: it goes to detector A if u < w_j,
-source j's share of the detectors' weights, at u/w_j of the way through its
-slot, and otherwise to B at (u - w_j)/(1 - w_j).  One thermal beam on a
-splitter is the pair with a2 = 0.  The cost follows the candidates, in
-batches of about _CHUNK.
+slot and one per candidate, summed over 1 + a_j.  A candidate carries its
+slot's table row, and its uniform u, below w_j (source j's share of the
+detectors' weights) for A, also places it at u/w_j or (u - w_j)/(1 - w_j)
+of the way through its slot.  One thermal beam on a splitter is the pair
+with a2 = 0.  The cost follows the candidates, in batches of about _CHUNK.
 
 Randomness is drawn from named Philox counter streams keyed as
-(seed, trial*8 + role) with roles: 0 the pair's field (a laser pair's beat
-walk; a thermal pair's lattice offset, slots, its candidates' placement and
-detector), 2/3 detector A/B (a laser pair's candidates and every
-candidate's acceptance), 4/5 detector A/B dark counts; role 1 is not drawn.
+(seed, trial*8 + role) with roles: 0 the pair's field (every candidate's
+time and detector; a laser pair's beat walk; a thermal pair's lattice
+offset and slots), 2/3 detector A/B, which only accept candidates, 4/5
+detector A/B dark counts; role 1 is not drawn.
 Identical (config, seed, trial) input therefore reproduces bit-identical
 event streams.
 
@@ -124,39 +125,38 @@ class G2Curve:
 
 
 class _LaserPair:
-    """A laser pair: per detector, candidates at its constant bound, drawn
-    from that detector's stream; the beat phase phi0 + 2*pi*(f1 - f2)*t +
-    W(t), W stepped with variance 2*dt/tc over the candidates of both
-    detectors in time order."""
+    """A laser pair at unit intensities: its candidates at the detectors'
+    summed bound, each to A if its uniform lies below A's share; the beat
+    phase phi0 + 2*pi*(f1 - f2)*t + W(t), W stepped with variance 2*dt/tc
+    over the batch's candidates, which are in time order."""
 
-    def __init__(self, tc: float, carrier: float, bounds: list[float],
-                 rng_det: list[Generator], rng: Generator):
-        self.carrier, self.bounds, self.rng_det, self.rng = carrier, bounds, rng_det, rng
-        self.diffusion = 2.0 / tc
+    def __init__(self, tc: float, carrier: float, weights: list[tuple[float, float]],
+                 rng: Generator):
+        self.carrier, self.rng, self.diffusion = carrier, rng, 2.0 / tc
+        self.bound = sum(map(sum, weights))
+        self.share = sum(w[0] for w in weights) / (self.bound or 1.0)
         self.time, self.walk = 0.0, float(rng.uniform(0.0, 2.0 * math.pi))
 
     def candidates(self, start: float, end: float) -> list:
-        """Per detector, the sorted times of its candidates in [start, end)."""
-        return [(np.sort(rng.uniform(start, end, rng.poisson(c * (end - start)))), None)
-                for rng, c in zip(self.rng_det, self.bounds)]
+        """Per detector, the times and batch rows of its candidates in [start, end)."""
+        times = self.rng.uniform(start, end, self.rng.poisson(self.bound * (end - start)))
+        times.sort()
+        self.times, to_a = times, self.rng.random(times.size) < self.share
+        return [(times.take(rows), rows) for rows in (np.flatnonzero(to_a), np.flatnonzero(~to_a))]
 
     def field(self, drawn: list) -> list:
-        """Per detector: both intensities (1.0) and the beat phase."""
-        times = np.concatenate([t for t, _ in drawn])
-        order = np.argsort(times, kind="stable")  # a merge of two sorted runs
-        steps = np.diff(times.take(order), prepend=self.time)
+        """Per detector: both intensities (1.0) and the beat phase, by batch row."""
+        times = self.times
+        steps = np.diff(times, prepend=self.time)
         steps *= self.diffusion
         walk = np.sqrt(steps, out=steps)
         walk *= self.rng.standard_normal(times.size)
         np.cumsum(walk, out=walk)
         walk += self.walk
         if times.size:
-            self.time, self.walk = times[order[-1]], walk[-1]
-        beat = np.empty_like(walk)
-        beat[order] = walk
-        beat += self.carrier * times
-        split = drawn[0][0].size
-        return [(1.0, 1.0, beat[:split]), (1.0, 1.0, beat[split:])]
+            self.time, self.walk = times[-1], walk[-1]
+        walk += self.carrier * times
+        return [(1.0, 1.0, walk.take(rows)) for _, rows in drawn]
 
 
 class _ThermalPair:
@@ -284,14 +284,9 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
 
     # the bound is b_j + swing/2 per unit of source j's intensity, per detector
     weights = [tuple(c[j] + c[2] / 2.0 for c in det_consts) for j in (0, 1)]
-    carrier = -2.0 * math.pi * pair.detuning_hz
+    sources = (_ThermalPair if pair.kind == "thermal" else _LaserPair)(
+        pair.coherence_time, -2.0 * math.pi * pair.detuning_hz, weights, substream(seed, trial, 0))
     rng_det = [substream(seed, trial, 2), substream(seed, trial, 3)]
-    rng_field = substream(seed, trial, 0)
-    if pair.kind == "thermal":
-        sources = _ThermalPair(pair.coherence_time, carrier, weights, rng_field)
-    else:
-        sources = _LaserPair(pair.coherence_time, carrier, [sum(w) for w in zip(*weights)],
-                             rng_det, rng_field)
     expected = duration * sum(map(sum, weights))
     edges = np.linspace(0.0, duration, 1 + max(1, math.ceil(expected / _CHUNK)))
     times = [[], []]

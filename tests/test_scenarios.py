@@ -247,14 +247,14 @@ def test_every_scenario_runs_end_to_end(tmp_path, name):
 
 
 # sha256 of the data files of the tiny runs of every Monte Carlo scan over a
-# batch geometry: a change to the points, their trial numbers or their order
-# changes them
+# batch geometry and of both g2(tau) runs: a change to the points, their
+# trial numbers or their order, or to a source kind's draws, changes them
 PINNED_DATA_FILES = {
     "free_space_hbt": {
         "fringe_analytic.csv":
             "20a02df0004f994b8826251cda03c4bd879b447a69c530c9a77226c33d7f1b99",
         "fringe_mc.csv":
-            "95ec629ee3b585183f901cd6cfed9c331c6f824b900c1f3c387996016a31f697"},
+            "ba68d3d3d3767e7addcc1fe3ef94a9e76b42346ad4ddfff672ef63864bd8b4de"},
     "gate_time_study": {
         "gate_time.csv":
             "ddb02b8ce1b220e2a2fcd2524768dcf409ee5b7781a0a07974b9641861202e8f"},
@@ -262,37 +262,51 @@ PINNED_DATA_FILES = {
         "delay_scan_analytic.csv":
             "61e0c71c566a936a86a89d30d20c8d9658ba52937aa581f1b525842d4aba7b9e",
         "delay_scan_mc.csv":
-            "1729aeb90206893e72b900651f12522861f830e45b54a02880dd5a663555b3d2"},
+            "5cd87ed733320cf2e85c8de0310301756cdfd5a9045e2c01dceb66e8f6077ad6"},
+    "laser_g2_tau": {
+        "g2_tau.csv":
+            "77a87cb941754e38f331b58dc8ec04f05e45710926678f99e44ca8cbcb8d6a1c"},
     "laser_fft": {
         "delay_scan_mc.csv":
-            "ceaa3f12bc5c378dc8628f8d2be9cfe42ad3dcda108b038c21b8a9e35865d588",
+            "965f28c7dbe6a7851aeab45163d237ec77f2773259bf389bd7cddbee2d02d3ad",
         "spectrum.csv":
-            "225e5f0a8cdf8f8c13e0755d67c3fc4620fe734c7bfca6196eea2ab0a52b8b9b"},
+            "358e1f35b0c1e61c3d4d9937fb2c8d01adadb43259a42163f442a6cf13d688dd"},
     # the law's thermal pedestal, and colors that beat only at one wavelength
     "thermal_delay_scan": {
         "delay_scan_analytic.csv":
             "ebfbbc10beddd60f3042ae710249ae930b0b34576bdf42f942e5fb722c81f29a",
         "delay_scan_mc.csv":
             "04403a12e45ef65306929f64b669ea96d0eb8d0fd43abd7dd6e69aeb35fbebf0"},
+    "thermal_g2_tau": {
+        "g2_tau.csv":
+            "2aed152a7006c5d28f26097f407a8900c15dff7d2c3102770d61ef8801ff3ac8",
+        "splitter_g2.csv":
+            "5a798b5a9b6529adfc1d587fb4aa49aee7f45b12604a0e5f29460ce36ee81943"},
     "free_space_same_wavelength": {
         "fringe_analytic.csv":
             "d24b2df8ff5ed08204ddfbfccd404db58d092cc98f4f3d55004f2018e06101f4",
         "fringe_mc.csv":
-            "e92a0c4362a25917f6a77b51272f5fa23f6c233235735c8a2b25c7569fc0c461"},
+            "69094a314a84caf9957cca15e9f028b7fcc6fbedbef7bf583787914f22e567f9"},
 }
 
 
-@pytest.mark.parametrize("duration_ps, at_bound", [(1e8, True), (1e10, False)])
-def test_envelope_fit_reports_its_bound(tmp_path, duration_ps, at_bound):
-    # at 0.1 ms the envelope fit runs into its decay bound (1e3 tau spans,
-    # 3e8 ps), at 10 ms it fits the configured 106 ns coherence
+@pytest.mark.parametrize("duration_ps, noise", [(1e8, True), (1e10, False)])
+def test_envelope_fit_reports_its_bound(tmp_path, duration_ps, noise):
+    # a 0.1 ms run is too short to see the 106 ns decay: its fit reads
+    # noise, which may or may not end on one of the fit's bounds (0 <= a <=
+    # 2, decay within a factor 1e3 of the tau span), and envelope_at_bound
+    # says which; at 10 ms it fits the configured coherence, inside them
     cfg = apply_overrides(default_config("laser_g2_tau"),
                           [f"duration_ps={duration_ps}", "seed=12345"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         results = run_scenario(cfg, tmp_path / "run")["results"]
-    assert results["envelope_at_bound"] is at_bound
-    assert (results["envelope_decay_ps"] == pytest.approx(1e3 * cfg.tau_max_ps)) is at_bound
+    amp, decay = results["envelope_amplitude"], results["envelope_decay_ps"]
+    on_bound = (amp == pytest.approx(0.0, abs=1e-6) or amp == pytest.approx(2.0)
+                or decay == pytest.approx(1e-3 * cfg.tau_max_ps)
+                or decay == pytest.approx(1e3 * cfg.tau_max_ps))
+    assert results["envelope_at_bound"] is on_bound
+    assert noise or not on_bound
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DATA_FILES))
@@ -458,7 +472,9 @@ def test_runtime_rejects_are_config_errors(tmp_path, capsys, command, scenario,
     argv = {"run": ["run", str(cfg_path), "--override", override],
             "scan": ["scan", "--scenario", scenario, "--param", sweep]}[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error")
+    err = capsys.readouterr().err
+    # the message names the key the value was given for
+    assert err.startswith("config error") and override.partition("=")[0] in err
     assert not (tmp_path / "out").exists()
 
 

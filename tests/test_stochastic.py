@@ -166,8 +166,8 @@ PINNED_DIGESTS = {
         "9c422c0f20e8bd94f1bf4ff88d70163cf11f6c043d2357f917a1e90396735b24",
         "807ff236cf858468f538231a24afeade60f5fd18510e8b4650136b2d93ef7382"),
     "laser_pair": (
-        "68ec4141949ec077d32960aaf399d99d3d66f874cdf8dbc116da4eee03cdfe17",
-        "aaf39e3b97df2e173402dc5c44ec5f527e4e1188b003612a3999a2b1f20bae87"),
+        "70e1cbdd3ce4608bf894c252f65d9975172b34a7cce630f00812f003857e994f",
+        "c7b3b75e3fef60f33893e9df4263f265e99b2bd391fd5578608c4fe39c9da262"),
     "pump_off_pair": (
         "7fe4dcefdaade5d618b2b940e73b7e60c7dca2992a82b6e8f86ffc4013e84835",
         "778a8d99f2d938996702f913c1b250f76b46fb85aa3ce958d06a94f7e267208b"),
@@ -206,6 +206,27 @@ def test_substream_roles_disjoint():
     assert not np.array_equal(a, b)
     with pytest.raises(ValueError):
         substream(9, 0, 8)
+
+
+def test_detector_streams_only_accept(monkeypatch):
+    # roles 2/3 draw each candidate's acceptance and nothing else: without
+    # the pump a laser pair does not beat, nothing is thinned, and detector
+    # streams of another seed leave both event streams as they are; with
+    # the pump they thin, and the events change
+    pair, own = coherent_pair(detuning=2e7), substream
+
+    def other_detector_streams(seed, trial, role):
+        return own(seed + 1 if role in (2, 3) else seed, trial, role)
+
+    for theta, same in ((None, True), (math.pi / 4, False)):
+        det = DetectorSetting(theta)
+        before = quiet_simulate(pair, GEO, det, det, 2e-3, seed=2718, trial=5)
+        monkeypatch.setattr(stochastic, "substream", other_detector_streams)
+        after = quiet_simulate(pair, GEO, det, det, 2e-3, seed=2718, trial=5)
+        monkeypatch.undo()
+        assert all(a.count > 10_000 for a in before)
+        assert all(np.array_equal(a.timestamps, b.timestamps)
+                   for a, b in zip(before, after)) is same
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +742,19 @@ def test_fit_g2_envelope_recovers_decay():
     assert amp == pytest.approx(0.5, abs=1e-6)
     assert decay == pytest.approx(100e-9, rel=1e-6)
     assert not at_bound
+
+
+def test_fit_g2_envelope_reports_each_bound():
+    # an undamped beat has no decay to fit, so the decay ends on its upper
+    # bound (1e3 tau spans), and a swing of 2.5 lies beyond the largest
+    # amplitude the fit allows (2): at_bound says so in both
+    taus = np.arange(0, 300e-9, 4e-9)
+    beat = np.cos(2 * math.pi * 25e6 * taus)
+    _, decay, _, at_bound = fit_g2_envelope(taus, 1.0 + 0.5 * beat, 25e6)
+    assert decay == pytest.approx(1e3 * (taus[-1] - taus[0])) and at_bound
+    amp, _, _, at_bound = fit_g2_envelope(taus, 1.0 + 2.5 * np.exp(-taus / 100e-9) * beat,
+                                          25e6)
+    assert amp == pytest.approx(2.0) and at_bound
 
 
 def test_fit_g2_envelope_seeds_inside_its_bounds():
