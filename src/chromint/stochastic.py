@@ -33,11 +33,12 @@ detectors' weights) for A, also places it at u/w_j or (u - w_j)/(1 - w_j)
 of the way through its slot.  One thermal beam on a splitter is the pair
 with a2 = 0.  The cost follows the candidates, in batches of about _CHUNK.
 
-Randomness is drawn from named Philox counter streams keyed as
-(seed, trial*8 + role) with roles: 0 the pair's field (every candidate's
-time and detector; a laser pair's beat walk; a thermal pair's lattice
-offset and slots), 2/3 detector A/B, which only accept candidates, 4/5
-detector A/B dark counts; role 1 is not drawn.
+Randomness is drawn from PCG64 streams (O'Neill 2014), one per key
+(seed, trial, role), seeded through numpy's SeedSequence with the key words
+seed mod 2**64 and trial*8 + role.  Roles: 0 the pair's field (every
+candidate's time and detector; a laser pair's beat walk; a thermal pair's
+lattice offset and slots), 2/3 detector A/B, which only accept candidates,
+4/5 detector A/B dark counts; role 1 is not drawn.
 Identical (config, seed, trial) input therefore reproduces bit-identical
 event streams.
 
@@ -61,7 +62,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .interferometry import (SPEED_OF_LIGHT, DetectorSetting, InterferometerGeometry,
                              SourcePair, detector_rates)
@@ -72,11 +73,18 @@ _CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
 
 
 def substream(seed: int, trial: int, role: int) -> Generator:
-    """Philox counter stream for one (trial, role) pair under a master seed."""
+    """PCG64 stream for one (trial, role) pair under a master seed.
+
+    The key words seed mod 2**64 and trial*8 + role enter SeedSequence as
+    the low and high half of one integer: a list of ints would be split
+    into 32-bit words of varying count and joined, so (seed, trial, role)
+    keys whose words join alike (seed 2**33 + 1 at role 0 and seed 1 at
+    role 2, both trial 0) would share a stream.
+    """
     if not 0 <= role < 6:
         raise ValueError("role must be in 0..5")
-    key = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((trial << 3) | role)]
-    return Generator(Philox(key=key))
+    key = (((trial << 3) | role) << 64) | (seed & 0xFFFFFFFFFFFFFFFF)
+    return Generator(PCG64(SeedSequence(key)))
 
 
 @dataclass(frozen=True)
@@ -352,13 +360,18 @@ def _window_sums(bins_a: np.ndarray, counts_a: np.ndarray, bins_b: np.ndarray,
     each detector's distinct occupied bins and their event counts.
 
     Two searchsorted calls bound each A bin's window [k+first, k+last] in
-    B's bins.  Windows are sorted longest first, so the windows that still
+    B's bins.  A one-bin window (first == last) holds the B bin that
+    `start` points at or none, so while B has bins one comparison gives its
+    length.  Windows are sorted longest first, so the windows that still
     hold an r-th B bin are a prefix; rank r visits that bin of every such
     window at once.
     """
     start = np.searchsorted(bins_b, bins_a + first)
-    length = np.searchsorted(bins_b, bins_a + last, side="right")
-    length -= start
+    if first == last and bins_b.size:
+        length = (bins_b.take(start, mode="clip") == bins_a + first).astype(np.int64)
+    else:
+        length = np.searchsorted(bins_b, bins_a + last, side="right")
+        length -= start
     order = np.argsort(-length)[:np.count_nonzero(length)]
     # still_open[r]: number of windows holding at least r B bins
     still_open = np.cumsum(np.bincount(length)[::-1])[::-1]

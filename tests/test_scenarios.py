@@ -254,39 +254,39 @@ PINNED_DATA_FILES = {
         "fringe_analytic.csv":
             "20a02df0004f994b8826251cda03c4bd879b447a69c530c9a77226c33d7f1b99",
         "fringe_mc.csv":
-            "ba68d3d3d3767e7addcc1fe3ef94a9e76b42346ad4ddfff672ef63864bd8b4de"},
+            "44a9096a2d0b984e4ac962b3e20f28277d8a7f91311f8917183af4787d24d925"},
     "gate_time_study": {
         "gate_time.csv":
-            "ddb02b8ce1b220e2a2fcd2524768dcf409ee5b7781a0a07974b9641861202e8f"},
+            "e308fba3b68b88f03fe3c2bca05103a2bba4033be30ca5c84b512e9cd2da624a"},
     "laser_delay_scan": {
         "delay_scan_analytic.csv":
             "61e0c71c566a936a86a89d30d20c8d9658ba52937aa581f1b525842d4aba7b9e",
         "delay_scan_mc.csv":
-            "5cd87ed733320cf2e85c8de0310301756cdfd5a9045e2c01dceb66e8f6077ad6"},
+            "2bb2f308bad6406c489a06de31fe8db50e13b6242538652e434a7b9e7eeb84dc"},
     "laser_g2_tau": {
         "g2_tau.csv":
-            "77a87cb941754e38f331b58dc8ec04f05e45710926678f99e44ca8cbcb8d6a1c"},
+            "f72a6269bc846a83886bd2ed2dfc9e372b01d94a217c438a5810eb632c50d837"},
     "laser_fft": {
         "delay_scan_mc.csv":
-            "965f28c7dbe6a7851aeab45163d237ec77f2773259bf389bd7cddbee2d02d3ad",
+            "40196a4b40e79d247d64ab7c378b44a5173567fce29b585278b3d7e5cd4e9473",
         "spectrum.csv":
-            "358e1f35b0c1e61c3d4d9937fb2c8d01adadb43259a42163f442a6cf13d688dd"},
+            "cc4c84c996250af2d918e0067a0653c10a8baba61e5a6b444f7c11471d77d212"},
     # the law's thermal pedestal, and colors that beat only at one wavelength
     "thermal_delay_scan": {
         "delay_scan_analytic.csv":
             "ebfbbc10beddd60f3042ae710249ae930b0b34576bdf42f942e5fb722c81f29a",
         "delay_scan_mc.csv":
-            "04403a12e45ef65306929f64b669ea96d0eb8d0fd43abd7dd6e69aeb35fbebf0"},
+            "1f7e570236909fa2d02de8e196e0e8efd4fa380c5fa43d28b46a6a7d536430a5"},
     "thermal_g2_tau": {
         "g2_tau.csv":
-            "2aed152a7006c5d28f26097f407a8900c15dff7d2c3102770d61ef8801ff3ac8",
+            "53194f17a295fe53ab188a7a58e40c69d35dda35e4d01e157aa0706638a9bf48",
         "splitter_g2.csv":
-            "5a798b5a9b6529adfc1d587fb4aa49aee7f45b12604a0e5f29460ce36ee81943"},
+            "c6d92da501003e910516988fb288210523fe02639f1f4b4219b36daa8a738c7d"},
     "free_space_same_wavelength": {
         "fringe_analytic.csv":
             "d24b2df8ff5ed08204ddfbfccd404db58d092cc98f4f3d55004f2018e06101f4",
         "fringe_mc.csv":
-            "69094a314a84caf9957cca15e9f028b7fcc6fbedbef7bf583787914f22e567f9"},
+            "2e80c563e9c1e51c0ce54401c1773796417381c29113be59451992b418081030"},
 }
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
 
@@ -163,23 +163,23 @@ def pinned_setups():
 # to any random draw, its order or its count changes them
 PINNED_DIGESTS = {
     "gate_study_pair": (
-        "9c422c0f20e8bd94f1bf4ff88d70163cf11f6c043d2357f917a1e90396735b24",
-        "807ff236cf858468f538231a24afeade60f5fd18510e8b4650136b2d93ef7382"),
+        "d9b1ff9472887022e3cb3f7792ec0f2f49975fd0a03cb70cb91967eac0374705",
+        "d548a70ffb0a66a1490f3a7261d26821fea68e4bbec56feb216f6c46a8435be0"),
     "laser_pair": (
-        "70e1cbdd3ce4608bf894c252f65d9975172b34a7cce630f00812f003857e994f",
-        "c7b3b75e3fef60f33893e9df4263f265e99b2bd391fd5578608c4fe39c9da262"),
+        "3b1a655a7e87cd9d530de29129e14a3bf56f3e7aad4981684af2e200f607cbbc",
+        "93e580254ef5fd5c2993a6c26f3fa159de3ca7e9dcfe47db7e9d6eab1ba0b905"),
     "pump_off_pair": (
-        "7fe4dcefdaade5d618b2b940e73b7e60c7dca2992a82b6e8f86ffc4013e84835",
-        "778a8d99f2d938996702f913c1b250f76b46fb85aa3ce958d06a94f7e267208b"),
+        "6efb1ad79c03789bc355cefc96a85b18d28d5f84a62116463338ee6041ee2b34",
+        "eb8af6ad9bda27a6d0b5cb2fd0499a596e05f03661b1ffa57e618d560c644c64"),
     "splitter": (
-        "d1b869e2dee3ac84fb46d4baa96c48a23a2929061e739ccf5cb0ea2b5e27fe09",
-        "e136f99ebbe675e861e19127712d310ef7367429bcbce1b63114da541dd6f05d"),
+        "44469326a5571c5faa4b6ad63b8c923bd186943bf3fe936032ac47d86fe449ef",
+        "a2ccd4c7aebf58726ebf7786fed3eb2436a2d0954adf5bb33051e20ba5d87ffc"),
     "thermal_pair": (
-        "5858c503d53f2349d7f4a85022092733d62c474103b4ae0620f5a12fa22dae25",
-        "9758648bfca3cb5b882d9ffc55ffba4911591df44d46659fdb40df0180c3015b"),
+        "b9de5840ac1768896b645a241f69d4ad6028df2aedce0f0a62612493e1c1d496",
+        "adef4208d6ce4e15e25f85c99e3729f72126af066d887de6308dcb01c8d7ea6c"),
     "unequal_thermal_pair": (
-        "2e0ae13a605643ba3768a7e9dfd2f6396032dfbc4b361eb7adac15964ae448ce",
-        "51621a89e75f7795937b833ea87cdf645b393e14a1a44ad2a0fc763cd0c1efb8"),
+        "76853ff577ce5e23e228ea72e691251fef22a2e41ced9cba8c1b75f17d784cd7",
+        "a40879fc79ba1bced3a73aea8d435feed6a88ba4ca3cddc5d14405a69fc8e933"),
 }
 
 
@@ -201,11 +201,27 @@ def test_streams_match_pinned_digests(monkeypatch, name, batched):
 
 
 def test_substream_roles_disjoint():
-    a = substream(9, 0, 0).integers(0, 1 << 62, 8)
-    b = substream(9, 0, 1).integers(0, 1 << 62, 8)
-    assert not np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        substream(9, 0, 8)
+    def draws(seed, trial, role):
+        return substream(seed, trial, role).integers(0, 1 << 62, 8).tolist()
+
+    key = (9, 3, 2)
+    assert draws(*key) == draws(*key)
+    # changing any one of seed, trial and role changes the stream; seed
+    # 2**33 + 1 at role 0 and seed 1 at role 2 are keys whose 32-bit words
+    # join alike when the two key words are passed as a list
+    others = [(10, 3, 2), (9 + (1 << 32), 3, 2), (9, 4, 2), (9, 3 + (1 << 40), 2),
+              (9, 3, 0), (9, 3, 5)]
+    assert all(draws(*key) != draws(*other) for other in others)
+    assert draws((1 << 33) + 1, 0, 0) != draws(1, 0, 2)
+    # the seed is taken mod 2**64: a seed of 2**63 or more and a negative
+    # one reach the same stream as their residue
+    big = (1 << 63) + 9
+    assert draws(big, 3, 2) == draws(big + (1 << 64), 3, 2) == draws(big - (1 << 64), 3, 2)
+    assert draws(-1, 3, 2) == draws((1 << 64) - 1, 3, 2)
+    assert draws(big, 3, 2) != draws(9, 3, 2)
+    for role in (-1, 6, 8):
+        with pytest.raises(ValueError):
+            substream(9, 0, role)
 
 
 def test_detector_streams_only_accept(monkeypatch):
@@ -312,6 +328,45 @@ def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves):
                            expected * curve.n_bin / (a.count * b.count), rtol=1e-12)
     else:
         assert np.all(np.isnan(curve.values))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 1199), max_size=40),
+       st.lists(st.integers(0, 1199), max_size=40),
+       st.integers(-1300, 1300), st.integers(1, 7))
+@example([], [], 0, 1)
+@example([], [3, 700], 0, 2)
+@example([5, 9], [], 1300, 3)
+def test_one_offset_counts_every_pair(ts_a, ts_b, shift, gate):
+    # B also holds A's events moved by `shift`, so the offset shift // gate
+    # and its neighbours hold coincidences; the offsets reach past both ends
+    duration_ps = 1200
+    ts_b = ts_b + [t + shift for t in ts_a if 0 <= t + shift < duration_ps]
+    a, b = (EventStream(d, np.unique(np.array(ts, dtype=np.int64)), duration_ps, 0)
+            for d, ts in (("A", ts_a), ("B", ts_b)))
+    n_bin = -(-duration_ps // gate)
+    o = shift // gate
+    offsets = [-n_bin - 2, -n_bin, 1 - n_bin, -1, 0, 1, o - 1, o, o + 1,
+               n_bin - 1, n_bin, n_bin + 2]
+    # B bin minus A bin for every pair of events
+    apart = np.subtract.outer(b.timestamps // gate, a.timestamps // gate)
+    expected = [np.count_nonzero(apart == off) for off in offsets]
+    # one tau per call, as every delay-scan and gate-study point asks
+    assert [estimate_g2(a, b, [off * gate], gate).n_coincidence[0]
+            for off in offsets] == expected
+    # the 499 empty offsets between two of these cost more than a pass over
+    # at most 120 bins, so they make one-offset runs around a three-offset one
+    many = [o - 1000, o - 500, o - 1, o, o + 1, o + 500, o + 1000]
+    passes = []
+    window_sums = stochastic._window_sums
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "_window_sums",
+                      lambda *args: passes.append(args[-2:]) or window_sums(*args))
+        curve = estimate_g2(a, b, [off * gate for off in many], gate)
+    assert passes == [(o - 1000, o - 1000), (o - 500, o - 500), (o - 1, o + 1),
+                      (o + 500, o + 500), (o + 1000, o + 1000)]
+    assert curve.n_coincidence.tolist() == [np.count_nonzero(apart == off)
+                                            for off in many]
 
 
 def test_g2_unbiased_at_high_occupancy():
