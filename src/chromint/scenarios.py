@@ -22,7 +22,6 @@ import os
 import platform
 import re
 import shutil
-import sys
 import tempfile
 import time
 import typing
@@ -392,7 +391,9 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
     _write_g2_csv(out / "g2_tau.csv", curve)
     result: dict = {"n_a": curve.n_a, "n_b": curve.n_b,
                     "g2_zero": float(curve.values[0])}
-    if _fits_envelope(cfg, pair):
+    # slot-model thermal sources decay with a triangular correlation
+    # instead, so the envelope fit applies to beating lasers only
+    if pair.kind == "coherent" and pair.detuning_hz > 0 and cfg.pump_on:
         amp, decay_s, _, at_bound = fit_g2_envelope(curve.taus_ps * 1e-12, curve.values,
                                                     cfg.detuning_hz)
         result.update({"envelope_amplitude": amp,
@@ -411,13 +412,6 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
         _write_g2_csv(out / "splitter_g2.csv", sp)
         result["splitter_g2_zero"] = float(sp.values[0])
     return result
-
-
-def _fits_envelope(cfg: ScenarioConfig, pair: SourcePair) -> bool:
-    """Whether a g2(tau) run fits its exponential envelope: slot-model
-    thermal sources decay with a triangular correlation instead, so the fit
-    applies to beating lasers only."""
-    return pair.kind == "coherent" and pair.detuning_hz > 0 and cfg.pump_on
 
 
 def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
@@ -525,13 +519,6 @@ SCENARIOS: dict[str, tuple[Callable[[ScenarioConfig, Path], dict], dict]] = {
 _DELAY_RUNNERS = (_run_delay_scan, _run_fft, _run_gate_time)
 
 
-def _fits(cfg: ScenarioConfig) -> bool:
-    """Whether a run fits a curve, its only use of scipy."""
-    runner = SCENARIOS[cfg.scenario][0]
-    return runner is _run_free_space or (runner is _run_g2_tau
-                                         and _fits_envelope(cfg, make_sources(cfg)))
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
     """Run one scenario into out_dir; returns the written manifest.
 
@@ -560,9 +547,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
             "seed": cfg.seed,
             "config_sha256": config_hash(cfg),
             "versions": {"chromint": __version__, "numpy": np.__version__,
-                         # the scipy of the run's fit, null for a run without
-                         # one, whatever ran before it in the process
-                         "scipy": sys.modules["scipy"].__version__ if _fits(cfg) else None,
                          "pyyaml": yaml.__version__, "python": platform.python_version()},
             "wall_time_s": round(elapsed, 3),
             "data_files": {name: hashlib.sha256((staging / name).read_bytes()).hexdigest()

@@ -70,6 +70,7 @@ from .interferometry import (SPEED_OF_LIGHT, DetectorSetting, InterferometerGeom
 PS_PER_S = 1_000_000_000_000
 FFT_MIN_POINTS = 16  # shortest delay scan fringe_fft resolves
 _CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
+_ENVELOPE_GRID = 61  # log-spaced decay times an envelope fit scans first
 
 
 def substream(seed: int, trial: int, role: int) -> Generator:
@@ -458,29 +459,53 @@ def _fourier_peak(xs: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray
     return float(steps[0]), spectrum, 1 + int(np.argmax(spectrum[1:]))
 
 
+def _minimise(cost, lo: float, hi: float) -> float:
+    """A minimiser of cost on [lo, hi] by golden-section search (Kiefer,
+    Proc. Amer. Math. Soc. 4, 502 (1953)): x, the best point so far, lies in
+    the bracket (a, b), and each probe in its longer side.  When the bracket
+    stops shrinking in floating point, the best of x, lo and hi (an end on a
+    tie) is returned, so an end is found exactly and no tolerance is needed."""
+    golden = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi, the shorter golden part
+    a, b, width = lo, hi, math.inf
+    x = a + golden * (b - a)
+    fx = cost(x)
+    while abs(b - a) < width:
+        width = abs(b - a)
+        y = x + golden * (b - x)
+        fy = cost(y)
+        if fy < fx:
+            a, x, fx = x, y, fy
+        else:
+            a, b = y, a
+    return min([(cost(lo), lo), (cost(hi), hi), (fx, x)], key=lambda p: p[0])[1]
+
+
 def fit_fringe_free_period(xs: np.ndarray, values: np.ndarray
                            ) -> tuple[float, float, float, float]:
     """Sinusoid fit with the period free: (offset, amplitude, period, phase).
 
-    A free-period cosine fit is multimodal, so the period is seeded from the
+    Given the frequency the sinusoid is linear (fit_fringe), so the residual
+    sum is minimised over the frequency alone (variable projection: Golub &
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  A free-period cosine fit
+    is multimodal, so the frequency is searched within one bin of the
     discrete Fourier peak of the mean-subtracted curve (uniform grid
-    required) and then refined by least squares.
+    required).  A curve with a non-finite point gives NaN for each result.
     """
-    from scipy.optimize import curve_fit  # slow to import: only fits load it
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     step, _, peak = _fourier_peak(xs, values)
-    period0 = 1.0 / np.fft.rfftfreq(xs.size, d=step)[peak]
+    if not np.isfinite(values).all():
+        return (math.nan,) * 4
 
-    def model(x, off, amp, period, phi):
-        return off + amp * np.cos(2.0 * math.pi * x / period + phi)
+    def fit(freq):  # below the first bin lies DC, of infinite period
+        period = 1.0 / freq if freq else math.inf
+        off, amp, phi = fit_fringe(xs, values, period)
+        model = off + amp * np.cos(2.0 * math.pi * xs / period + phi)
+        return float(np.sum((model - values) ** 2)), (off, amp, period, phi)
 
-    p0 = (float(values.mean()), float(values.std() * math.sqrt(2.0)), period0, 0.0)
-    popt, _ = curve_fit(model, xs, values, p0=p0, maxfev=20000)
-    off, amp, period, phi = popt
-    if amp < 0:
-        amp, phi = -amp, phi + math.pi
-    return float(off), float(amp), float(abs(period)), float(phi)
+    freqs = np.fft.rfftfreq(xs.size, d=step)
+    return fit(_minimise(lambda freq: fit(freq)[0], float(freqs[peak - 1]),
+                         float(freqs[min(peak + 1, freqs.size - 1)])))[1]
 
 
 def fringe_fft(delays_m: np.ndarray, values: np.ndarray
@@ -505,32 +530,51 @@ def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float
     """Fit g2(tau) = 1 + a*exp(-tau/t)*cos(2*pi*f*tau + phi) at known f.
 
     Returns (amplitude, decay_time, phase, at_bound).  The decay time
-    estimates the mutual coherence time of the source pair; at_bound says
-    that the amplitude or the decay time ended on its bound (0 <= a <= 2,
-    decay within a factor 1e3 of the tau span), so the value is the bound's,
-    not a fitted one.
+    estimates the mutual coherence time of the source pair.  Given t the
+    model is linear in a*cos(phi) and a*sin(phi), so the residual sum, with
+    a <= 2, is minimised over log t alone (variable projection: Golub &
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): on a grid over t within a
+    factor 1e3 of the tau span, then between the best grid point's
+    neighbours.  at_bound says that a or t ended on its bound, so the value
+    is the bound's, not a fitted one.  Non-finite points are left out;
+    without a tau span left, each result is NaN and at_bound false.
     """
-    from scipy.optimize import least_squares  # slow to import: only fits load it
-    taus_s = np.asarray(taus_s, dtype=float)
-    values = np.asarray(values, dtype=float)
     ok = np.isfinite(values)
-    taus_s, values = taus_s[ok], values[ok]
+    taus_s, values = np.asarray(taus_s, dtype=float)[ok], np.asarray(values, dtype=float)[ok]
+    span = float(np.ptp(taus_s)) if taus_s.size else 0.0
+    if not span > 0.0:
+        return math.nan, math.nan, math.nan, False
+    beat = 2.0 * math.pi * beat_hz * taus_s
 
-    def residuals(p):
-        a, t_dec, phi = p
-        envelope = a * np.exp(-taus_s / t_dec)
-        return 1.0 + envelope * np.cos(2.0 * math.pi * beat_hz * taus_s + phi) - values
+    def fit(log_t):
+        envelope = np.exp(-taus_s / math.exp(log_t))
+        design = np.column_stack([envelope * np.cos(beat), -envelope * np.sin(beat)])
 
-    span = taus_s.max() - taus_s.min() if taus_s.size else 1.0
-    bounds = ([0.0, span * 1e-3, -math.pi], [2.0, span * 1e3, math.pi])
-    # a short run's noisy peak may lie above g2 = 3: seed inside the bounds
-    p0 = np.clip((max(values.max() - 1.0, 0.1), span / 3.0, 0.0), *bounds)
-    fit = least_squares(residuals, p0, bounds=bounds, max_nfev=20000)
-    if not fit.success:
-        raise RuntimeError(f"envelope fit failed: {fit.message}")
-    # active_mask is -1/+1 where the solver left a parameter on its bound
-    return (float(fit.x[0]), float(fit.x[1]), float(fit.x[2]),
-            bool(fit.active_mask[:2].any()))
+        def rss(coef):
+            return float(np.sum((design @ coef + 1.0 - values) ** 2))
+
+        coef = np.linalg.lstsq(design, values - 1.0, rcond=None)[0]
+        amp = math.hypot(*coef)
+        if amp > 2.0:
+            # on |c| = 2 the best c solves (D^T D + lam*I) c = D^T y at some
+            # lam >= 0 (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553
+            # (1983)); as lam grows, that c turns from the free c's direction
+            # to D^T y's, and no other c on the arc between is stationary
+            rhs = design.T @ (values - 1.0)
+            lo = math.atan2(coef[1], coef[0])
+            hi = lo + math.remainder(math.atan2(rhs[1], rhs[0]) - lo, 2.0 * math.pi)
+            psi = _minimise(lambda p: rss((2.0 * math.cos(p), 2.0 * math.sin(p))),
+                            min(lo, hi), max(lo, hi))
+            coef = np.array([2.0 * math.cos(psi), 2.0 * math.sin(psi)])
+        return rss(coef), coef, amp
+
+    grid = math.log(span) + np.linspace(math.log(1e-3), math.log(1e3), _ENVELOPE_GRID)
+    i = int(np.argmin([fit(s)[0] for s in grid]))
+    log_t = _minimise(lambda s: fit(s)[0], float(grid[max(i - 1, 0)]),
+                      float(grid[min(i + 1, grid.size - 1)]))
+    _, (a_cos, a_sin), amp = fit(log_t)
+    return (min(amp, 2.0), math.exp(log_t), math.atan2(a_sin, a_cos),
+            amp > 2.0 or log_t in (grid[0], grid[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 import yaml
 
 from chromint import cli, scenarios, selftest, stochastic
@@ -156,33 +155,7 @@ def test_overlap_scan_outputs(tmp_path):
     assert manifest["config_sha256"] == config_hash(cfg)
     saved = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert saved["seed"] == cfg.seed
-    assert set(manifest["versions"]) == {"chromint", "numpy", "scipy", "pyyaml",
-                                         "python"}
-
-
-def test_manifest_scipy_version_is_the_installed_one(tmp_path):
-    # the version of the scipy a run's fit used, and null for a run without
-    # a fit, in any process and in any order: here, where scipy is loaded,
-    # the overlap scan runs after an envelope fit; a fresh `chromint run`
-    # of each loads scipy only if it fits
-    runs = {"laser_g2_tau": (["duration_ps=1e8"], scipy.__version__),
-            "erasure_overlap_scan": (["overlap_mean_photons=4"], None)}
-    src = Path(scenarios.__file__).resolve().parents[1]
-    for name, (overrides, version) in runs.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # short runs warn by design
-            manifest = run_scenario(apply_overrides(default_config(name), overrides),
-                                    tmp_path / name)
-        assert manifest["versions"]["scipy"] == version
-        cfg_path = tmp_path / f"{name}.yaml"
-        cfg_path.write_text(f"scenario: {name}\n")
-        subprocess.run([sys.executable, "-m", "chromint.cli", "run", str(cfg_path),
-                        "--out", str(tmp_path / f"fresh_{name}"),
-                        *(arg for item in overrides for arg in ("--override", item))],
-                       capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                       check=True)
-        fresh = json.loads((tmp_path / f"fresh_{name}" / "manifest.json").read_text())
-        assert fresh["versions"]["scipy"] == version
+    assert set(manifest["versions"]) == {"chromint", "numpy", "pyyaml", "python"}
 
 
 def test_manifest_lists_only_files_of_this_run(tmp_path):
@@ -293,8 +266,8 @@ PINNED_DATA_FILES = {
 @pytest.mark.parametrize("duration_ps, noise", [(1e8, True), (1e10, False)])
 def test_envelope_fit_reports_its_bound(tmp_path, duration_ps, noise):
     # a 0.1 ms run is too short to see the 106 ns decay: its fit reads
-    # noise, which may or may not end on one of the fit's bounds (0 <= a <=
-    # 2, decay within a factor 1e3 of the tau span), and envelope_at_bound
+    # noise, which may or may not end on one of the fit's bounds (a <= 2,
+    # decay within a factor 1e3 of the tau span), and envelope_at_bound
     # says which; at 10 ms it fits the configured coherence, inside them
     cfg = apply_overrides(default_config("laser_g2_tau"),
                           [f"duration_ps={duration_ps}", "seed=12345"])
@@ -302,11 +275,27 @@ def test_envelope_fit_reports_its_bound(tmp_path, duration_ps, noise):
         warnings.simplefilter("ignore")
         results = run_scenario(cfg, tmp_path / "run")["results"]
     amp, decay = results["envelope_amplitude"], results["envelope_decay_ps"]
-    on_bound = (amp == pytest.approx(0.0, abs=1e-6) or amp == pytest.approx(2.0)
-                or decay == pytest.approx(1e-3 * cfg.tau_max_ps)
+    on_bound = (amp == pytest.approx(2.0) or decay == pytest.approx(1e-3 * cfg.tau_max_ps)
                 or decay == pytest.approx(1e3 * cfg.tau_max_ps))
     assert results["envelope_at_bound"] is on_bound
     assert noise or not on_bound
+
+
+@pytest.mark.parametrize("name", ["free_space_hbt", "laser_g2_tau"])
+def test_fit_without_a_finite_curve_reads_nan(tmp_path, name):
+    # 0.1 us leaves detectors without a count, so g2 has no finite value
+    # (free-space: at some separations; g2(tau): at every tau): the run
+    # still ends, as a delay scan's does, and its fit reads NaN
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(f"scenario: {name}\nduration_ps: 1.0e5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short runs warn by design
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    results = json.loads((tmp_path / "out" / "manifest.json").read_text())["results"]
+    fitted = {"free_space_hbt": ["fitted_period_m", "fitted_visibility"],
+              "laser_g2_tau": ["envelope_amplitude", "envelope_decay_ps"]}[name]
+    assert all(math.isnan(results[key]) for key in fitted)
+    assert results.get("envelope_at_bound", False) is False
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DATA_FILES))
@@ -501,12 +490,11 @@ def loaded_after(heavy: tuple, *imports: str) -> list[str]:
 
 
 def test_cli_import_leaves_out_stats_and_optimize():
-    # scipy takes most of a cold start: no run needs scipy.stats, only the
-    # curve fits load scipy.optimize, the gate study's Student-t quantile and
-    # the Fock pump series are numpy, and the exact layer runs on numpy
-    # alone, so no submodule loads any part of scipy.  The manifest reads
-    # scipy's version from the loaded module: importlib.metadata would load
-    # email, zipfile and csv into every run's start
+    # scipy is a test-only dependency: the curve fits, the gate study's
+    # Student-t quantile, the Fock pump series and the exact layer run on
+    # numpy alone, so no submodule loads any part of scipy.  The manifest
+    # reads each version from the loaded module: importlib.metadata would
+    # load email, zipfile and csv into every run's start
     heavy = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize", "scipy.sparse",
              "scipy.linalg", "importlib.metadata")
     after_cli, after_all = loaded_after(
@@ -516,18 +504,22 @@ def test_cli_import_leaves_out_stats_and_optimize():
     assert after_all == "", f"importing every submodule loads {after_all}"
 
 
-def test_cli_run_without_a_fit_leaves_out_scipy_and_metadata(tmp_path):
-    # recording the manifest's versions loads neither scipy nor
-    # importlib.metadata: a run without a fit ends as lean as it started
-    cfg_path = tmp_path / "scan.yaml"
-    cfg_path.write_text("scenario: laser_delay_scan\nduration_ps: 1.0e9\ndelay_points: 4\n")
-    argv = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
+@pytest.mark.parametrize("name", ["free_space_hbt", "laser_g2_tau"])
+def test_cli_fitting_run_leaves_out_scipy_and_metadata(tmp_path, name):
+    # the curve fits run on numpy's least squares, and recording the
+    # manifest's versions loads no importlib.metadata: a run that fits ends
+    # as lean as it started
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(f"scenario: {name}\n")
+    argv = ["run", str(cfg_path), "--out", str(tmp_path / "out"),
+            *(arg for item in TINY_OVERRIDES[name] for arg in ("--override", item))]
     after_run, = loaded_after(
         ("scipy", "importlib.metadata"),
         "import contextlib, io\nfrom chromint.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0")
-    assert after_run == "", f"a laser_delay_scan run loads {after_run}"
-    assert (tmp_path / "out" / "manifest.json").exists()
+    assert after_run == "", f"a {name} run loads {after_run}"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {"fitted_period_m", "envelope_decay_ps"} & set(manifest["results"])
 
 
 def test_cli_import_leaves_out_the_exact_layer():

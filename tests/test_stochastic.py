@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit, least_squares
 from scipy.stats import chisquare, ks_2samp, kstest
 
 from chromint import stochastic
@@ -814,12 +815,57 @@ def test_fit_g2_envelope_reports_each_bound():
 
 def test_fit_g2_envelope_seeds_inside_its_bounds():
     # a short run's zero-delay bin can read g2 above 3, beyond the largest
-    # amplitude the fit allows (2): it is seeded inside the bounds
+    # amplitude the fit allows (2): the fit stays inside its bounds
     taus = np.arange(0, 300e-9, 4e-9)
     values = 1.0 + 0.5 * np.exp(-taus / 100e-9) * np.cos(2 * math.pi * 25e6 * taus)
     values[0] = 3.3
     amp, decay, phase, _ = fit_g2_envelope(taus, values, 25e6)
     assert 0.0 <= amp <= 2.0 and 0.0 < decay and abs(phase) <= math.pi
+
+
+def fringe_model(x, off, amp, period, phi):
+    return off + amp * np.cos(2 * math.pi * x / period + phi)
+
+
+def envelope_model(taus, beat_hz, amp, decay, phi):
+    return 1.0 + amp * np.exp(-taus / decay) * np.cos(2 * math.pi * beat_hz * taus + phi)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_fringe_free_period_matches_curve_fit(seed):
+    # reference: scipy's curve_fit from the Fourier peak's period
+    xs = np.linspace(0, 12e-3, 48)
+    values = (fringe_model(xs, 1.0, 0.45, 3.55e-3, 0.2)
+              + 0.05 * np.random.default_rng(seed).normal(size=xs.size))
+    spectrum = np.abs(np.fft.rfft(values - values.mean()))
+    period0 = 1.0 / np.fft.rfftfreq(xs.size, d=xs[1] - xs[0])[1 + np.argmax(spectrum[1:])]
+    p0 = (values.mean(), values.std() * math.sqrt(2.0), period0, 0.0)
+    reference, _ = curve_fit(fringe_model, xs, values, p0=p0, maxfev=20000)
+    rss = [np.sum((fringe_model(xs, *p) - values) ** 2)
+           for p in (fit_fringe_free_period(xs, values), reference)]
+    assert rss[0] <= rss[1] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("amp, decay, at_bound", [(0.5, 100e-9, False),  # inside
+                                                  (2.5, 100e-9, True),  # a beyond 2
+                                                  # no decay: noise decides
+                                                  (0.5, math.inf, None)])
+def test_fit_g2_envelope_matches_bounded_least_squares(seed, amp, decay, at_bound):
+    # reference: scipy's bounded least_squares on (a, t, phi), seeded inside
+    # its bounds from the curve's peak
+    taus = np.arange(0, 300e-9, 4e-9)
+    values = (envelope_model(taus, 25e6, amp, decay, 0.3)
+              + 0.05 * np.random.default_rng(seed).normal(size=taus.size))
+    span = taus[-1] - taus[0]
+    bounds = ([0.0, span * 1e-3, -math.pi], [2.0, span * 1e3, math.pi])
+    p0 = np.clip((max(values.max() - 1.0, 0.1), span / 3.0, 0.0), *bounds)
+    reference = least_squares(lambda p: envelope_model(taus, 25e6, *p) - values, p0,
+                              bounds=bounds, max_nfev=20000)
+    *fit, bound = fit_g2_envelope(taus, values, 25e6)
+    rss = np.sum((envelope_model(taus, 25e6, *fit) - values) ** 2)
+    assert rss <= np.sum(reference.fun ** 2) * (1 + 1e-12)
+    assert at_bound is None or bound is at_bound
 
 
 # ---------------------------------------------------------------------------
