@@ -11,6 +11,20 @@ the rate, each kept with probability rate/bound.  By AM-GM the cross term
 2|c|*sqrt(i1*i2)*cos(.) of source intensities i1, i2 is at most
 |c|*(i1 + i2), so each detector's bound has one linear term per source.
 
+A candidate is kept where u*bound < base + k*cos(theta), u uniform,
+base = b1*i1 + b2*i2, k = 2|c|*sqrt(i1*i2), decided bit for bit as float64
+decides it, with float64 cosines for about one candidate in a million
+(Marsaglia's squeeze, Comput. Math. Appl. 3, 321 (1977)).  theta is reduced
+to r = theta - 2*pi*rint(theta/(2*pi)) in float64, and the float32 cosine
+of r gives the rate to within the margin
+k*(2**-20 + |theta|*2**-50) + 1e-14*bound; only candidates whose u*bound
+lies within it of that rate get the float64 one.  Per unit of k, 2**-20
+covers rounding r to float32 (at most pi*2**-24) and numpy's float32
+cosine, budgeted at 8 ulp (2**-21); |theta|*2**-50 covers the reduction's
+own error, at most |theta|*2**-51 (2*pi and its multiple are each rounded
+once); 1e-14*bound covers the float64 rounding of both sums, a few ulp of
+the bound.  A batch's largest |theta| stands in for each candidate's.
+
 A source pair (interferometry.SourcePair) is of one kind, with one mutual
 coherence time tc.  Either kind draws one candidate process for both
 detectors, and one uniform per candidate picks its detector: a Poisson
@@ -148,7 +162,10 @@ class _LaserPair:
 
     def candidates(self, start: float, end: float) -> list:
         """Per detector, the times and batch rows of its candidates in [start, end)."""
-        times = self.rng.uniform(start, end, self.rng.poisson(self.bound * (end - start)))
+        # start + (end - start)*u, as uniform(start, end) computes it
+        times = self.rng.random(self.rng.poisson(self.bound * (end - start)))
+        times *= end - start
+        times += start
         times.sort()
         self.times, to_a = times, self.rng.random(times.size) < self.share
         return [(times.take(rows), rows) for rows in (np.flatnonzero(to_a), np.flatnonzero(~to_a))]
@@ -156,7 +173,9 @@ class _LaserPair:
     def field(self, drawn: list) -> list:
         """Per detector: both intensities (1.0) and the beat phase, by batch row."""
         times = self.times
-        steps = np.diff(times, prepend=self.time)
+        steps = np.empty_like(times)
+        np.subtract(times[1:], times[:-1], out=steps[1:])
+        steps[:1] = times[:1] - self.time
         steps *= self.diffusion
         walk = np.sqrt(steps, out=steps)
         walk *= self.rng.standard_normal(times.size)
@@ -197,7 +216,7 @@ class _ThermalPair:
         slots = _occupied(rng, occupied, first, self.next_slot)
         # source 1 has candidates (source 2 any number) or only source 2 has:
         # zero-truncated geometric counts, in proportion p1 : (1 - p1)*p2
-        alone = rng.uniform(size=slots.size) * occupied < (1.0 - p1) * p2
+        alone = rng.random(slots.size) * occupied < (1.0 - p1) * p2
         n1 = np.zeros(slots.size, np.int64)
         n1[~alone] = rng.geometric(1.0 / (1.0 + a1), slots.size - np.count_nonzero(alone))
         n2 = rng.geometric(1.0 / (1.0 + a2), slots.size) - 1 + alone
@@ -206,13 +225,26 @@ class _ThermalPair:
         values = (i1, i2, rng.random(slots.size) * (2.0 * math.pi))
         self.table = tuple(np.concatenate((x[-1:], y)) for x, y in zip(self.table, values))
         drawn = []
-        for d, ((t1, rows1), (t2, rows2)) in enumerate(zip(by_det1, by_det2)):
-            t = np.concatenate((self.carry[d], t1, t2))
-            rows = np.concatenate((np.zeros(self.carry[d].size, np.int64), rows1, rows2))
-            later = t >= end
-            self.carry[d] = t[later]
-            keep = np.flatnonzero(~later & (t >= 0.0))  # slot -1 starts before 0
-            drawn.append((t.take(keep), rows.take(keep)))
+        for d, blocks in enumerate(zip(by_det1, by_det2)):
+            # only the carry, slot -1 (row 1 of the first batch, which starts
+            # before 0) and the batch's last slot can lie outside [0, end):
+            # rows ascend within a block, so those are its head and tail
+            parts = [(self.carry[d], np.zeros(self.carry[d].size, np.int64), True)]
+            for t, rows in blocks:
+                head = np.searchsorted(rows, 2) if first < 0 else 0
+                tail = max(head, np.searchsorted(rows, slots.size))
+                parts += [(t[:head], rows[:head], True), (t[head:tail], rows[head:tail], False),
+                          (t[tail:], rows[tail:], True)]
+            later = []
+            for i, (t, rows, edge) in enumerate(parts):
+                if edge:
+                    past = t >= end
+                    later.append(t[past])
+                    keep = ~past & (t >= 0.0)
+                    t, rows = t[keep], rows[keep]
+                parts[i] = t, rows
+            self.carry[d] = np.concatenate(later)
+            drawn.append(tuple(map(np.concatenate, zip(*parts))))
         return drawn
 
     def _source(self, slots: np.ndarray, n: np.ndarray, a: float,
@@ -265,6 +297,45 @@ def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
     return np.concatenate(found).astype(np.int64)
 
 
+def _cos32(theta: np.ndarray) -> np.ndarray:
+    """float32 cosine of theta, reduced in float64 to about [-pi, pi] first
+    (numpy's float32 cosine is fast only on small arguments)."""
+    reduced = theta * (0.5 / math.pi)
+    np.rint(reduced, out=reduced)
+    reduced *= -2.0 * math.pi
+    reduced += theta
+    cos = reduced.astype(np.float32)
+    return np.cos(cos, out=cos)
+
+
+def _squeeze_margin(k, theta_abs, bound):
+    """Bound on |base + k*cos(theta) - (base + k*_cos32(theta))| as float64
+    evaluates both, for |theta| <= theta_abs (derived in the module
+    docstring)."""
+    return k * (2.0 ** -20 + theta_abs * 2.0 ** -50) + 1e-14 * bound
+
+
+def _thin(rng: Generator, bound, base, k, theta: np.ndarray) -> np.ndarray:
+    """Indices of the candidates kept, each with y = u*bound for one uniform
+    u of `rng`: those with y < base + k*np.cos(theta), bit for bit as float64
+    decides it.  The float32 cosine decides every candidate whose y lies
+    beyond _squeeze_margin of its approximate rate; the float64 cosine
+    decides the rest (Marsaglia's squeeze).  bound, base and k are scalars
+    or one value per candidate."""
+    approx = np.multiply(_cos32(theta), k, dtype=np.float64)
+    approx += base
+    y = rng.random(theta.size)
+    y *= bound
+    kept = y < approx
+    gap = np.abs(np.subtract(y, approx, out=approx), out=approx)
+    theta_abs = max(theta.max(initial=0.0), -theta.min(initial=0.0))
+    unsure = np.flatnonzero(gap <= _squeeze_margin(k, theta_abs, bound))
+    if unsure.size:
+        base_u, k_u = (np.broadcast_to(a, theta.shape)[unsure] for a in (base, k))
+        kept[unsure] = y[unsure] < base_u + k_u * np.cos(theta[unsure])
+    return np.flatnonzero(kept)
+
+
 def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
                     det_a: DetectorSetting, det_b: DetectorSetting,
                     duration: float, seed: int, trial: int = 0
@@ -278,8 +349,12 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
 
     Arrivals are drawn by thinning (see the module docstring): with source
     intensities i1, i2, the rate b1*i1 + b2*i2 + 2*|c|*sqrt(i1*i2)*cos(.)
-    has the bound b1*i1 + b2*i2 + |c|*(i1 + i2).  A rate outside [0, bound]
-    raises RuntimeError.  Dark counts are merged in from their own streams.
+    has the bound b1*i1 + b2*i2 + |c|*(i1 + i2), and each candidate is kept
+    by the float32-cosine squeeze of the module docstring, which decides as
+    the float64 rate does.  The rate's extremes
+    b1*i1 + b2*i2 +- 2*|c|*sqrt(i1*i2) outside [0, bound] (beyond 1e-12 of
+    the bound) raise RuntimeError: by AM-GM they lie inside when
+    v_deg <= 1.  Dark counts are merged in from their own streams.
     """
     if duration < 100.0 * pair.coherence_time:
         warnings.warn(f"duration {duration:g}s is under 100 coherence times; "
@@ -306,27 +381,32 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
         for d, (td, _) in enumerate(drawn):
             if beating:
                 b1, b2, swing, offset = det_consts[d]
-                j1, j2, beat = fields[d]
+                j1, j2, theta = fields[d]
                 base = b1 * j1 + b2 * j2
                 bound = base + swing * (j1 + j2) / 2.0
-                rate = base + swing * np.sqrt(j1 * j2) * np.cos(beat + offset)
-                # by AM-GM rate <= bound, and rate >= 0 if v_deg <= 1, up to rounding
-                if np.any(rate > bound * (1.0 + 1e-12)) or np.any(rate < -1e-12 * bound):
+                k = swing * np.sqrt(j1 * j2)
+                fields[d] = j1 = j2 = None  # frees a thermal pair's intensities before _thin
+                theta += offset  # in place: the taken beat becomes the cosine's phase
+                # the rate lies in [base - k, base + k]; by AM-GM base + k <= bound,
+                # and base - k >= 0 if v_deg <= 1, up to rounding
+                if np.any(base + k > bound * (1.0 + 1e-12)) or np.any(base - k < -1e-12 * bound):
                     raise RuntimeError("detection rate outside [0, bound]: "
-                                       f"{rate.min():.6g} .. {rate.max():.6g}")
-                td = td.take(np.flatnonzero(rng_det[d].uniform(size=td.size) * bound < rate))
-            times[d].append(np.floor(td * PS_PER_S).astype(np.int64))
+                                       f"{np.min(base - k):.6g} .. {np.max(base + k):.6g}")
+                td = td.take(_thin(rng_det[d], bound, base, k, theta))
+            times[d].append((td * PS_PER_S).astype(np.int64))  # td >= 0: truncation floors
 
     streams = []
     for d, (det, name) in enumerate(((det_a, "A"), (det_b, "B"))):
         rng_dark = substream(seed, trial, 4 + d)
-        dark = np.sort(rng_dark.uniform(
-            0.0, duration, size=rng_dark.poisson(det.dark_count_rate * duration)))
-        ts = np.concatenate(times[d] + [np.floor(dark * PS_PER_S).astype(np.int64)])
+        dark = rng_dark.random(rng_dark.poisson(det.dark_count_rate * duration))
+        dark *= duration
+        dark.sort()
+        ts = np.concatenate(times[d] + [(dark * PS_PER_S).astype(np.int64)])
         ts.sort(kind="stable")  # mostly a merge of sorted runs
         # arrivals within one picosecond collapse to one count
-        ts = ts[(np.diff(ts, prepend=-1) != 0) & (ts < duration_ps)]
-        streams.append(EventStream(name, ts, duration_ps, seed))
+        keep = ts < duration_ps
+        keep[1:] &= ts[1:] != ts[:-1]
+        streams.append(EventStream(name, ts[keep], duration_ps, seed))
     return streams[0], streams[1]
 
 
@@ -338,8 +418,14 @@ def _collapse(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not bins.size:
         return bins, np.zeros(0, np.int64)
     # the index of each run's last element
-    ends = np.append(np.flatnonzero(bins[1:] != bins[:-1]), bins.size - 1)
-    return bins[ends], np.diff(ends, prepend=-1)
+    last = np.empty(bins.size, bool)
+    np.not_equal(bins[1:], bins[:-1], out=last[:-1])
+    last[-1] = True
+    ends = np.flatnonzero(last)
+    counts = np.empty_like(ends)
+    counts[:1] = ends[:1] + 1
+    np.subtract(ends[1:], ends[:-1], out=counts[1:])
+    return bins[ends], counts
 
 
 def _runs(offsets: list[int], pair_work: float, pass_work: int):
@@ -362,17 +448,18 @@ def _window_sums(bins_a: np.ndarray, counts_a: np.ndarray, bins_b: np.ndarray,
 
     Two searchsorted calls bound each A bin's window [k+first, k+last] in
     B's bins.  A one-bin window (first == last) holds the B bin that
-    `start` points at or none, so while B has bins one comparison gives its
-    length.  Windows are sorted longest first, so the windows that still
-    hold an r-th B bin are a prefix; rank r visits that bin of every such
-    window at once.
+    `start` points at or none, so while B has bins one comparison finds the
+    A bins whose window holds one, and the sum is one dot product.  Other
+    windows are sorted longest first, so the windows that still hold an
+    r-th B bin are a prefix; rank r visits that bin of every such window at
+    once.
     """
     start = np.searchsorted(bins_b, bins_a + first)
     if first == last and bins_b.size:
-        length = (bins_b.take(start, mode="clip") == bins_a + first).astype(np.int64)
-    else:
-        length = np.searchsorted(bins_b, bins_a + last, side="right")
-        length -= start
+        hit = bins_b.take(start, mode="clip") == bins_a + first
+        return np.array([counts_a[hit] @ counts_b[start[hit]]])
+    length = np.searchsorted(bins_b, bins_a + last, side="right")
+    length -= start
     order = np.argsort(-length)[:np.count_nonzero(length)]
     # still_open[r]: number of windows holding at least r B bins
     still_open = np.cumsum(np.bincount(length)[::-1])[::-1]

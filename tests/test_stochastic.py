@@ -18,6 +18,7 @@ from chromint.interferometry import (
     InterferometerGeometry,
     SourcePair,
     detector_couplings,
+    detector_rates,
 )
 from chromint.scenarios import (
     _write_g2_csv,
@@ -730,6 +731,80 @@ def test_thinning_rate_within_bound(theta, phase_a, phase_b, v_deg, delay,
         excess = duration * tc * (4 * cross2 + (sum(bj ** 2 for bj in b)
                                                 if kind == "thermal" else 0.0))
         assert abs(stream.count - mean) <= 5 * math.sqrt(mean + excess)
+
+
+class FixedUniforms:
+    """Stands in for a detector's Generator: random(n) hands out the given
+    uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from([0.0, 0.3, 1.0]),
+       st.floats(1e-3, 1e9))
+@example(seed=0, per_candidate=False, v=0.0, scale=1.0)
+def test_squeeze_keeps_every_float64_decision(seed, per_candidate, v, scale):
+    # the candidates _thin keeps are those of the float64 rule
+    # u*bound < base + k*np.cos(theta), for one rate per candidate (a
+    # thermal pair's intensities) or one scalar rate (a laser pair's), with
+    # k = 0 among them; a third of the u put u*bound within 1e-12 of the
+    # float64 rate, or on it, where only the float64 cosine can decide
+    rng = np.random.default_rng(seed)
+    n = 3000
+    b1, b2 = rng.uniform(0.1, 2.0, 2) * scale
+    swing = v * 2.0 * math.sqrt(b1 * b2)
+    j1, j2 = rng.standard_exponential((2, n)) if per_candidate else (1.0, 1.0)
+    base = b1 * j1 + b2 * j2
+    bound = base + swing * (j1 + j2) / 2.0
+    k = swing * np.sqrt(j1 * j2)
+    theta = rng.uniform(-1e9, 1e9, n)
+    theta[:n // 3] = rng.uniform(-10.0, 10.0, n // 3)
+    rate = base + k * np.cos(theta)
+    u = rng.random(n)
+    near = rng.random(n) < 1 / 3
+    u[near] = np.clip(np.broadcast_to(rate / bound, (n,))[near]
+                      * (1.0 + rng.uniform(-1e-12, 1e-12, np.count_nonzero(near))
+                         * rng.integers(0, 2, np.count_nonzero(near))), 0.0, 1.0 - 2 ** -53)
+    expected = np.flatnonzero(u * bound < rate)
+    kept = stochastic._thin(FixedUniforms(u), bound, base, k, theta)
+    assert np.array_equal(kept, expected)
+
+
+def test_float32_cosine_is_within_a_quarter_of_the_margin():
+    # the gap between the float32 and the float64 cosine over 10**7 phases
+    # in [-1e9, 1e9], and over 10**6 of magnitude up to 1e13, where the
+    # reduction's error outgrows the float32 terms, stays under a quarter of
+    # _squeeze_margin per unit of k
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for chunk in range(11):
+        if chunk < 10:
+            theta = rng.uniform(-1e9, 1e9, 10 ** 6)
+        else:
+            theta = 10.0 ** rng.uniform(0.0, 13.0, 10 ** 6) * rng.choice([-1.0, 1.0], 10 ** 6)
+        gap = np.abs(stochastic._cos32(theta) - np.cos(theta))
+        worst = max(worst, float(np.max(gap / stochastic._squeeze_margin(1.0, np.abs(theta), 0.0))))
+    assert worst < 0.25
+
+
+@pytest.mark.parametrize("kind", ["coherent", "thermal"])
+def test_rate_below_zero_raises(monkeypatch, kind):
+    # a swing above 2*sqrt(b1*b2), as a visibility degradation above 1
+    # would give, takes the rate below zero at some phase
+    def too_strong(*args):
+        b1, b2, _, offset = detector_rates(*args)
+        return b1, b2, 2.5 * math.sqrt(b1 * b2), offset
+
+    monkeypatch.setattr(stochastic, "detector_rates", too_strong)
+    det = DetectorSetting(math.pi / 4)
+    with pytest.raises(RuntimeError, match="outside"):
+        quiet_simulate(SourcePair(kind, 2e7, 2e7, 20e-9), GEO, det, det, 1e-4, seed=3)
 
 
 def test_g2_decorrelates_beyond_coherence_time():
