@@ -375,10 +375,10 @@ def _run_fft(cfg: ScenarioConfig, out: Path) -> dict:
     freqs, spectrum, peak = fringe_fft(delays, _mc_delay_scan(cfg, out, delays))
     write_csv(out / "spectrum.csv", "frequency_hz,magnitude", freqs, spectrum)
     median = float(np.median(spectrum[1:]))
-    peak_mag = float(np.max(spectrum[1:]))
+    ratio = float(np.max(spectrum[1:])) / median if median > 0 else math.inf
     return {"peak_frequency_hz": peak,
             "expected_frequency_hz": SPEED_OF_LIGHT / cfg.lambda3_m,
-            "peak_to_median": peak_mag / median if median > 0 else float("inf"),
+            "peak_to_median": math.nan if math.isnan(peak) else ratio,
             "frequency_bin_hz": float(freqs[1] - freqs[0])}
 
 
@@ -393,7 +393,7 @@ def _run_g2_tau(cfg: ScenarioConfig, out: Path) -> dict:
                     "g2_zero": float(curve.values[0])}
     # slot-model thermal sources decay with a triangular correlation
     # instead, so the envelope fit applies to beating lasers only
-    if pair.kind == "coherent" and pair.detuning_hz > 0 and cfg.pump_on:
+    if pair.kind == "coherent" and pair.detuning_hz != 0 and cfg.pump_on:
         amp, decay_s, _, at_bound = fit_g2_envelope(curve.taus_ps * 1e-12, curve.values,
                                                     cfg.detuning_hz)
         result.update({"envelope_amplitude": amp,

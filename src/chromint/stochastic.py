@@ -45,7 +45,8 @@ slot and one per candidate, summed over 1 + a_j.  A candidate carries its
 slot's table row, and its uniform u, below w_j (source j's share of the
 detectors' weights) for A, also places it at u/w_j or (u - w_j)/(1 - w_j)
 of the way through its slot.  One thermal beam on a splitter is the pair
-with a2 = 0.  The cost follows the candidates, in batches of about _CHUNK.
+with a2 = 0.  The cost follows the candidates, in batches of about _CHUNK:
+a batch holds the whole slots that start before its end; none carries over.
 
 Randomness is drawn from PCG64 streams (O'Neill 2014), one per key
 (seed, trial, role), seeded through numpy's SeedSequence with the key words
@@ -190,24 +191,24 @@ class _LaserPair:
 class _ThermalPair:
     """A thermal pair on one stationary slot lattice [(k + u)*tc,
     (k + 1 + u)*tc): source j puts a_j = (its weights summed)*tc candidates
-    into a slot at unit intensity.  The table holds, per drawn slot, both
-    intensities and the phase difference, row 0 the last slot of the batch
-    before, which the candidates carried past its end lie in.  A source's
+    into a slot at unit intensity.  A batch holds the whole slots that start
+    before its end, and nothing crosses into the next batch; its table holds,
+    per drawn slot, both intensities and the phase difference.  A source's
     candidates are drawn, placed and reduced to its slot intensities one
     source at a time, in bulk draws from the field stream: one unit
     exponential per slot and per candidate, one uniform per candidate."""
 
     def __init__(self, tc: float, carrier: float, weights: list[tuple[float, float]],
-                 rng: Generator):
+                 rng: Generator, duration: float):
         self.tc, self.carrier, self.weights, self.rng = tc, carrier, weights, rng
         self.a = [sum(w) * tc for w in weights]
         self.offset = float(rng.uniform())
-        self.next_slot, self.table = -1, (np.zeros(1),) * 3
-        self.carry = [np.zeros(0)] * 2
+        self.next_slot, self.duration = -1, duration
 
     def candidates(self, start: float, end: float) -> list:
-        """Per detector, the times and table rows of the pair's candidates
-        before `end`; only the slots that receive one are drawn."""
+        """Per detector, the times and table rows of the candidates in every
+        slot that starts before `end`, those past `end` last, cut to the run
+        [0, duration); only the slots that receive one are drawn."""
         tc, (a1, a2), rng = self.tc, self.a, self.rng
         first = self.next_slot
         self.next_slot = max(first, math.ceil(end / tc - self.offset))
@@ -222,29 +223,21 @@ class _ThermalPair:
         n2 = rng.geometric(1.0 / (1.0 + a2), slots.size) - 1 + alone
         (i1, by_det1), (i2, by_det2) = [self._source(slots, n, a, w) for n, a, w
                                         in zip((n1, n2), self.a, self.weights)]
-        values = (i1, i2, rng.random(slots.size) * (2.0 * math.pi))
-        self.table = tuple(np.concatenate((x[-1:], y)) for x, y in zip(self.table, values))
+        self.table = (i1, i2, rng.random(slots.size) * (2.0 * math.pi))
         drawn = []
-        for d, blocks in enumerate(zip(by_det1, by_det2)):
-            # only the carry, slot -1 (row 1 of the first batch, which starts
-            # before 0) and the batch's last slot can lie outside [0, end):
-            # rows ascend within a block, so those are its head and tail
-            parts = [(self.carry[d], np.zeros(self.carry[d].size, np.int64), True)]
+        for blocks in zip(by_det1, by_det2):
+            parts, later = [], []
             for t, rows in blocks:
-                head = np.searchsorted(rows, 2) if first < 0 else 0
-                tail = max(head, np.searchsorted(rows, slots.size))
-                parts += [(t[:head], rows[:head], True), (t[head:tail], rows[head:tail], False),
-                          (t[tail:], rows[tail:], True)]
-            later = []
-            for i, (t, rows, edge) in enumerate(parts):
-                if edge:
-                    past = t >= end
-                    later.append(t[past])
-                    keep = ~past & (t >= 0.0)
-                    t, rows = t[keep], rows[keep]
-                parts[i] = t, rows
-            self.carry[d] = np.concatenate(later)
-            drawn.append(tuple(map(np.concatenate, zip(*parts))))
+                # only slot -1 (row 0 of the first batch, which starts before
+                # 0) and the batch's last slot reach outside [0, end): rows
+                # ascend within a block, so those are its head and tail
+                head = np.searchsorted(rows, 1) if first < 0 else 0
+                tail = max(head, np.searchsorted(rows, slots.size - 1))
+                edges = (t[:head], rows[:head]), (t[tail:], rows[tail:])
+                parts += [_within(*edges[0], 0.0, end), (t[head:tail], rows[head:tail]),
+                          _within(*edges[1], 0.0, end)]
+                later += [_within(*edge, end, self.duration) for edge in edges]
+            drawn.append(tuple(map(np.concatenate, zip(*parts, *later))))
         return drawn
 
     def _source(self, slots: np.ndarray, n: np.ndarray, a: float,
@@ -273,7 +266,6 @@ class _ThermalPair:
             t += slots.take(rows_d)
             t += self.offset
             t *= self.tc
-            rows_d += 1
             by_det.append((t, rows_d))
         return intensity, by_det
 
@@ -282,6 +274,12 @@ class _ThermalPair:
         i1, i2, phase = self.table
         return [(i1.take(rows), i2.take(rows), phase.take(rows) + self.carrier * t)
                 for t, rows in drawn]
+
+
+def _within(t: np.ndarray, rows: np.ndarray, lo: float, hi: float) -> tuple:
+    """The times in [lo, hi) and their rows."""
+    keep = (t >= lo) & (t < hi)
+    return t[keep], rows[keep]
 
 
 def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
@@ -351,10 +349,9 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
     intensities i1, i2, the rate b1*i1 + b2*i2 + 2*|c|*sqrt(i1*i2)*cos(.)
     has the bound b1*i1 + b2*i2 + |c|*(i1 + i2), and each candidate is kept
     by the float32-cosine squeeze of the module docstring, which decides as
-    the float64 rate does.  The rate's extremes
-    b1*i1 + b2*i2 +- 2*|c|*sqrt(i1*i2) outside [0, bound] (beyond 1e-12 of
-    the bound) raise RuntimeError: by AM-GM they lie inside when
-    v_deg <= 1.  Dark counts are merged in from their own streams.
+    the float64 rate does.  A detector with 2*|c| above 2*sqrt(b1*b2)
+    beyond 1e-12 relative (v_deg > 1) raises RuntimeError: its rate falls
+    below 0 somewhere.  Dark counts are merged in from their own streams.
     """
     if duration < 100.0 * pair.coherence_time:
         warnings.warn(f"duration {duration:g}s is under 100 coherence times; "
@@ -364,12 +361,18 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
     det_consts = [detector_rates(det, geometry, *pair.rates_at_detector,
                                  geometry.path_phase(1, name) - geometry.path_phase(2, name))
                   for det, name in ((det_a, "A"), (det_b, "B"))]
+    for b1, b2, swing, _ in det_consts:
+        # by AM-GM the rate lies in [-1e-12*bound, bound] at every intensity
+        # and phase while swing <= 2*sqrt(b1*b2)*(1 + 1e-12)
+        if swing > 2.0 * math.sqrt(b1 * b2) * (1.0 + 1e-12):
+            raise RuntimeError(f"detection rate outside [0, bound]: swing {swing:.6g} "
+                               f"above 2*sqrt(b1*b2) = {2.0 * math.sqrt(b1 * b2):.6g}")
     beating = any(swing for _, _, swing, _ in det_consts)
 
     # the bound is b_j + swing/2 per unit of source j's intensity, per detector
     weights = [tuple(c[j] + c[2] / 2.0 for c in det_consts) for j in (0, 1)]
-    sources = (_ThermalPair if pair.kind == "thermal" else _LaserPair)(
-        pair.coherence_time, -2.0 * math.pi * pair.detuning_hz, weights, substream(seed, trial, 0))
+    args = pair.coherence_time, -math.tau * pair.detuning_hz, weights, substream(seed, trial, 0)
+    sources = _ThermalPair(*args, duration) if pair.kind == "thermal" else _LaserPair(*args)
     rng_det = [substream(seed, trial, 2), substream(seed, trial, 3)]
     expected = duration * sum(map(sum, weights))
     edges = np.linspace(0.0, duration, 1 + max(1, math.ceil(expected / _CHUNK)))
@@ -387,11 +390,6 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
                 k = swing * np.sqrt(j1 * j2)
                 fields[d] = j1 = j2 = None  # frees a thermal pair's intensities before _thin
                 theta += offset  # in place: the taken beat becomes the cosine's phase
-                # the rate lies in [base - k, base + k]; by AM-GM base + k <= bound,
-                # and base - k >= 0 if v_deg <= 1, up to rounding
-                if np.any(base + k > bound * (1.0 + 1e-12)) or np.any(base - k < -1e-12 * bound):
-                    raise RuntimeError("detection rate outside [0, bound]: "
-                                       f"{np.min(base - k):.6g} .. {np.max(base + k):.6g}")
                 td = td.take(_thin(rng_det[d], bound, base, k, theta))
             times[d].append((td * PS_PER_S).astype(np.int64))  # td >= 0: truncation floors
 
@@ -601,7 +599,8 @@ def fringe_fft(delays_m: np.ndarray, values: np.ndarray
 
     Delays convert to light travel time (d/c), so the returned axis and peak
     are optical frequencies in Hz.  Requires a uniform grid of at least
-    FFT_MIN_POINTS points; the peak search excludes the DC bin.
+    FFT_MIN_POINTS points; the peak search excludes the DC bin.  A curve
+    with a non-finite point gives a NaN peak, as the fits give NaN.
     """
     delays_m = np.asarray(delays_m, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -609,7 +608,7 @@ def fringe_fft(delays_m: np.ndarray, values: np.ndarray
         raise ValueError(f"need at least {FFT_MIN_POINTS} scan points")
     step, spectrum, peak = _fourier_peak(delays_m, values)
     freqs = np.fft.rfftfreq(delays_m.size, d=step / SPEED_OF_LIGHT)
-    return freqs, spectrum, float(freqs[peak])
+    return freqs, spectrum, float(freqs[peak]) if np.isfinite(values).all() else math.nan
 
 
 def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float

@@ -281,11 +281,23 @@ def test_envelope_fit_reports_its_bound(tmp_path, duration_ps, noise):
     assert noise or not on_bound
 
 
-@pytest.mark.parametrize("name", ["free_space_hbt", "laser_g2_tau"])
+def test_negative_detuning_fits_the_envelope(tmp_path):
+    # source 2 below source 1 beats as well: the cosine is even, so the
+    # envelope decays alike and is fitted as for a positive detuning
+    cfg = apply_overrides(default_config("laser_g2_tau"),
+                          ["duration_ps=1e10", "detuning_hz=-25e6", "seed=12345"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = run_scenario(cfg, tmp_path / "run")["results"]
+    assert math.isfinite(results["envelope_decay_ps"])
+    assert results["envelope_at_bound"] is False
+
+
+@pytest.mark.parametrize("name", ["free_space_hbt", "laser_g2_tau", "laser_fft"])
 def test_fit_without_a_finite_curve_reads_nan(tmp_path, name):
     # 0.1 us leaves detectors without a count, so g2 has no finite value
-    # (free-space: at some separations; g2(tau): at every tau): the run
-    # still ends, as a delay scan's does, and its fit reads NaN
+    # (free-space and FFT: at some separations or delays; g2(tau): at every
+    # tau): the run still ends, as a delay scan's does, and its fit reads NaN
     cfg_path = tmp_path / "run.yaml"
     cfg_path.write_text(f"scenario: {name}\nduration_ps: 1.0e5\n")
     with warnings.catch_warnings():
@@ -293,7 +305,8 @@ def test_fit_without_a_finite_curve_reads_nan(tmp_path, name):
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     results = json.loads((tmp_path / "out" / "manifest.json").read_text())["results"]
     fitted = {"free_space_hbt": ["fitted_period_m", "fitted_visibility"],
-              "laser_g2_tau": ["envelope_amplitude", "envelope_decay_ps"]}[name]
+              "laser_g2_tau": ["envelope_amplitude", "envelope_decay_ps"],
+              "laser_fft": ["peak_frequency_hz", "peak_to_median"]}[name]
     assert all(math.isnan(results[key]) for key in fitted)
     assert results.get("envelope_at_bound", False) is False
 

@@ -559,22 +559,25 @@ def test_thermal_pair_g2_at_zero_delay():
 
 
 def test_thermal_slot_field_across_batches():
-    # a slot's intensities and phase are drawn once, whichever batch reads
-    # them (batch ends fall inside slots, and the candidates carried past
-    # one read row 0 of the next table).  Over the slots with candidates,
+    # a slot's intensities and phase are drawn once, and a batch returns
+    # every candidate of the slots it draws, those past its end included,
+    # so each slot's candidates come from exactly one call although batch
+    # ends fall inside slots.  Over the slots with candidates,
     # the count is the sum of two independent geometric (Bose-Einstein)
     # counts of means a1 and a2, given that it is not zero; with the empty
     # slots' intensities drawn from their posterior Exp(1 + a_j), each
     # source's intensity follows the prior Exp(1), and the phase is uniform
     tc = 20e-9
+    ends = np.arange(1, 2000) * 7.3 * tc
     pair = stochastic._ThermalPair(tc, 0.0, [(1e7, 0.6e7), (0.2e7, 0.5e7)],
-                                   substream(8, 0, 0))
-    drawn, counts, start = {}, {}, 0.0
-    for end in np.arange(1, 2000) * 7.3 * tc:
+                                   substream(8, 0, 0), ends[-1])
+    drawn, counts, call_of, start = {}, {}, {}, 0.0
+    for call, end in enumerate(ends):
         batch = pair.candidates(start, end)
         for (t, _), field in zip(batch, pair.field(batch)):
             for k, value in zip(np.floor(t / tc - pair.offset).astype(int), zip(*field)):
                 assert drawn.setdefault(k, value) == value
+                assert call_of.setdefault(k, call) == call
                 counts[k] = counts.get(k, 0) + 1
         start = end
     # the slots wholly inside the run
@@ -595,9 +598,9 @@ def test_thermal_slot_field_across_batches():
 
 
 def slot_counts(drawn, n_rows):
-    """Per detector, its candidates in each table row of one batch, rows 2
-    to n_rows - 1: the run's ends can cut the first and the last."""
-    return [np.bincount(rows, minlength=n_rows + 1)[2:n_rows] for _, rows in drawn]
+    """Per detector, its candidates in each table row of one batch, rows 1
+    to n_rows - 2: the run's ends can cut the first and the last."""
+    return [np.bincount(rows, minlength=n_rows)[1:n_rows - 1] for _, rows in drawn]
 
 
 def test_thermal_slot_intensity_is_gamma_given_its_count():
@@ -606,11 +609,12 @@ def test_thermal_slot_intensity_is_gamma_given_its_count():
     # 1 lights only detector A and source 2 only B, so each detector's
     # count in a slot is one source's n.  Six KS tests: each at p > 0.001
     tc = 20e-9
-    pair = stochastic._ThermalPair(tc, 0.0, [(5e7, 0.0), (0.0, 3e7)], substream(31, 0, 0))
+    pair = stochastic._ThermalPair(tc, 0.0, [(5e7, 0.0), (0.0, 3e7)], substream(31, 0, 0),
+                                   20_000 * tc)
     drawn = pair.candidates(0.0, 20_000 * tc)
-    n_rows = pair.table[0].size - 1
+    n_rows = pair.table[0].size
     for n, a, intensity in zip(slot_counts(drawn, n_rows), pair.a, pair.table):
-        scaled = (1.0 + a) * intensity[2:n_rows]
+        scaled = (1.0 + a) * intensity[1:n_rows - 1]
         for k in (0, 1, 2):
             assert (n == k).sum() > 1_000
             assert kstest(scaled[n == k], "gamma", args=(k + 1,)).pvalue > 0.001
@@ -622,9 +626,10 @@ def test_thermal_candidate_detector_and_place():
     # sits at u/w (A) or (u - w)/(1 - w) (B) of its own slot: uniform there.
     # Five tests, each at p > 0.001
     tc, w = 20e-9, 0.3
-    beam = stochastic._ThermalPair(tc, 0.0, [(1.5e7, 3.5e7), (0.0, 0.0)], substream(32, 0, 0))
+    beam = stochastic._ThermalPair(tc, 0.0, [(1.5e7, 3.5e7), (0.0, 0.0)], substream(32, 0, 0),
+                                   20_000 * tc)
     drawn = beam.candidates(0.0, 20_000 * tc)
-    n_rows = beam.table[0].size - 1
+    n_rows = beam.table[0].size
     count_a, count_b = slot_counts(drawn, n_rows)
     for k in (1, 2, 3):
         law = [math.comb(k, m) * w ** m * (1 - w) ** (k - m) for m in range(k + 1)]
@@ -632,7 +637,7 @@ def test_thermal_candidate_detector_and_place():
         assert pooled_chisquare(observed, observed.sum() * np.array(law)) > 0.001
     places = []
     for t, rows in drawn:
-        inner = (rows > 1) & (rows < n_rows)
+        inner = (rows > 0) & (rows < n_rows - 1)
         x = t[inner] / tc - beam.offset
         assert kstest(x % 1.0, "uniform").pvalue > 0.001
         places.append((rows[inner], np.floor(x)))
@@ -793,10 +798,13 @@ def test_float32_cosine_is_within_a_quarter_of_the_margin():
     assert worst < 0.25
 
 
-@pytest.mark.parametrize("kind", ["coherent", "thermal"])
-def test_rate_below_zero_raises(monkeypatch, kind):
+@pytest.mark.parametrize("kind, duration", [
+    ("coherent", 1e-4), ("thermal", 1e-4), ("coherent", 1e-12), ("thermal", 1e-12)],
+    ids=["coherent", "thermal", "coherent-no-candidate", "thermal-no-candidate"])
+def test_rate_below_zero_raises(monkeypatch, kind, duration):
     # a swing above 2*sqrt(b1*b2), as a visibility degradation above 1
-    # would give, takes the rate below zero at some phase
+    # would give, takes the rate below zero at some phase: each detector's
+    # terms are checked once, so a run too short for any candidate raises too
     def too_strong(*args):
         b1, b2, _, offset = detector_rates(*args)
         return b1, b2, 2.5 * math.sqrt(b1 * b2), offset
@@ -804,7 +812,7 @@ def test_rate_below_zero_raises(monkeypatch, kind):
     monkeypatch.setattr(stochastic, "detector_rates", too_strong)
     det = DetectorSetting(math.pi / 4)
     with pytest.raises(RuntimeError, match="outside"):
-        quiet_simulate(SourcePair(kind, 2e7, 2e7, 20e-9), GEO, det, det, 1e-4, seed=3)
+        quiet_simulate(SourcePair(kind, 2e7, 2e7, 20e-9), GEO, det, det, duration, seed=3)
 
 
 def test_g2_decorrelates_beyond_coherence_time():
