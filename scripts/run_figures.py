@@ -43,7 +43,7 @@ def main() -> int:
         if args.quick and name != "erasure_overlap_scan":
             overrides += QUICK_OVERRIDES
             if name.endswith("_fft"):
-                # keep the fringe above Nyquist at 16 scan points
+                # keep the fringe below Nyquist at 16 scan points
                 overrides += ["delay_span_periods=4"]
         cfg = apply_overrides(cfg, overrides)
         suffix = "_pump_off" if "pump_on=false" in extra else ""

@@ -52,7 +52,6 @@ from .stochastic import (
     fitted_visibility,
     fringe_fft,
     g2_zero_scan,
-    gate_time_study,
     simulate_events,
 )
 
@@ -237,8 +236,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for name in ("gates_ps", "overlap_mean_photons"):
         if any(v <= 0 for v in getattr(cfg, name)):
             raise ConfigError(f"every {name} entry must be positive")
-    if not 0.0 <= cfg.v_deg <= 1.0:
-        raise ConfigError("v_deg must lie in [0, 1]")
     # the sinusoid fits have 3 (known period) or 4 (free period) parameters
     for name in ("delay_points", "separation_points"):
         if getattr(cfg, name) < 4:
@@ -252,6 +249,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("delay scans require a pump wavelength")
     if runner is _run_fft and cfg.delay_points < FFT_MIN_POINTS:
         raise ConfigError(f"FFT scans need at least {FFT_MIN_POINTS} delay_points")
+    if runner is _run_fft and cfg.delay_points <= 2 * cfg.delay_span_periods:
+        raise ConfigError(f"FFT scans need delay_points above 2 * delay_span_periods = "
+                          f"{2 * cfg.delay_span_periods:g}: at two points per pump "
+                          f"period or fewer the fringe aliases")
     if runner is _run_g2_tau and cfg.tau_max_ps < 2 * cfg.tau_step_ps:
         # the three-parameter envelope fit needs three tau points
         raise ConfigError("tau_max_ps must be at least 2 * tau_step_ps")
@@ -443,13 +444,58 @@ def analytic_fringe_period(cfg: ScenarioConfig) -> float:
     return abs(2.0 * math.pi / slope) if slope else 0.0
 
 
+def _t_quantile(p: float, nu: int) -> float:
+    """Quantile of Student's t with nu degrees of freedom at p > 1/2.
+
+    For integer nu the two-sided tail P(|T| > t) has a finite closed form
+    (Abramowitz & Stegun 26.7.3-4): with cos^2(theta) = nu / (nu + t^2) it
+    is (2/pi)*(atan(sqrt(nu)/t) - S) for odd nu and 1 - S for even nu, S a
+    finite series in cos^2(theta).  The tail is convex in t, so Newton's
+    method from t = 0 climbs to the root from below; it stops at the first
+    step that does not move t up.
+    """
+    tail = 2.0 * (1.0 - p)
+    odd = nu % 2
+    log_density0 = (math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)
+                    - 0.5 * math.log(nu * math.pi))
+    t = 0.0
+    while True:
+        cos2 = nu / (nu + t * t)
+        term = t / math.sqrt(nu + t * t) * (math.sqrt(cos2) if odd else 1.0)
+        series = 0.0
+        for j in range(2 + odd, nu + 1, 2):
+            series += term
+            term *= cos2 * (j - 1) / j
+        excess = (2.0 / math.pi * (math.atan2(math.sqrt(nu), t) - series) if odd
+                  else 1.0 - series) - tail
+        t_next = t + excess / (2.0 * math.exp(log_density0 + 0.5 * (nu + 1) * math.log(cos2)))
+        if t_next <= t:
+            return t
+        t = t_next
+
+
 def _run_gate_time(cfg: ScenarioConfig, out: Path) -> dict:
-    rows = gate_time_study(make_sources(cfg), make_geometry(cfg), *make_detectors(cfg),
-                           _delays(cfg), cfg.duration_s, cfg.gates_ps,
-                           cfg.lambda3_m, cfg.seed, n_trials=cfg.gate_trials)
+    """Fringe visibility versus coincidence gate width: per gate, the mean
+    over gate_trials trials and its 95% Student-t half-width.
+
+    Each trial is one g2_zero_scan over the arm-B delays, its points
+    numbered on from the trial before, whose visibility is fitted at every
+    gate."""
+    delays, n = _delays(cfg), cfg.gate_trials
+    scan = (make_sources(cfg), make_geometry(cfg).with_delay(delays), *make_detectors(cfg),
+            cfg.duration_s, cfg.gates_ps, cfg.seed)
+    # visibility per gate (rows) and trial (columns); the copy makes each
+    # row contiguous, so its mean and std sum in a lone row's pairwise order
+    vis = np.array([[fitted_visibility(delays, g2, cfg.lambda3_m)
+                     for g2 in g2_zero_scan(*scan, first_trial=trial * delays.size).T]
+                    for trial in range(n)]).T.copy()
+    mean = vis.mean(axis=1)
+    half = _t_quantile(0.975, n - 1) * vis.std(axis=1, ddof=1) / math.sqrt(n)
     write_csv(out / "gate_time.csv", "gate_ps,visibility,ci95_halfwidth",
-              *([r[key] for r in rows] for key in ("gate_ps", "visibility", "ci95")))
-    return {"rows": rows}
+              cfg.gates_ps, mean, half)
+    return {"rows": [{"gate_ps": g, "visibility": m, "ci95": h, "trials": t}
+                     for g, m, h, t in zip(cfg.gates_ps, mean.tolist(), half.tolist(),
+                                           vis.tolist())]}
 
 
 def _run_overlap_scan(cfg: ScenarioConfig, out: Path) -> dict:

@@ -534,14 +534,19 @@ def fitted_visibility(xs: np.ndarray, values: np.ndarray, period: float) -> floa
     return amplitude / offset
 
 
-def _fourier_peak(xs: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray, int]:
+def _fourier_peak(xs: np.ndarray, values: np.ndarray
+                  ) -> tuple[float, np.ndarray, int | None]:
     """(step, |rfft| of the mean-subtracted values, index of the largest
-    non-DC bin) of a curve sampled on xs; ValueError unless xs is uniform."""
+    non-DC bin) of a curve sampled on xs; ValueError unless xs is uniform.
+
+    The index is None for a curve with no peak: a flat curve, whose power
+    is all at DC, or one with a non-finite point."""
     steps = np.diff(xs)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
         raise ValueError("Fourier analysis needs a uniform grid")
     spectrum = np.abs(np.fft.rfft(values - values.mean()))
-    return float(steps[0]), spectrum, 1 + int(np.argmax(spectrum[1:]))
+    peak = 1 + int(np.argmax(spectrum[1:])) if 0 < np.ptp(values) < math.inf else None
+    return float(steps[0]), spectrum, peak
 
 
 def _minimise(cost, lo: float, hi: float) -> float:
@@ -574,12 +579,13 @@ def fit_fringe_free_period(xs: np.ndarray, values: np.ndarray
     Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  A free-period cosine fit
     is multimodal, so the frequency is searched within one bin of the
     discrete Fourier peak of the mean-subtracted curve (uniform grid
-    required).  A curve with a non-finite point gives NaN for each result.
+    required).  A curve without that peak, flat or with a non-finite point,
+    gives NaN for each result.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     step, _, peak = _fourier_peak(xs, values)
-    if not np.isfinite(values).all():
+    if peak is None:
         return (math.nan,) * 4
 
     def fit(freq):  # below the first bin lies DC, of infinite period
@@ -599,8 +605,9 @@ def fringe_fft(delays_m: np.ndarray, values: np.ndarray
 
     Delays convert to light travel time (d/c), so the returned axis and peak
     are optical frequencies in Hz.  Requires a uniform grid of at least
-    FFT_MIN_POINTS points; the peak search excludes the DC bin.  A curve
-    with a non-finite point gives a NaN peak, as the fits give NaN.
+    FFT_MIN_POINTS points; the peak search excludes the DC bin.  A flat
+    curve or one with a non-finite point gives a NaN peak, as the fits give
+    NaN.
     """
     delays_m = np.asarray(delays_m, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -608,7 +615,7 @@ def fringe_fft(delays_m: np.ndarray, values: np.ndarray
         raise ValueError(f"need at least {FFT_MIN_POINTS} scan points")
     step, spectrum, peak = _fourier_peak(delays_m, values)
     freqs = np.fft.rfftfreq(delays_m.size, d=step / SPEED_OF_LIGHT)
-    return freqs, spectrum, float(freqs[peak]) if np.isfinite(values).all() else math.nan
+    return freqs, spectrum, math.nan if peak is None else float(freqs[peak])
 
 
 def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float
@@ -680,66 +687,3 @@ def g2_zero_scan(pair: SourcePair, geometry: InterferometerGeometry,
             for i, point in enumerate(geometry.points()))
     return np.array([[estimate_g2(a, b, [0], g).values[0] for g in gates_ps]
                      for a, b in runs], dtype=float)
-
-
-def _t_quantile(p: float, nu: int) -> float:
-    """Quantile of Student's t with nu degrees of freedom at p > 1/2.
-
-    For integer nu the two-sided tail P(|T| > t) has a finite closed form
-    (Abramowitz & Stegun 26.7.3-4): with cos^2(theta) = nu / (nu + t^2) it
-    is (2/pi)*(atan(sqrt(nu)/t) - S) for odd nu and 1 - S for even nu, S a
-    finite series in cos^2(theta).  The tail is convex in t, so Newton's
-    method from t = 0 climbs to the root from below; it stops at the first
-    step that does not move t up.
-    """
-    tail = 2.0 * (1.0 - p)
-    odd = nu % 2
-    log_density0 = (math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)
-                    - 0.5 * math.log(nu * math.pi))
-    t = 0.0
-    while True:
-        cos2 = nu / (nu + t * t)
-        term = t / math.sqrt(nu + t * t) * (math.sqrt(cos2) if odd else 1.0)
-        series = 0.0
-        for j in range(2 + odd, nu + 1, 2):
-            series += term
-            term *= cos2 * (j - 1) / j
-        excess = (2.0 / math.pi * (math.atan2(math.sqrt(nu), t) - series) if odd
-                  else 1.0 - series) - tail
-        t_next = t + excess / (2.0 * math.exp(log_density0 + 0.5 * (nu + 1) * math.log(cos2)))
-        if t_next <= t:
-            return t
-        t = t_next
-
-
-def gate_time_study(pair: SourcePair, geometry: InterferometerGeometry,
-                    det_a: DetectorSetting, det_b: DetectorSetting, delays_m: np.ndarray,
-                    duration: float, gates_ps: list[int], period_m: float,
-                    seed: int, n_trials: int = 4) -> list[dict]:
-    """Fringe visibility versus coincidence gate width.
-
-    Each trial is one g2_zero_scan over the arm-B delays added to the
-    geometry's, its points numbered on from the trial before.  Returns one
-    row per gate with the trial mean visibility and a 95% confidence
-    half-width; needs at least two trials.
-    """
-    if n_trials < 2:
-        raise ValueError("a confidence interval needs at least two trials")
-    delays_m = np.asarray(delays_m, dtype=float)
-    scan = geometry.with_delay(geometry.delay_b + delays_m)
-    vis = np.zeros((len(gates_ps), n_trials))
-    for trial in range(n_trials):
-        # g2(0) per delay (rows) and gate (columns)
-        g2 = g2_zero_scan(pair, scan, det_a, det_b, duration, gates_ps,
-                          seed, first_trial=trial * delays_m.size)
-        for gi in range(len(gates_ps)):
-            vis[gi, trial] = fitted_visibility(delays_m, g2[:, gi], period_m)
-    rows = []
-    tcrit = _t_quantile(0.975, n_trials - 1)
-    for gi, g in enumerate(gates_ps):
-        mean = float(vis[gi].mean())
-        half = float(tcrit * vis[gi].std(ddof=1) / math.sqrt(n_trials))
-        rows.append({"gate_ps": g, "visibility": mean, "ci95": half,
-                     "trials": vis[gi].tolist()})
-    return rows
-

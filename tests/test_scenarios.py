@@ -311,6 +311,25 @@ def test_fit_without_a_finite_curve_reads_nan(tmp_path, name):
     assert results.get("envelope_at_bound", False) is False
 
 
+@pytest.mark.parametrize("name, seed, fitted, mc_file", [
+    ("laser_fft", 81, ["peak_frequency_hz", "peak_to_median"], "delay_scan_mc.csv"),
+    ("free_space_hbt", 145, ["fitted_period_m"], "fringe_mc.csv")],
+    ids=["laser_fft", "free_space_hbt"])
+def test_flat_curve_reads_nan(tmp_path, name, seed, fitted, mc_file):
+    # at 10 us this seed leaves every point without a coincidence: g2 is a
+    # finite 0 throughout, a flat curve that has no fringe to report
+    cfg = apply_overrides(default_config(name), ["duration_ps=1e7", f"seed={seed}"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_scenario(cfg, tmp_path / "run")
+    g2 = np.loadtxt(tmp_path / "run" / mc_file, delimiter=",", skiprows=1, usecols=1)
+    assert not g2.any()
+    manifest = (tmp_path / "run" / "manifest.json").read_text()
+    assert "Infinity" not in manifest
+    results = json.loads(manifest)["results"]
+    assert all(math.isnan(results[key]) for key in fitted)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_DATA_FILES))
 def test_scan_data_files_match_pinned_digests(tmp_path, name):
     cfg = apply_overrides(default_config(name), TINY_OVERRIDES[name])
@@ -445,12 +464,14 @@ REJECTED_AT_CONFIG_TIME = [
     ("gate_time_study", "gates_ps=0,1000", "gates_ps=0:1000:2"),
     # runs that crashed or wrote meaningless results: a fit with more
     # parameters than points, an empty or one-point tau grid, an FFT scan
-    # too short to resolve, a zero-width scan, no trials or one trial
+    # too short to resolve or too sparse to keep its fringe below Nyquist,
+    # a zero-width scan, no trials or one trial
     ("free_space_hbt", "separation_points=2", "separation_points=2:36:2"),
     ("laser_g2_tau", "tau_max_ps=-1", "tau_max_ps=-1:300000:2"),
     ("laser_g2_tau", "tau_max_ps=0", "tau_max_ps=0:300000:2"),
     ("laser_fft", "delay_points=8", "delay_points=8:40:2"),
     ("thermal_fft", "delay_points=15", "delay_points=15:40:2"),
+    ("laser_fft", "delay_points=16", "delay_points=16:40:2"),
     ("laser_delay_scan", "delay_span_periods=0", "delay_span_periods=0:2:2"),
     ("free_space_same_wavelength", "separation_max_m=0.0002",
      "separation_max_m=0.0002:0.0152:2"),
@@ -458,6 +479,8 @@ REJECTED_AT_CONFIG_TIME = [
     ("gate_time_study", "gate_trials=1", "gate_trials=1:4:2"),
     # a detector that sees no light: no law or fit describes its run
     ("laser_delay_scan", "efficiency=0", "efficiency=0:0.195:2"),
+    # a detector's own check, reached through make_detectors
+    ("laser_delay_scan", "v_deg=1.5", "v_deg=1.5:1:2"),
     # the source pair's own checks, reached through make_sources
     ("thermal_delay_scan", "source_rate_hz=0", "source_rate_hz=0:2e7:2"),
     ("laser_g2_tau", "coherence_time_ps=0", "coherence_time_ps=0:106103:2"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import curve_fit, least_squares
 from scipy.stats import chisquare, ks_2samp, kstest
 
-from chromint import stochastic
+from chromint import scenarios, stochastic
 from chromint.interferometry import (
     SPEED_OF_LIGHT,
     DetectorSetting,
@@ -22,6 +22,7 @@ from chromint.interferometry import (
 )
 from chromint.scenarios import (
     _write_g2_csv,
+    apply_overrides,
     default_config,
     make_detectors,
     make_geometry,
@@ -847,6 +848,17 @@ def test_fringe_fft_flat_input_no_peak():
     assert spectrum[1:].max() < 5.0 * np.median(spectrum[1:])
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 0.3])
+def test_flat_curve_has_no_fringe(level):
+    # g2 at one value on every point, as a run too short for a coincidence
+    # leaves it at 0: no power lies outside DC, so there is no peak to
+    # report and no period to fit (0.3: the mean is not exact in floats)
+    xs = np.linspace(0, 10 * LAM3, 36, endpoint=False)
+    values = np.full(36, level)
+    assert math.isnan(fringe_fft(xs, values)[2])
+    assert all(math.isnan(v) for v in fit_fringe_free_period(xs, values))
+
+
 def test_fringe_fft_rejections():
     with pytest.raises(ValueError):
         fringe_fft(np.linspace(0, 1, 8), np.ones(8))
@@ -952,29 +964,31 @@ def test_fit_g2_envelope_matches_bounded_least_squares(seed, amp, decay, at_boun
 
 
 # ---------------------------------------------------------------------------
-# Composite studies.
+# The gate-time study's statistics.
 
-def gate_study_with_visibilities(monkeypatch, visibilities, n_trials):
-    """gate_time_study at one gate, with each trial's fitted visibility
-    taken from `visibilities` and no photons simulated."""
+def gate_study_with_visibilities(monkeypatch, tmp_path, visibilities):
+    """The gate-time study's rows at one gate, one trial per entry of
+    `visibilities`, each trial's fitted visibility taken from it and no
+    photons simulated."""
     monkeypatch.setattr(stochastic, "simulate_events", lambda *a, **k: (None, None))
     monkeypatch.setattr(stochastic, "estimate_g2",
                         lambda *a, **k: G2Curve([0], [1.0], 1000, [0], 0, 0, 0))
     fitted = iter(visibilities)
-    monkeypatch.setattr(stochastic, "fitted_visibility", lambda *a: next(fitted))
-    det = DetectorSetting(math.pi / 4)
-    return stochastic.gate_time_study(coherent_pair(), GEO, det, det, np.zeros(4), 1e-3,
-                                      [1000], LAM3, seed=1, n_trials=n_trials)
+    monkeypatch.setattr(scenarios, "fitted_visibility", lambda *a: next(fitted))
+    cfg = apply_overrides(default_config("gate_time_study"),
+                          ["delay_points=4", "gates_ps=1000",
+                           f"gate_trials={len(visibilities)}"])
+    return scenarios._run_gate_time(cfg, tmp_path)["rows"]
 
 
-def test_gate_time_ci95_is_student_t(monkeypatch):
+def test_gate_time_ci95_is_student_t(monkeypatch, tmp_path):
     vis = [0.40, 0.55, 0.47, 0.61]
-    (row,) = gate_study_with_visibilities(monkeypatch, vis, n_trials=4)
+    (row,) = gate_study_with_visibilities(monkeypatch, tmp_path, vis)
     half = row["ci95"] / (np.std(vis, ddof=1) / math.sqrt(4))
     # the 97.5% quantile of Student's t with 3 degrees of freedom (tables:
     # 3.182446305284263), bit for bit the package's own quantile
     assert half == pytest.approx(3.182446305284263, rel=1e-12)
-    assert row["ci95"] == (stochastic._t_quantile(0.975, 3) * np.std(vis, ddof=1)
+    assert row["ci95"] == (scenarios._t_quantile(0.975, 3) * np.std(vis, ddof=1)
                            / math.sqrt(4))
     assert row["visibility"] == np.mean(vis) and row["trials"] == vis
 
@@ -1005,12 +1019,7 @@ T_975 = {
 
 @pytest.mark.parametrize("nu", sorted(T_975))
 def test_t_quantile_matches_40_digit_values(nu):
-    assert stochastic._t_quantile(0.975, nu) == pytest.approx(float(T_975[nu]), rel=1e-14)
-
-
-def test_gate_time_study_needs_two_trials(monkeypatch):
-    with pytest.raises(ValueError, match="two trials"):
-        gate_study_with_visibilities(monkeypatch, [0.5], n_trials=1)
+    assert scenarios._t_quantile(0.975, nu) == pytest.approx(float(T_975[nu]), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
