@@ -66,8 +66,9 @@ o = round(tau / gate), counts every pair of events, so
 g2 = n_coinc * n_bin / (n_A * n_B) is unbiased for independent Poisson
 streams at any occupancy (pair counting over sorted time tags: Laurence,
 Fore & Huser, Opt. Lett. 31, 829 (2006); Wahl et al., Opt. Express 11, 3583
-(2003)).  Nearby requested offsets come out of one walk over the sparse,
-sorted bin counts.
+(2003)).  The sum is linear in c_A, so A is counted a slice at a time: working
+memory is bounded by the slice and B's events within its reach, not by the
+streams, and nearby offsets share one walk over a slice's sparse bin counts.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ from .interferometry import (SPEED_OF_LIGHT, DetectorSetting, InterferometerGeom
 PS_PER_S = 1_000_000_000_000
 FFT_MIN_POINTS = 16  # shortest delay scan fringe_fft resolves
 _CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
+_SLICE = 1 << 16  # A's events per g2 pass: B's searched bins stay in cache
+#                   and the pass's temporaries a few MB (measured fastest)
 _ENVELOPE_GRID = 61  # log-spaced decay times an envelope fit scans first
 
 
@@ -429,7 +432,7 @@ def _collapse(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _runs(offsets: list[int], pair_work: float, pass_work: int):
     """Split sorted distinct offsets into (first, stop) index runs: a run ends
     where the offsets up to the next one, at pair_work expected pairs and one
-    sum each, cost more than another pass over the bins (pass_work)."""
+    sum each, cost more than another pass over the events (pass_work)."""
     first = 0
     for j in range(1, len(offsets)):
         if (offsets[j] - offsets[j - 1] - 1) * (pair_work + 1.0) > pass_work:
@@ -482,28 +485,36 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
     n_coinc = sum_k c_A[k] * c_B[k + o] with o = round(tau / gate), so
     every pair of events is counted, however many share a bin; for
     independent Poisson streams g2 is then 1 in expectation at any
-    occupancy.  Nearby offsets share one pass over the sorted bins.
-    Empty streams yield NaN values with the counts preserved.
+    occupancy.  A is counted a slice at a time (exact, as the sum is linear
+    in c_A), nearby offsets in one pass over its bins and B's within their
+    reach: working memory is bounded by the slice and that reach, not by
+    the streams.  The gate is a positive integer.  Empty streams yield NaN
+    values with the counts preserved.
     """
-    if gate_ps <= 0:
-        raise ValueError("gate must be positive")
+    if isinstance(gate_ps, bool) or not isinstance(gate_ps, (int, np.integer)) or gate_ps <= 0:
+        raise ValueError("gate must be a positive integer")
     if stream_a.duration_ps != stream_b.duration_ps:
         raise ValueError("streams must cover equal durations")
-    bins_a, counts_a = _collapse(stream_a.timestamps // gate_ps)
-    bins_b, counts_b = _collapse(stream_b.timestamps // gate_ps)
     n_bin = int(-(-stream_a.duration_ps // gate_ps))
     taus = np.asarray(taus_ps, dtype=np.int64)
     offsets, where = np.unique(np.round(taus / gate_ps).astype(np.int64),
                                return_inverse=True)
     wanted = offsets.tolist()
     per_offset = np.zeros(offsets.size, dtype=np.int64)
-    pairs = bins_a.size * bins_b.size / max(n_bin, 1)
-    for first, stop in _runs(wanted, pairs, bins_a.size + bins_b.size):
-        lo = wanted[first]
-        sums = _window_sums(bins_a, counts_a, bins_b, counts_b, lo, wanted[stop - 1])
-        per_offset[first:stop] = sums[offsets[first:stop] - lo]
-    ncoinc = per_offset[where]
     n_a, n_b = stream_a.count, stream_b.count
+    runs = list(_runs(wanted, n_a * n_b / max(n_bin, 1), n_a + n_b))
+    ts_b, gate = stream_b.timestamps, int(gate_ps)  # a Python int: K*gate is exact
+    for i in range(0, n_a, _SLICE):
+        bins_a, counts_a = _collapse(stream_a.timestamps[i:i + _SLICE] // gate)
+        for first, stop in runs:
+            lo, hi = wanted[first], wanted[stop - 1]
+            # B's events in bins bins_a[0] + lo .. bins_a[-1] + hi
+            j = np.searchsorted(ts_b, (int(bins_a[0]) + lo) * gate)
+            k = np.searchsorted(ts_b, (int(bins_a[-1]) + hi + 1) * gate)
+            bins_b, counts_b = _collapse(ts_b[j:k] // gate)
+            sums = _window_sums(bins_a, counts_a, bins_b, counts_b, lo, hi)
+            per_offset[first:stop] += sums[offsets[first:stop] - lo]
+    ncoinc = per_offset[where]
     if n_a * n_b > 0:
         values = ncoinc * (n_bin / (n_a * n_b))
     else:

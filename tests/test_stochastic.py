@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -287,6 +288,13 @@ def test_g2_empty_stream_reports_nan():
     assert curve.n_a == 0 and curve.n_b == 2
 
 
+@pytest.mark.parametrize("gate", [0, -5, 10.5])
+def test_g2_rejects_gate_not_a_positive_integer(gate):
+    a = EventStream("A", np.array([10]), 1000, 0)
+    with pytest.raises(ValueError, match="gate"):
+        estimate_g2(a, a, [0], gate)
+
+
 def test_g2_requires_equal_durations():
     a = EventStream("A", np.array([10]), 1000, 0)
     b = EventStream("B", np.array([10]), 2000, 0)
@@ -312,15 +320,20 @@ def dense_coincidences(ts_a, ts_b, taus, gate, duration_ps):
        st.lists(st.integers(0, 9_999), max_size=200),
        st.sampled_from([1, 2, 7, 100, 250, 10_000, 25_000]),
        st.lists(st.integers(-30_000, 30_000), max_size=6),
-       st.lists(st.integers(-9, 9), max_size=4))
-def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves):
+       st.lists(st.integers(-9, 9), max_size=4),
+       st.sampled_from([1, 2, 7, stochastic._SLICE]))
+def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves, slice_events):
     duration_ps = 10_000
     # multiples of half a gate exercise round-half-to-even; the repeat
     # makes duplicates, and the draws are unsorted and of either sign
     taus = raw_taus + [h * gate // 2 for h in halves] + raw_taus[:2] + [0]
     a = EventStream("A", np.unique(np.array(ts_a, dtype=np.int64)), duration_ps, 0)
     b = EventStream("B", np.unique(np.array(ts_b, dtype=np.int64)), duration_ps, 0)
-    curve = estimate_g2(a, b, taus, gate)
+    # short slices of A cut bins and runs at their edges, and leave some
+    # slices no B event within reach
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "_SLICE", slice_events)
+        curve = estimate_g2(a, b, taus, gate)
     expected = dense_coincidences(a.timestamps, b.timestamps, taus, gate, duration_ps)
     assert np.array_equal(curve.taus_ps, taus)
     assert np.array_equal(curve.n_coincidence, expected)
@@ -358,7 +371,8 @@ def test_one_offset_counts_every_pair(ts_a, ts_b, shift, gate):
     assert [estimate_g2(a, b, [off * gate], gate).n_coincidence[0]
             for off in offsets] == expected
     # the 499 empty offsets between two of these cost more than a pass over
-    # at most 120 bins, so they make one-offset runs around a three-offset one
+    # at most 120 events, so they make one-offset runs around a three-offset
+    # one, walked once per slice of A (none for an empty A)
     many = [o - 1000, o - 500, o - 1, o, o + 1, o + 500, o + 1000]
     passes = []
     window_sums = stochastic._window_sums
@@ -366,8 +380,9 @@ def test_one_offset_counts_every_pair(ts_a, ts_b, shift, gate):
         patch.setattr(stochastic, "_window_sums",
                       lambda *args: passes.append(args[-2:]) or window_sums(*args))
         curve = estimate_g2(a, b, [off * gate for off in many], gate)
+    slices = -(-a.count // stochastic._SLICE)
     assert passes == [(o - 1000, o - 1000), (o - 500, o - 500), (o - 1, o + 1),
-                      (o + 500, o + 500), (o + 1000, o + 1000)]
+                      (o + 500, o + 500), (o + 1000, o + 1000)] * slices
     assert curve.n_coincidence.tolist() == [np.count_nonzero(apart == off)
                                             for off in many]
 
@@ -402,9 +417,31 @@ def test_g2_wide_sparse_grid_is_cheap():
                                              gate, duration_ps))
 
 
+def test_g2_memory_is_bounded_by_the_slice():
+    # A is counted a slice at a time, so the working memory of 201 offsets
+    # does not grow with the streams; collapsing both whole streams took
+    # 4x as much at 800k events as at 200k
+    duration_ps, gate = 20_000_000_000, 1000
+    taus = np.arange(-100, 101) * gate
+    peaks = []
+    for n in (200_000, 800_000):
+        rng = substream(79, n, 0)
+        a, b = (EventStream(d, np.unique(rng.integers(0, duration_ps, n)),
+                            duration_ps, 79)
+                for d in "AB")
+        tracemalloc.start()
+        try:
+            estimate_g2(a, b, taus, gate)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 def test_g2_coarse_grid_is_one_pass(monkeypatch):
     # 76 offsets at a 4-gate step: the three empty offsets between two
-    # requested ones cost far less pair work than another pass over the bins
+    # requested ones cost far less pair work than another pass over the
+    # events, so each slice of A makes one pass
     passes = []
     window_sums = stochastic._window_sums
 
@@ -420,7 +457,7 @@ def test_g2_coarse_grid_is_one_pass(monkeypatch):
             for d in "AB")
     taus = np.arange(76) * 4 * gate
     curve = estimate_g2(a, b, taus, gate)
-    assert passes == [(0, 300)]
+    assert passes == [(0, 300)] * -(-a.count // stochastic._SLICE)
     assert np.array_equal(curve.n_coincidence,
                           dense_coincidences(a.timestamps, b.timestamps, taus,
                                              gate, duration_ps))
