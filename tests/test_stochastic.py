@@ -419,8 +419,7 @@ def test_g2_wide_sparse_grid_is_cheap():
 
 def test_g2_memory_is_bounded_by_the_slice():
     # A is counted a slice at a time, so the working memory of 201 offsets
-    # does not grow with the streams; collapsing both whole streams took
-    # 4x as much at 800k events as at 200k
+    # does not grow with the streams
     duration_ps, gate = 20_000_000_000, 1000
     taus = np.arange(-100, 101) * gate
     peaks = []
