@@ -13,7 +13,7 @@ the rate, each kept with probability rate/bound.  By AM-GM the cross term
 
 A candidate is kept where u*bound < base + k*cos(theta), u uniform,
 base = b1*i1 + b2*i2, k = 2|c|*sqrt(i1*i2), decided bit for bit as float64
-decides it, with float64 cosines for about one candidate in a million
+decides it, with float64 cosines for about eight candidates in a million
 (Marsaglia's squeeze, Comput. Math. Appl. 3, 321 (1977)).  theta is reduced
 to r = theta - 2*pi*rint(theta/(2*pi)) in float64, and the float32 cosine
 of r gives the rate to within the margin
@@ -23,7 +23,8 @@ covers rounding r to float32 (at most pi*2**-24) and numpy's float32
 cosine, budgeted at 8 ulp (2**-21); |theta|*2**-50 covers the reduction's
 own error, at most |theta|*2**-51 (2*pi and its multiple are each rounded
 once); 1e-14*bound covers the float64 rounding of both sums, a few ulp of
-the bound.  A batch's largest |theta| stands in for each candidate's.
+the bound.  A batch's largest |theta|, k and bound stand in for each
+candidate's: the margin grows with each, so they only widen the fallback.
 
 A source pair (interferometry.SourcePair) is of one kind, with one mutual
 coherence time tc.  Either kind draws one candidate process for both
@@ -166,6 +167,7 @@ class _LaserPair:
 
     def candidates(self, start: float, end: float) -> list:
         """Per detector, the times and batch rows of its candidates in [start, end)."""
+        self.times = None  # the batch before goes before this one is drawn
         # start + (end - start)*u, as uniform(start, end) computes it
         times = self.rng.random(self.rng.poisson(self.bound * (end - start)))
         times *= end - start
@@ -199,7 +201,8 @@ class _ThermalPair:
     per drawn slot, both intensities and the phase difference.  A source's
     candidates are drawn, placed and reduced to its slot intensities one
     source at a time, in bulk draws from the field stream: one unit
-    exponential per slot and per candidate, one uniform per candidate."""
+    exponential per slot and per candidate, one uniform per candidate.
+    Each array goes at its last use, and the table as field reads it."""
 
     def __init__(self, tc: float, carrier: float, weights: list[tuple[float, float]],
                  rng: Generator, duration: float):
@@ -212,30 +215,43 @@ class _ThermalPair:
         """Per detector, the times and table rows of the candidates in every
         slot that starts before `end`, those past `end` last, cut to the run
         [0, duration); only the slots that receive one are drawn."""
+        self.table = None  # the batch before goes before this one is drawn
         tc, (a1, a2), rng = self.tc, self.a, self.rng
         first = self.next_slot
         self.next_slot = max(first, math.ceil(end / tc - self.offset))
         p1, p2 = a1 / (1.0 + a1), a2 / (1.0 + a2)  # a source has candidates
         occupied = p1 + (1.0 - p1) * p2
         slots = _occupied(rng, occupied, first, self.next_slot)
+        n_slots = slots.size
         # source 1 has candidates (source 2 any number) or only source 2 has:
         # zero-truncated geometric counts, in proportion p1 : (1 - p1)*p2
-        alone = rng.random(slots.size) * occupied < (1.0 - p1) * p2
-        n1 = np.zeros(slots.size, np.int64)
-        n1[~alone] = rng.geometric(1.0 / (1.0 + a1), slots.size - np.count_nonzero(alone))
-        n2 = rng.geometric(1.0 / (1.0 + a2), slots.size) - 1 + alone
-        (i1, by_det1), (i2, by_det2) = [self._source(slots, n, a, w) for n, a, w
-                                        in zip((n1, n2), self.a, self.weights)]
-        self.table = (i1, i2, rng.random(slots.size) * (2.0 * math.pi))
+        alone = rng.random(n_slots) * occupied < (1.0 - p1) * p2
+        n1 = np.zeros(n_slots, np.int64)
+        n1.put(np.flatnonzero(~alone),
+               rng.geometric(1.0 / (1.0 + a1), n_slots - np.count_nonzero(alone)))
+        n2 = rng.geometric(1.0 / (1.0 + a2), n_slots)
+        n2 -= 1
+        n2 += alone
+        index = np.arange(n_slots, dtype=np.int32)  # a batch has fewer than 2**31 slots
+        # per source, its candidates' table rows and slots
+        by_source = [(np.repeat(index, n), np.repeat(slots, n)) for n in (n1, n2)]
+        del slots, alone, n1, n2, index
+        # popped: a source's rows and slots go once it is drawn
+        (i1, blocks1), (i2, blocks2) = [self._source(n_slots, *by_source.pop(0), a, w)
+                                        for a, w in zip(self.a, self.weights)]
+        phase = rng.random(n_slots)
+        phase *= 2.0 * math.pi
+        self.table = (i1, i2, phase)
         drawn = []
-        for blocks in zip(by_det1, by_det2):
+        for d in (0, 1):
             parts, later = [], []
-            for t, rows in blocks:
+            for blocks in (blocks1, blocks2):
+                (t, rows), blocks[d] = blocks[d], None  # each block goes once joined
                 # only slot -1 (row 0 of the first batch, which starts before
                 # 0) and the batch's last slot reach outside [0, end): rows
                 # ascend within a block, so those are its head and tail
                 head = np.searchsorted(rows, 1) if first < 0 else 0
-                tail = max(head, np.searchsorted(rows, slots.size - 1))
+                tail = max(head, np.searchsorted(rows, n_slots - 1))
                 edges = (t[:head], rows[:head]), (t[tail:], rows[tail:])
                 parts += [_within(*edges[0], 0.0, end), (t[head:tail], rows[head:tail]),
                           _within(*edges[1], 0.0, end)]
@@ -243,16 +259,16 @@ class _ThermalPair:
             drawn.append(tuple(map(np.concatenate, zip(*parts, *later))))
         return drawn
 
-    def _source(self, slots: np.ndarray, n: np.ndarray, a: float,
+    def _source(self, n_slots: int, rows: np.ndarray, slots: np.ndarray, a: float,
                 weights: tuple[float, float]) -> tuple:
-        """One source's intensity per slot, given its n candidates there,
-        and per detector the times and table rows of those candidates."""
+        """One source's intensity per slot, given the table row and slot of
+        each of its candidates, and per detector the times and table rows of
+        those candidates."""
         rng = self.rng
-        rows = np.repeat(np.arange(slots.size), n)
         # Gamma(n + 1, rate 1 + a): n + 1 unit exponentials, one for the
         # slot and one per candidate, summed and divided by 1 + a
-        intensity = rng.standard_exponential(slots.size)
-        intensity += np.bincount(rows, rng.standard_exponential(rows.size), slots.size)
+        intensity = rng.standard_exponential(n_slots)
+        intensity += np.bincount(rows, rng.standard_exponential(rows.size), n_slots)
         intensity /= 1.0 + a
         # one uniform u per candidate: below the share w it goes to detector
         # A at u/w in its slot, otherwise to B at (u - w)/(1 - w); indices
@@ -261,22 +277,33 @@ class _ThermalPair:
         u = rng.random(rows.size)
         to_a = u < share
         by_det = []
-        for pick, low, width in ((np.flatnonzero(to_a), 0.0, share),
-                                 (np.flatnonzero(~to_a), share, 1.0 - share)):
-            rows_d, t = rows.take(pick), u.take(pick)  # in place: fewer temporaries
+        for below, low, width in ((True, 0.0, share), (False, share, 1.0 - share)):
+            pick = np.flatnonzero(to_a == below)
+            t = u.take(pick)  # in place: fewer temporaries
             t -= low
             t /= width
-            t += slots.take(rows_d)
+            t += slots.take(pick)
             t += self.offset
             t *= self.tc
-            by_det.append((t, rows_d))
+            by_det.append((t, rows.take(pick)))
         return intensity, by_det
 
     def field(self, drawn: list) -> list:
-        """Per detector: both intensities and the beat phase, by table row."""
-        i1, i2, phase = self.table
-        return [(i1.take(rows), i2.take(rows), phase.take(rows) + self.carrier * t)
-                for t, rows in drawn]
+        """Per detector: both intensities and the beat phase, by table row.
+        The table goes a column at a time as it is read, and each detector's
+        rows leave `drawn` with its last column."""
+        columns, self.table = list(self.table), None
+        fields = [[] for _ in drawn]
+        for j in range(3):
+            for d, f in enumerate(fields):
+                t, rows = drawn[d]
+                f.append(columns[j][rows])  # int32 rows: indexing does not copy them, take does
+                if j == 2:
+                    drawn[d] = t, None
+            columns[j] = None
+        for f, (t, _) in zip(fields, drawn):
+            f[2] += self.carrier * t
+        return fields
 
 
 def _within(t: np.ndarray, rows: np.ndarray, lo: float, hi: float) -> tuple:
@@ -286,16 +313,20 @@ def _within(t: np.ndarray, rows: np.ndarray, lo: float, hi: float) -> tuple:
 
 
 def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
-    """Sorted slots of [first, stop), each occupied with probability q, by
-    geometric skips drawn by inversion (a tiny q cannot overflow them)."""
+    """Sorted slots of [first, stop), as whole floats, each occupied with
+    probability q, by geometric skips drawn by inversion (a tiny q cannot
+    overflow them)."""
     found, last = [np.zeros(0)], first - 1.0
     while q > 0 and last < stop - 1:
         expected = (stop - 1 - last) * q
-        skips = rng.standard_exponential(int(expected + 5.0 * math.sqrt(expected)) + 16)
-        slots = last + np.cumsum(np.ceil(skips / -math.log1p(-q)))
-        found.append(slots[slots < stop])
+        slots = rng.standard_exponential(int(expected + 5.0 * math.sqrt(expected)) + 16)
+        slots /= -math.log1p(-q)
+        np.ceil(slots, out=slots)
+        np.cumsum(slots, out=slots)
+        slots += last
+        found.append(slots[:np.searchsorted(slots, stop)])
         last = slots[-1]
-    return np.concatenate(found).astype(np.int64)
+    return np.concatenate(found)
 
 
 def _cos32(theta: np.ndarray) -> np.ndarray:
@@ -320,21 +351,46 @@ def _thin(rng: Generator, bound, base, k, theta: np.ndarray) -> np.ndarray:
     """Indices of the candidates kept, each with y = u*bound for one uniform
     u of `rng`: those with y < base + k*np.cos(theta), bit for bit as float64
     decides it.  The float32 cosine decides every candidate whose y lies
-    beyond _squeeze_margin of its approximate rate; the float64 cosine
-    decides the rest (Marsaglia's squeeze).  bound, base and k are scalars
-    or one value per candidate."""
+    beyond _squeeze_margin of its approximate rate, taken at the batch's
+    largest k and bound; the float64 cosine decides the rest (Marsaglia's
+    squeeze).  bound, base and k are scalars or one value per candidate; a
+    bound of one value per candidate is overwritten with y."""
+    theta_abs = max(theta.max(initial=0.0), -theta.min(initial=0.0))
+    margin = _squeeze_margin(np.max(k, initial=0.0), theta_abs, np.max(bound, initial=0.0))
+    y = rng.random(theta.size)
+    y = np.multiply(y, bound, out=bound if np.ndim(bound) else y)
     approx = np.multiply(_cos32(theta), k, dtype=np.float64)
     approx += base
-    y = rng.random(theta.size)
-    y *= bound
     kept = y < approx
     gap = np.abs(np.subtract(y, approx, out=approx), out=approx)
-    theta_abs = max(theta.max(initial=0.0), -theta.min(initial=0.0))
-    unsure = np.flatnonzero(gap <= _squeeze_margin(k, theta_abs, bound))
+    unsure = np.flatnonzero(gap <= margin)
+    del approx, gap
     if unsure.size:
         base_u, k_u = (np.broadcast_to(a, theta.shape)[unsure] for a in (base, k))
         kept[unsure] = y[unsure] < base_u + k_u * np.cos(theta[unsure])
     return np.flatnonzero(kept)
+
+
+def _thinning_terms(consts: tuple, fields: list, d: int) -> tuple:
+    """bound, base and k of detector d's candidates and theta, the phase of
+    their cosine, from its rate terms and its field fields[d] = (j1, j2,
+    beat): base = b1*j1 + b2*j2, bound = base + swing*(j1 + j2)/2 and
+    k = swing*sqrt(j1*j2).  fields[d] is dropped and its arrays are reused
+    in place."""
+    b1, b2, swing, offset = consts
+    (j1, j2, theta), fields[d] = fields[d], None
+    bound = j1 + j2
+    bound *= swing
+    bound /= 2.0
+    base = j1 * b1
+    j1 *= j2
+    j2 *= b2
+    base += j2
+    bound += base
+    k = np.sqrt(j1, out=j1 if np.ndim(j1) else None)
+    k *= swing
+    theta += offset
+    return bound, base, k, theta
 
 
 def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
@@ -381,20 +437,20 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
     edges = np.linspace(0.0, duration, 1 + max(1, math.ceil(expected / _CHUNK)))
     times = [[], []]
     for t0, t1 in zip(edges[:-1], edges[1:]):
+        # what the batch before left goes before this one is drawn; the last
+        # batch's stays while the streams are merged, so they lie above the
+        # heap the next call reuses and glibc does not trim it (measured)
+        terms = td = None
         drawn = sources.candidates(t0, t1)
         if beating:
             fields = sources.field(drawn)
-        for d, (td, _) in enumerate(drawn):
+        for d in (0, 1):  # one detector at a time: its arrays go before the next one's come
+            td, terms = drawn[d][0], None
             if beating:
-                b1, b2, swing, offset = det_consts[d]
-                j1, j2, theta = fields[d]
-                base = b1 * j1 + b2 * j2
-                bound = base + swing * (j1 + j2) / 2.0
-                k = swing * np.sqrt(j1 * j2)
-                fields[d] = j1 = j2 = None  # frees a thermal pair's intensities before _thin
-                theta += offset  # in place: the taken beat becomes the cosine's phase
-                td = td.take(_thin(rng_det[d], bound, base, k, theta))
+                terms = _thinning_terms(det_consts[d], fields, d)
+                td = td.take(_thin(rng_det[d], *terms))
             times[d].append((td * PS_PER_S).astype(np.int64))  # td >= 0: truncation floors
+        del drawn
 
     streams = []
     for d, (det, name) in enumerate(((det_a, "A"), (det_b, "B"))):
@@ -403,6 +459,7 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
         dark *= duration
         dark.sort()
         ts = np.concatenate(times[d] + [(dark * PS_PER_S).astype(np.int64)])
+        times[d] = None
         ts.sort(kind="stable")  # mostly a merge of sorted runs
         # arrivals within one picosecond collapse to one count
         keep = ts < duration_ps

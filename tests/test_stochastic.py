@@ -708,6 +708,44 @@ def test_batches_keep_the_laws(monkeypatch):
             assert_bose_einstein(s, tc, seed=405)
 
 
+def traced_run(name, duration):
+    """(candidates, tracemalloc's peak, bytes of the timestamps kept) of one
+    simulate_events call of a pinned setup over `duration`, after an
+    untraced call of the same run that counts the candidates."""
+    pair, det_a, det_b, (geometry, _, seed, trial) = pinned_setups()[name]
+    sizes, thin = [], stochastic._thin
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "_thin",
+                      lambda rng, *terms: sizes.append(terms[-1].size) or thin(rng, *terms))
+        quiet_simulate(pair, geometry, det_a, det_b, duration, seed=seed, trial=trial)
+    tracemalloc.start()
+    try:
+        a, b = quiet_simulate(pair, geometry, det_a, det_b, duration, seed=seed, trial=trial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sum(sizes), peak, a.timestamps.nbytes + b.timestamps.nbytes
+
+
+@pytest.mark.parametrize("name, duration", [("gate_study_pair", 1e-2), ("laser_pair", 2e-3)])
+def test_each_batch_goes_before_the_next(monkeypatch, name, duration):
+    # a run's memory is one batch's however many it draws: the traced peak
+    # of 1, 2 and 4 equal batches, less the timestamps each run keeps,
+    # stays within 1.1 times one batch's
+    n, _, _ = traced_run(name, duration)
+    monkeypatch.setattr(stochastic, "_CHUNK", 1.15 * n)  # k batches over k * duration
+    one, two, four = (peak - kept for _, peak, kept in
+                      (traced_run(name, k * duration) for k in (1, 2, 4)))
+    assert max(two, four) <= 1.1 * one
+
+
+def test_thermal_batch_peaks_below_48_bytes_per_candidate():
+    # one batch at the gate study's 10 ms point, of about 78k candidates in
+    # 69k slots: its traced peak, kept timestamps included
+    n, peak, _ = traced_run("gate_study_pair", 1e-2)
+    assert n > 70_000 and peak <= 48 * n
+
+
 def test_thinning_invariance():
     # efficiency scales the rate and its bound alike: singles scale by eta
     # and the distribution of g2(0) over seeds does not move
