@@ -39,7 +39,6 @@ from .interferometry import (
     InterferometerGeometry,
     SourcePair,
     delay_scan,
-    fringe_phase,
     fringe_scan,
     pair_fringe_law,
 )
@@ -156,7 +155,7 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict) or "scenario" not in data:
         raise ConfigError("config must be a mapping with a 'scenario' key")
     scenario = data["scenario"]
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}")
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     unknown = set(data) - known
@@ -210,14 +209,15 @@ def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig
 
     A list field takes comma-separated scalars.  Types are not coerced:
     the resolved config is type-checked like a loaded file, so pump_on=ture
-    or gate_ps=999.5 is a ConfigError naming the field.
+    or gate_ps=999.5 is a ConfigError naming the field.  The scenario takes
+    no override: cfg's other fields already hold its scenario's defaults.
     """
     data = dataclasses.asdict(cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, raw = item.partition("=")
-        if key not in data or key == "metadata":
+        if key not in data or key in ("scenario", "metadata"):
             raise ConfigError(f"unknown override key {key!r}")
         try:
             if isinstance(data[key], list):
@@ -234,8 +234,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     for name in ("gates_ps", "overlap_mean_photons"):
-        if any(v <= 0 for v in getattr(cfg, name)):
-            raise ConfigError(f"every {name} entry must be positive")
+        values = getattr(cfg, name)
+        if not values or any(v <= 0 for v in values):
+            raise ConfigError(f"{name} must have at least one entry, each positive")
     # the sinusoid fits have 3 (known period) or 4 (free period) parameters
     for name in ("delay_points", "separation_points"):
         if getattr(cfg, name) < 4:
@@ -424,24 +425,11 @@ def _run_free_space(cfg: ScenarioConfig, out: Path) -> dict:
     _write_scan_csv(out / "fringe_analytic.csv", "separation_m", xs, analytic)
     g2 = _mc_scan(cfg, geometry)
     write_csv(out / "fringe_mc.csv", "separation_m,g2", xs, g2)
-    period = analytic_fringe_period(cfg)
-    _, amp, fitted_period, _ = fit_fringe_free_period(xs, g2)
-    vis = fitted_visibility(xs, g2, period) if period else 0.0
+    period = fit_fringe_free_period(xs, analytic.probability)[2]
+    fitted_period = fit_fringe_free_period(xs, g2)[2]
+    vis = fitted_visibility(xs, g2, period) if math.isfinite(period) else math.nan
     return {"analytic_period_m": period, "fitted_period_m": fitted_period,
             "fitted_visibility": vis}
-
-
-def analytic_fringe_period(cfg: ScenarioConfig) -> float:
-    """Local fringe period in detector separation at the scan center.
-
-    fringe_phase is reduced modulo 2*pi per path, so the centred difference
-    is brought back to (-pi, pi] before it is read as a slope."""
-    x0 = 0.5 * (cfg.separation_min_m + cfg.separation_max_m)
-    dx = 1e-6
-    slope = math.remainder(fringe_phase(_free_space_geometry(cfg, x0 + dx))
-                           - fringe_phase(_free_space_geometry(cfg, x0 - dx)),
-                           2.0 * math.pi) / (2 * dx)
-    return abs(2.0 * math.pi / slope) if slope else 0.0
 
 
 def _t_quantile(p: float, nu: int) -> float:

@@ -69,7 +69,8 @@ streams at any occupancy (pair counting over sorted time tags: Laurence,
 Fore & Huser, Opt. Lett. 31, 829 (2006); Wahl et al., Opt. Express 11, 3583
 (2003)).  The sum is linear in c_A, so A is counted a slice at a time: working
 memory is bounded by the slice and B's events within its reach, not by the
-streams, and nearby offsets share one walk over a slice's sparse bin counts.
+streams, and nearby offsets share one walk over a slice's events and B's
+sparse bin counts.
 """
 
 from __future__ import annotations
@@ -499,15 +500,16 @@ def _runs(offsets: list[int], pair_work: float, pass_work: int):
         yield first, len(offsets)
 
 
-def _window_sums(bins_a: np.ndarray, counts_a: np.ndarray, bins_b: np.ndarray,
-                 counts_b: np.ndarray, first: int, last: int) -> np.ndarray:
+def _window_sums(bins_a: np.ndarray, bins_b: np.ndarray, counts_b: np.ndarray,
+                 first: int, last: int) -> np.ndarray:
     """Sum over k of c_A[k]*c_B[k+o] for every offset o in first..last, from
-    each detector's distinct occupied bins and their event counts.
+    the sorted bins of A's events, a bin repeated for each of its events,
+    and B's distinct occupied bins with their event counts.
 
-    Two searchsorted calls bound each A bin's window [k+first, k+last] in
+    Two searchsorted calls bound each A event's window [k+first, k+last] in
     B's bins.  A one-bin window (first == last) holds the B bin that
     `start` points at or none, so while B has bins one comparison finds the
-    A bins whose window holds one, and the sum is one dot product.  Other
+    A events whose window holds one, and the sum is one gather.  Other
     windows are sorted longest first, so the windows that still hold an
     r-th B bin are a prefix; rank r visits that bin of every such window at
     once.
@@ -515,7 +517,7 @@ def _window_sums(bins_a: np.ndarray, counts_a: np.ndarray, bins_b: np.ndarray,
     start = np.searchsorted(bins_b, bins_a + first)
     if first == last and bins_b.size:
         hit = bins_b.take(start, mode="clip") == bins_a + first
-        return np.array([counts_a[hit] @ counts_b[start[hit]]])
+        return np.array([counts_b[start[hit]].sum()])
     length = np.searchsorted(bins_b, bins_a + last, side="right")
     length -= start
     order = np.argsort(-length)[:np.count_nonzero(length)]
@@ -524,11 +526,11 @@ def _window_sums(bins_a: np.ndarray, counts_a: np.ndarray, bins_b: np.ndarray,
     del length
     pos = start[order]
     del start
-    ka, ca = bins_a[order], counts_a[order]
+    ka = bins_a[order]
     del order
     sums = np.zeros(last - first + 1, dtype=np.int64)
     for m in still_open[1:]:
-        np.add.at(sums, bins_b[pos[:m]] - ka[:m] - first, ca[:m] * counts_b[pos[:m]])
+        np.add.at(sums, bins_b[pos[:m]] - ka[:m] - first, counts_b[pos[:m]])
         pos[:m] += 1
     return sums
 
@@ -562,14 +564,14 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
     runs = list(_runs(wanted, n_a * n_b / max(n_bin, 1), n_a + n_b))
     ts_b, gate = stream_b.timestamps, int(gate_ps)  # a Python int: K*gate is exact
     for i in range(0, n_a, _SLICE):
-        bins_a, counts_a = _collapse(stream_a.timestamps[i:i + _SLICE] // gate)
+        bins_a = stream_a.timestamps[i:i + _SLICE] // gate
         for first, stop in runs:
             lo, hi = wanted[first], wanted[stop - 1]
             # B's events in bins bins_a[0] + lo .. bins_a[-1] + hi
             j = np.searchsorted(ts_b, (int(bins_a[0]) + lo) * gate)
             k = np.searchsorted(ts_b, (int(bins_a[-1]) + hi + 1) * gate)
             bins_b, counts_b = _collapse(ts_b[j:k] // gate)
-            sums = _window_sums(bins_a, counts_a, bins_b, counts_b, lo, hi)
+            sums = _window_sums(bins_a, bins_b, counts_b, lo, hi)
             per_offset[first:stop] += sums[offsets[first:stop] - lo]
     ncoinc = per_offset[where]
     if n_a * n_b > 0:

@@ -46,6 +46,8 @@ def test_unknown_scenario_and_keys():
         config_from_mapping({"scenario": "warp"})
     with pytest.raises(ConfigError):
         config_from_mapping({"scenario": "laser_fft", "sideband": 3})
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        config_from_mapping({"scenario": ["laser_fft"]})
 
 
 def test_wavelength_consistency_enforced():
@@ -120,6 +122,22 @@ def test_cli_override_is_type_checked(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, override", [
+    ("scenario: [laser_fft]\n", []),
+    ("scenario: laser_fft\n", ["scenario={a: 1}"]),
+    # the file's scenario resolved the other fields to its defaults
+    ("scenario: laser_delay_scan\n", ["scenario=thermal_delay_scan"]),
+], ids=["list-in-file", "mapping-override", "other-scenario-override"])
+def test_cli_scenario_is_a_name_from_the_file(tmp_path, capsys, text, override):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text)
+    argv = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv + [a for o in override for a in ("--override", o)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "scenario" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_reads_numbers_like_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text("scenario: gate_time_study\nduration_ps: 1.0e9\n"
@@ -142,6 +160,11 @@ def test_validation_bounds():
     for name in ("laser_fft", "thermal_delay_scan", "gate_time_study"):
         with pytest.raises(ConfigError, match="pump wavelength"):
             config_from_mapping({"scenario": name, "lambda3_nm": -1.0})
+    # an empty list would run and write a table with no rows
+    for name, key in (("gate_time_study", "gates_ps"),
+                      ("erasure_overlap_scan", "overlap_mean_photons")):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({"scenario": name, key: []})
 
 
 def test_overlap_scan_outputs(tmp_path):
@@ -393,23 +416,36 @@ PUMP_OFF_LAYERS = {
 }
 
 
-@pytest.mark.parametrize("name", ["free_space_hbt", "free_space_same_wavelength"])
-def test_analytic_fringe_period_across_path_phase_wraps(name):
-    # each path phase is reduced modulo 2*pi, and at some screen distances
-    # one wraps between the two points of the period's centred difference
-    # (at 0.3005 m for free_space_hbt); the reference differences the
-    # unreduced phase, from path-length differences
-    for distance in np.linspace(0.30, 0.33, 121).tolist():
-        cfg = apply_overrides(default_config(name), [f"screen_distance_m={distance!r}"])
-        x0 = 0.5 * (cfg.separation_min_m + cfg.separation_max_m)
+def test_analytic_period_is_the_law_curves_fitted_period(tmp_path):
+    # the reference is the local period at the scan centre, from unreduced
+    # path-length differences; each path phase is reduced modulo 2*pi, and
+    # at 0.3005 m one of free_space_hbt's wraps at the centre
+    for name in ("free_space_hbt", "free_space_same_wavelength"):
+        for distance in (0.30, 0.3005, 0.33, 0.40):
+            cfg = apply_overrides(default_config(name), TINY_OVERRIDES[name]
+                                  + [f"screen_distance_m={distance!r}"])
+            x0 = 0.5 * (cfg.separation_min_m + cfg.separation_max_m)
 
-        def phase(x):
-            geo = scenarios._free_space_geometry(cfg, x)
-            return 2 * math.pi * ((geo.l_1a - geo.l_1b) / geo.lambda1
-                                  + (geo.l_2b - geo.l_2a) / geo.lambda2)
+            def phase(x):
+                geo = scenarios._free_space_geometry(cfg, x)
+                return 2 * math.pi * ((geo.l_1a - geo.l_1b) / geo.lambda1
+                                      + (geo.l_2b - geo.l_2a) / geo.lambda2)
 
-        expected = 2 * math.pi * 2e-6 / abs(phase(x0 + 1e-6) - phase(x0 - 1e-6))
-        assert scenarios.analytic_fringe_period(cfg) == pytest.approx(expected, rel=1e-6)
+            expected = 2 * math.pi * 2e-6 / abs(phase(x0 + 1e-6) - phase(x0 - 1e-6))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                results = run_scenario(cfg, tmp_path / f"{name}_{distance}")["results"]
+            assert results["analytic_period_m"] == pytest.approx(expected, rel=2e-4)
+    # pump off, the two colours do not beat: the law curve is flat, so its
+    # period and the visibility fitted at that period read NaN
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("scenario: free_space_hbt\npump_on: false\nduration_ps: 1.0e9\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "off")]) == 0
+    results = json.loads((tmp_path / "off" / "manifest.json").read_text())["results"]
+    assert math.isnan(results["analytic_period_m"])
+    assert math.isnan(results["fitted_visibility"])
 
 
 @pytest.mark.parametrize("name", list(PUMP_OFF_LAYERS))
@@ -418,11 +454,11 @@ def test_pump_off_analytic_curve_matches_monte_carlo(tmp_path, name):
     cfg = apply_overrides(default_config(name), overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_scenario(cfg, tmp_path)
+        results = run_scenario(cfg, tmp_path)["results"]
     xs, analytic = np.loadtxt(tmp_path / f"{stem}_analytic.csv", delimiter=",",
                               skiprows=1, usecols=(0, 1), unpack=True)
     g2 = np.loadtxt(tmp_path / f"{stem}_mc.csv", delimiter=",", skiprows=1, usecols=1)
-    period = cfg.lambda3_m if stem == "delay_scan" else scenarios.analytic_fringe_period(cfg)
+    period = cfg.lambda3_m if stem == "delay_scan" else results["analytic_period_m"]
     base, amp, _ = stochastic.fit_fringe(xs, analytic, period)
     base_mc, amp_mc, phase_mc = stochastic.fit_fringe(xs, g2, period)
     # standard errors of the fitted offset and amplitude from the residuals
