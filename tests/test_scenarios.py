@@ -416,26 +416,30 @@ PUMP_OFF_LAYERS = {
 }
 
 
-def test_analytic_period_is_the_law_curves_fitted_period(tmp_path):
-    # the reference is the local period at the scan centre, from unreduced
-    # path-length differences; each path phase is reduced modulo 2*pi, and
-    # at 0.3005 m one of free_space_hbt's wraps at the centre
-    for name in ("free_space_hbt", "free_space_same_wavelength"):
-        for distance in (0.30, 0.3005, 0.33, 0.40):
-            cfg = apply_overrides(default_config(name), TINY_OVERRIDES[name]
-                                  + [f"screen_distance_m={distance!r}"])
-            x0 = 0.5 * (cfg.separation_min_m + cfg.separation_max_m)
+@pytest.mark.parametrize("name", ["free_space_hbt", "free_space_same_wavelength"])
+def test_analytic_fringe_period_across_path_phase_wraps(tmp_path, name):
+    # analytic_period_m is the law curve's fitted period; the reference is
+    # the local period at the scan centre, from unreduced path-length
+    # differences; each path phase is reduced modulo 2*pi, and at 0.3005 m
+    # one of free_space_hbt's wraps at the centre
+    for distance in (0.30, 0.3005, 0.33, 0.40):
+        cfg = apply_overrides(default_config(name), TINY_OVERRIDES[name]
+                              + [f"screen_distance_m={distance!r}"])
+        x0 = 0.5 * (cfg.separation_min_m + cfg.separation_max_m)
 
-            def phase(x):
-                geo = scenarios._free_space_geometry(cfg, x)
-                return 2 * math.pi * ((geo.l_1a - geo.l_1b) / geo.lambda1
-                                      + (geo.l_2b - geo.l_2a) / geo.lambda2)
+        def phase(x):
+            geo = scenarios._free_space_geometry(cfg, x)
+            return 2 * math.pi * ((geo.l_1a - geo.l_1b) / geo.lambda1
+                                  + (geo.l_2b - geo.l_2a) / geo.lambda2)
 
-            expected = 2 * math.pi * 2e-6 / abs(phase(x0 + 1e-6) - phase(x0 - 1e-6))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                results = run_scenario(cfg, tmp_path / f"{name}_{distance}")["results"]
-            assert results["analytic_period_m"] == pytest.approx(expected, rel=2e-4)
+        expected = 2 * math.pi * 2e-6 / abs(phase(x0 + 1e-6) - phase(x0 - 1e-6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = run_scenario(cfg, tmp_path / str(distance))["results"]
+        assert results["analytic_period_m"] == pytest.approx(expected, rel=2e-4)
+
+
+def test_pump_off_free_space_law_period_reads_nan(tmp_path):
     # pump off, the two colours do not beat: the law curve is flat, so its
     # period and the visibility fitted at that period read NaN
     cfg_path = tmp_path / "cfg.yaml"
