@@ -584,24 +584,22 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
 # ---------------------------------------------------------------------------
 # Fringe fitting and spectra.
 
+def _fringe_design(ang: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.ones_like(ang), np.cos(ang), np.sin(ang)])
+
+
 def fit_fringe(xs: np.ndarray, values: np.ndarray, period: float
                ) -> tuple[float, float, float]:
     """Least-squares sinusoid with known period: offset, amplitude, phase."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    ang = 2.0 * math.pi * xs / period
-    design = np.column_stack([np.ones_like(ang), np.cos(ang), np.sin(ang)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    offset, a, b = coef
+    ang = 2.0 * math.pi * np.asarray(xs, dtype=float) / period
+    _, (offset, a, b) = _lstsq(_fringe_design(ang), np.asarray(values, dtype=float))
     return float(offset), float(math.hypot(a, b)), float(math.atan2(-b, a))
 
 
 def fitted_visibility(xs: np.ndarray, values: np.ndarray, period: float) -> float:
-    """(max-min)/(max+min) of the fitted sinusoid, i.e. amplitude/offset."""
+    """(max-min)/(max+min) of the fitted sinusoid, i.e. amplitude/offset, or NaN."""
     offset, amplitude, _ = fit_fringe(xs, values, period)
-    if offset <= 0:
-        return 0.0
-    return amplitude / offset
+    return amplitude / offset if offset > 0 else math.nan
 
 
 def _fourier_peak(xs: np.ndarray, values: np.ndarray
@@ -640,33 +638,56 @@ def _minimise(cost, lo: float, hi: float) -> float:
     return min([(cost(lo), lo), (cost(hi), hi), (fx, x)], key=lambda p: p[0])[1]
 
 
+def _lstsq(design: np.ndarray, target: np.ndarray, bound: float = math.inf):
+    """(residual sum, coefficients c) of least squares design @ c ~ target, |c| <= bound."""
+    def rss(coef):
+        return float(np.sum((design @ coef - target) ** 2))
+
+    coef = np.linalg.lstsq(design, target, rcond=None)[0]
+    if math.hypot(*coef) > bound:
+        # c has two coefficients here; on |c| = bound the best c solves
+        # (D^T D + lam*I) c = D^T y at some lam >= 0 (More & Sorensen, SIAM J. Sci.
+        # Stat. Comput. 4, 553 (1983)); as lam grows, that c turns from the free
+        # c's direction to D^T y's, and no other c on the arc between is stationary
+        lo = math.atan2(*coef[::-1])
+        hi = lo + math.remainder(math.atan2(*(design.T @ target)[::-1]) - lo, 2.0 * math.pi)
+        psi = _minimise(lambda p: rss(bound * np.array([math.cos(p), math.sin(p)])),
+                        min(lo, hi), max(lo, hi))
+        coef = bound * np.array([math.cos(psi), math.sin(psi)])
+    return rss(coef), coef
+
+
+def _profiled_fit(design_of_p, target: np.ndarray, grid: np.ndarray, bound: float = math.inf):
+    """(p, residual sum, coefficients) of the _lstsq fit of design_of_p(p) @ c at the p
+    of least residual sum, on the grid, then between the best grid point's neighbours
+    (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973))."""
+    def fit(p):
+        return _lstsq(design_of_p(p), target, bound)
+
+    i = int(np.argmin([fit(p)[0] for p in grid]))
+    p = _minimise(lambda p: fit(p)[0], *map(float, grid[max(i - 1, 0):i + 2][[0, -1]]))
+    return (p, *fit(p))
+
+
 def fit_fringe_free_period(xs: np.ndarray, values: np.ndarray
                            ) -> tuple[float, float, float, float]:
     """Sinusoid fit with the period free: (offset, amplitude, period, phase).
 
-    Given the frequency the sinusoid is linear (fit_fringe), so the residual
-    sum is minimised over the frequency alone (variable projection: Golub &
-    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  A free-period cosine fit
-    is multimodal, so the frequency is searched within one bin of the
-    discrete Fourier peak of the mean-subtracted curve (uniform grid
-    required).  A curve without that peak, flat or with a non-finite point,
-    gives NaN for each result.
+    The sinusoid is linear given the frequency, which is searched alone
+    (_profiled_fit) within one bin of the discrete Fourier peak of the
+    mean-subtracted curve, as the fit is multimodal (uniform grid required).
+    A curve without that peak, flat or with a non-finite point, reads NaN.
     """
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
+    xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
     step, _, peak = _fourier_peak(xs, values)
     if peak is None:
         return (math.nan,) * 4
 
-    def fit(freq):  # below the first bin lies DC, of infinite period
-        period = 1.0 / freq if freq else math.inf
-        off, amp, phi = fit_fringe(xs, values, period)
-        model = off + amp * np.cos(2.0 * math.pi * xs / period + phi)
-        return float(np.sum((model - values) ** 2)), (off, amp, period, phi)
-
-    freqs = np.fft.rfftfreq(xs.size, d=step)
-    return fit(_minimise(lambda freq: fit(freq)[0], float(freqs[peak - 1]),
-                         float(freqs[min(peak + 1, freqs.size - 1)])))[1]
+    freq = _profiled_fit(lambda f: _fringe_design(2.0 * math.pi * f * xs), values,
+                         np.fft.rfftfreq(xs.size, d=step)[peak - 1:peak + 2])[0]
+    period = 1.0 / freq if freq else math.inf  # below the first bin lies DC, of infinite period
+    offset, amplitude, phase = fit_fringe(xs, values, period)
+    return offset, amplitude, period, phase
 
 
 def fringe_fft(delays_m: np.ndarray, values: np.ndarray
@@ -695,49 +716,34 @@ def fit_g2_envelope(taus_s: np.ndarray, values: np.ndarray, beat_hz: float
     Returns (amplitude, decay_time, phase, at_bound).  The decay time
     estimates the mutual coherence time of the source pair.  Given t the
     model is linear in a*cos(phi) and a*sin(phi), so the residual sum, with
-    a <= 2, is minimised over log t alone (variable projection: Golub &
-    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): on a grid over t within a
-    factor 1e3 of the tau span, then between the best grid point's
-    neighbours.  at_bound says that a or t ended on its bound, so the value
-    is the bound's, not a fitted one.  Non-finite points are left out;
+    a <= 2, is minimised over log t alone (_profiled_fit), t within a factor
+    1e3 of the tau span.  at_bound says that a or t ended on its bound, so
+    the value is the bound's, not a fitted one.  Non-finite points are left out;
     without a tau span left, each result is NaN and at_bound false.
     """
     ok = np.isfinite(values)
-    taus_s, values = np.asarray(taus_s, dtype=float)[ok], np.asarray(values, dtype=float)[ok]
+    taus_s, target = np.asarray(taus_s, dtype=float)[ok], np.asarray(values, dtype=float)[ok] - 1
     span = float(np.ptp(taus_s)) if taus_s.size else 0.0
     if not span > 0.0:
         return math.nan, math.nan, math.nan, False
     beat = 2.0 * math.pi * beat_hz * taus_s
 
-    def fit(log_t):
+    def design(log_t):
         envelope = np.exp(-taus_s / math.exp(log_t))
-        design = np.column_stack([envelope * np.cos(beat), -envelope * np.sin(beat)])
-
-        def rss(coef):
-            return float(np.sum((design @ coef + 1.0 - values) ** 2))
-
-        coef = np.linalg.lstsq(design, values - 1.0, rcond=None)[0]
-        amp = math.hypot(*coef)
-        if amp > 2.0:
-            # on |c| = 2 the best c solves (D^T D + lam*I) c = D^T y at some
-            # lam >= 0 (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553
-            # (1983)); as lam grows, that c turns from the free c's direction
-            # to D^T y's, and no other c on the arc between is stationary
-            rhs = design.T @ (values - 1.0)
-            lo = math.atan2(coef[1], coef[0])
-            hi = lo + math.remainder(math.atan2(rhs[1], rhs[0]) - lo, 2.0 * math.pi)
-            psi = _minimise(lambda p: rss((2.0 * math.cos(p), 2.0 * math.sin(p))),
-                            min(lo, hi), max(lo, hi))
-            coef = np.array([2.0 * math.cos(psi), 2.0 * math.sin(psi)])
-        return rss(coef), coef, amp
+        return np.column_stack([envelope * np.cos(beat), -envelope * np.sin(beat)])
 
     grid = math.log(span) + np.linspace(math.log(1e-3), math.log(1e3), _ENVELOPE_GRID)
-    i = int(np.argmin([fit(s)[0] for s in grid]))
-    log_t = _minimise(lambda s: fit(s)[0], float(grid[max(i - 1, 0)]),
-                      float(grid[min(i + 1, grid.size - 1)]))
-    _, (a_cos, a_sin), amp = fit(log_t)
-    return (min(amp, 2.0), math.exp(log_t), math.atan2(a_sin, a_cos),
-            amp > 2.0 or log_t in (grid[0], grid[-1]))
+    (log_t, _, coef), at_bound = _profiled_fit(design, target, grid, 2.0), False
+    for end, inner in ((grid[0], grid[1]), (grid[-1], grid[-2])):
+        # at fixed c the sum's slope in log t is 2 sum r*(tau/t)*Dc, as d/dlog t
+        # exp(-tau/t) = (tau/t) exp(-tau/t): where it still falls toward an end
+        # too flat for the search to resolve, the decay is the bound's
+        if (log_t - inner) * (end - inner) > 0:
+            model = design(end) @ (end_coef := _lstsq(design(end), target, 2.0)[1])
+            if np.sum((model - target) * taus_s * model) * (end - inner) < 0:
+                log_t, coef, at_bound = end, end_coef, True
+    amp = math.hypot(*_lstsq(design(log_t), target)[1])
+    return min(amp, 2.0), math.exp(log_t), math.atan2(*coef[::-1]), at_bound or amp > 2.0
 
 
 # ---------------------------------------------------------------------------

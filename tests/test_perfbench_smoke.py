@@ -7,6 +7,7 @@ argument shows up as a failed check or a missing traced call in the
 repetition's `errors`.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -33,3 +34,15 @@ def test_workload_repetition_has_no_errors(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["errors"] == []
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    # the tracer skips an attribute that its module lacks, and no call count
+    # guards the fits, so a renamed fit would read 0 s as stochastic.fit with
+    # no error; scenarios is the one module that never imports fit_fringe
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    workloads = importlib.import_module("workloads")
+    missing = [(module.__name__, attr) for module, attr, *_ in workloads.layer_targets()
+               if not hasattr(module, attr)]
+    assert missing == [("chromint.scenarios", "fit_fringe")]

@@ -336,7 +336,7 @@ def test_fit_without_a_finite_curve_reads_nan(tmp_path, name):
 
 @pytest.mark.parametrize("name, seed, fitted, mc_file", [
     ("laser_fft", 81, ["peak_frequency_hz", "peak_to_median"], "delay_scan_mc.csv"),
-    ("free_space_hbt", 145, ["fitted_period_m"], "fringe_mc.csv")],
+    ("free_space_hbt", 145, ["fitted_period_m", "fitted_visibility"], "fringe_mc.csv")],
     ids=["laser_fft", "free_space_hbt"])
 def test_flat_curve_reads_nan(tmp_path, name, seed, fitted, mc_file):
     # at 10 us this seed leaves every point without a coincidence: g2 is a

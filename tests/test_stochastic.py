@@ -960,6 +960,16 @@ def test_fit_fringe_free_period():
     assert amp == pytest.approx(0.45, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [16, 24])
+def test_fit_fringe_free_period_at_nyquist(n):
+    # a fringe of two points per period puts the Fourier peak in the last
+    # rfft bin, so the search has only the bin below it for a neighbour
+    xs = 0.5e-3 * np.arange(n)
+    _, amp, period, _ = fit_fringe_free_period(xs, 1.0 + 0.3 * (-1.0) ** np.arange(n))
+    assert period == pytest.approx(1e-3, rel=1e-6)
+    assert amp == pytest.approx(0.3, abs=1e-9)
+
+
 def test_fit_g2_envelope_recovers_decay():
     taus = np.arange(0, 300e-9, 4e-9)
     values = 1.0 + 0.5 * np.exp(-taus / 100e-9) * np.cos(2 * math.pi * 25e6 * taus)
@@ -1035,6 +1045,27 @@ def test_fit_g2_envelope_matches_bounded_least_squares(seed, amp, decay, at_boun
     rss = np.sum((envelope_model(taus, 25e6, *fit) - values) ** 2)
     assert rss <= np.sum(reference.fun ** 2) * (1 + 1e-12)
     assert at_bound is None or bound is at_bound
+
+
+@pytest.mark.parametrize("decay", [math.inf, 100e-9, 3e-6])
+def test_fit_g2_envelope_ends_on_the_decay_bound_where_the_sum_falls_to_it(decay):
+    # at the upper decay bound T (1e3 tau spans) and the best a*cos(phi),
+    # a*sin(phi) there, the residual sum's slope in log t is
+    # 2 sum r*(tau/T)*(model - 1), as d/dlog t exp(-tau/t) = (tau/t) exp(-tau/t):
+    # where it is negative the sum still falls toward T, so the fit ends on T
+    # and says so, however flat the sum is; elsewhere the decay is fitted
+    taus = np.arange(0, 300e-9, 4e-9)
+    top = 1e3 * (taus[-1] - taus[0])
+    beat = 2 * math.pi * 25e6 * taus
+    design = np.exp(-taus / top)[:, None] * np.column_stack([np.cos(beat), -np.sin(beat)])
+    for seed in range(200):
+        values = (envelope_model(taus, 25e6, 0.5, decay, 0.3)
+                  + 0.05 * np.random.default_rng(seed).normal(size=taus.size))
+        coef = np.linalg.lstsq(design, values - 1.0, rcond=None)[0]
+        assert math.hypot(*coef) < 2.0  # inside the amplitude bound
+        model = 1.0 + design @ coef
+        falls = bool(np.sum((model - values) * taus * (model - 1.0)) < 0)
+        assert fit_g2_envelope(taus, values, 25e6)[3] is falls, seed
 
 
 # ---------------------------------------------------------------------------
