@@ -226,17 +226,20 @@ class _ThermalPair:
         n_slots = slots.size
         # source 1 has candidates (source 2 any number) or only source 2 has:
         # zero-truncated geometric counts, in proportion p1 : (1 - p1)*p2
-        alone = rng.random(n_slots) * occupied < (1.0 - p1) * p2
-        n1 = np.zeros(n_slots, np.int64)
-        n1.put(np.flatnonzero(~alone),
-               rng.geometric(1.0 / (1.0 + a1), n_slots - np.count_nonzero(alone)))
+        alone = rng.random(n_slots)
+        alone = np.multiply(alone, occupied, out=alone) < (1.0 - p1) * p2
+        # per source, its candidates' table rows, int32 (a batch has fewer than
+        # 2**31 slots): the slots with a count, repeated (np.repeat is slow on 0s)
+        lit = np.flatnonzero(~alone)
+        rows = [np.repeat(lit.astype(np.int32), rng.geometric(1.0 / (1.0 + a1), lit.size))]
         n2 = rng.geometric(1.0 / (1.0 + a2), n_slots)
         n2 -= 1
         n2 += alone
-        index = np.arange(n_slots, dtype=np.int32)  # a batch has fewer than 2**31 slots
-        # per source, its candidates' table rows and slots
-        by_source = [(np.repeat(index, n), np.repeat(slots, n)) for n in (n1, n2)]
-        del slots, alone, n1, n2, index
+        lit = np.flatnonzero(n2 > 0)
+        rows.append(np.repeat(lit.astype(np.int32), n2.take(lit)))
+        # and their slots, so that the slots go before the sources are drawn
+        by_source = [(r, slots.take(r)) for r in rows]
+        del slots, alone, n2, lit, rows
         # popped: a source's rows and slots go once it is drawn
         (i1, blocks1), (i2, blocks2) = [self._source(n_slots, *by_source.pop(0), a, w)
                                         for a, w in zip(self.a, self.weights)]
@@ -245,19 +248,20 @@ class _ThermalPair:
         self.table = (i1, i2, phase)
         drawn = []
         for d in (0, 1):
-            parts, later = [], []
-            for blocks in (blocks1, blocks2):
-                (t, rows), blocks[d] = blocks[d], None  # each block goes once joined
-                # only slot -1 (row 0 of the first batch, which starts before
-                # 0) and the batch's last slot reach outside [0, end): rows
-                # ascend within a block, so those are its head and tail
-                head = np.searchsorted(rows, 1) if first < 0 else 0
-                tail = max(head, np.searchsorted(rows, n_slots - 1))
-                edges = (t[:head], rows[:head]), (t[tail:], rows[tail:])
-                parts += [_within(*edges[0], 0.0, end), (t[head:tail], rows[head:tail]),
-                          _within(*edges[1], 0.0, end)]
-                later += [_within(*edge, end, self.duration) for edge in edges]
-            drawn.append(tuple(map(np.concatenate, zip(*parts, *later))))
+            t, rows = map(np.concatenate, zip(blocks1[d], blocks2[d]))
+            blocks1[d] = blocks2[d] = None  # each block goes once joined
+            # only slot -1 (row 0 of the first batch, which starts before 0)
+            # and the batch's last slot reach outside [0, end); those past
+            # `end` go last, in block order, and those outside the run go
+            edge = np.flatnonzero((rows >= n_slots - 1) | ((rows == 0) & (first < 0)))
+            te = t[edge]
+            if np.any((te < 0.0) | (te >= end)):
+                keep = np.ones(t.size, bool)
+                keep[edge] = (te >= 0.0) & (te < end)
+                order = np.concatenate((np.flatnonzero(keep),
+                                        edge[(te >= end) & (te < self.duration)]))
+                t, rows = t[order], rows[order]
+            drawn.append((t, rows))
         return drawn
 
     def _source(self, n_slots: int, rows: np.ndarray, slots: np.ndarray, a: float,
@@ -278,8 +282,9 @@ class _ThermalPair:
         u = rng.random(rows.size)
         to_a = u < share
         by_det = []
-        for below, low, width in ((True, 0.0, share), (False, share, 1.0 - share)):
-            pick = np.flatnonzero(to_a == below)
+        for low, width in ((0.0, share), (share, 1.0 - share)):
+            pick = np.flatnonzero(to_a)
+            np.logical_not(to_a, out=to_a)  # B's next
             t = u.take(pick)  # in place: fewer temporaries
             t -= low
             t /= width
@@ -302,15 +307,10 @@ class _ThermalPair:
                 if j == 2:
                     drawn[d] = t, None
             columns[j] = None
-        for f, (t, _) in zip(fields, drawn):
-            f[2] += self.carrier * t
+        if self.carrier:  # a carrier of 0 would add a zero, which leaves the phase as it is
+            for f, (t, _) in zip(fields, drawn):
+                f[2] += self.carrier * t
         return fields
-
-
-def _within(t: np.ndarray, rows: np.ndarray, lo: float, hi: float) -> tuple:
-    """The times in [lo, hi) and their rows."""
-    keep = (t >= lo) & (t < hi)
-    return t[keep], rows[keep]
 
 
 def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
@@ -327,7 +327,7 @@ def _occupied(rng: Generator, q: float, first: int, stop: int) -> np.ndarray:
         slots += last
         found.append(slots[:np.searchsorted(slots, stop)])
         last = slots[-1]
-    return np.concatenate(found)
+    return np.concatenate(found) if len(found) > 2 else found[-1]  # one round: no copy
 
 
 def _cos32(theta: np.ndarray) -> np.ndarray:
@@ -381,8 +381,7 @@ def _thinning_terms(consts: tuple, fields: list, d: int) -> tuple:
     b1, b2, swing, offset = consts
     (j1, j2, theta), fields[d] = fields[d], None
     bound = j1 + j2
-    bound *= swing
-    bound /= 2.0
+    bound *= swing * 0.5  # halving is exact: as *= swing, then /= 2.0
     base = j1 * b1
     j1 *= j2
     j2 *= b2
@@ -450,7 +449,8 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
             if beating:
                 terms = _thinning_terms(det_consts[d], fields, d)
                 td = td.take(_thin(rng_det[d], *terms))
-            times[d].append((td * PS_PER_S).astype(np.int64))  # td >= 0: truncation floors
+            td *= PS_PER_S  # td is the batch's own: scaled in place
+            times[d].append(td.astype(np.int64))  # td >= 0: truncation floors
         del drawn
 
     streams = []

@@ -684,6 +684,38 @@ def test_thermal_candidate_detector_and_place():
     assert distinct == np.unique(rows).size == np.unique(slots).size
 
 
+def test_thermal_rows_are_int32_and_ascend_within_each_source(monkeypatch):
+    # what the digests do not see: every table row candidates returns is
+    # int32, so field indexes the table without copying the rows, and each
+    # source's candidates come slot by slot, in ascending rows, so field
+    # reads the table in order; at a first batch, which holds slot -1, and
+    # at the middle batch of three
+    tc = 20e-9
+    pair = stochastic._ThermalPair(tc, 0.0, [(4e8, 1e8), (1e8, 3e8)], substream(33, 0, 0),
+                                   3_000 * tc)
+    blocks, source = [], stochastic._ThermalPair._source
+
+    def spy(self, *args):
+        intensity, by_det = source(self, *args)
+        blocks.extend(rows for _, rows in by_det)
+        return intensity, by_det
+
+    monkeypatch.setattr(stochastic._ThermalPair, "_source", spy)
+    for end in np.array([1_000, 2_000]) * tc:
+        first = pair.next_slot
+        blocks.clear()
+        drawn = pair.candidates(end - 1_000 * tc, end)
+        assert len(blocks) == 4 and sum(rows.size for rows in blocks) > 4_000
+        for rows in blocks:
+            assert rows.dtype == np.int32 and np.all(np.diff(rows) >= 0)
+        for t, rows in drawn:
+            assert rows.dtype == np.int32 and rows.size == t.size
+        if first < 0:
+            # slot -1 holds row 0, and its candidates from 0 on are drawn
+            t, rows = drawn[0]
+            assert np.any((rows == 0) & (t < pair.offset * tc))
+
+
 def test_batches_keep_the_laws(monkeypatch):
     # a few hundred expected candidates per batch, so every run below
     # crosses many batch ends, most of them inside a coherence slot
@@ -854,6 +886,28 @@ def test_squeeze_keeps_every_float64_decision(seed, per_candidate, v, scale):
     expected = np.flatnonzero(u * bound < rate)
     kept = stochastic._thin(FixedUniforms(u), bound, base, k, theta)
     assert np.array_equal(kept, expected)
+
+
+@pytest.mark.parametrize("per_candidate", [True, False], ids=["thermal", "laser"])
+@pytest.mark.parametrize("v", [0.0, 0.37, 1.0])
+def test_thinning_terms_are_the_straight_line_float64_terms(per_candidate, v):
+    # bound, base, k and theta bit for bit as the rate terms read, in this
+    # order of operations, for per-candidate intensities (a thermal pair's)
+    # and unit ones (a laser pair's), with a swing of 0, below 2*sqrt(b1*b2)
+    # and exactly at it
+    rng = np.random.default_rng(35)
+    for b1, b2 in 10.0 ** rng.uniform(-3.0, 9.0, (40, 2)):
+        swing = v * (2.0 * math.sqrt(b1 * b2))
+        j1, j2 = rng.standard_exponential((2, 500)) if per_candidate else (1.0, 1.0)
+        beat = rng.uniform(-1e9, 1e9, 500)
+        offset = rng.uniform(-10.0, 10.0)
+        expected = (b1 * j1 + b2 * j2 + swing * (j1 + j2) / 2, b1 * j1 + b2 * j2,
+                    swing * np.sqrt(j1 * j2), beat + offset)
+        fields = [(j1.copy(), j2.copy(), beat.copy()) if per_candidate else (j1, j2, beat.copy())]
+        terms = stochastic._thinning_terms((b1, b2, swing, offset), fields, 0)
+        assert fields == [None]
+        for got, want in zip(terms, expected):
+            assert np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
 
 
 def test_float32_cosine_is_within_a_quarter_of_the_margin():
