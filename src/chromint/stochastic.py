@@ -70,12 +70,17 @@ Fore & Huser, Opt. Lett. 31, 829 (2006); Wahl et al., Opt. Express 11, 3583
 (2003)).  The sum is linear in c_A, so A is counted a slice at a time: working
 memory is bounded by the slice and B's events within its reach, not by the
 streams, and nearby offsets share one walk over a slice's events and B's
-sparse bin counts.
+sparse bin counts.  A walk over several offsets splits the slice's events
+into contiguous parts, one per usable core, each counted on its own thread
+and their integer sums added: every count is the same on any number of
+cores, and the parts together still hold one slice.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -88,8 +93,9 @@ from .interferometry import (SPEED_OF_LIGHT, DetectorSetting, InterferometerGeom
 PS_PER_S = 1_000_000_000_000
 FFT_MIN_POINTS = 16  # shortest delay scan fringe_fft resolves
 _CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
-_SLICE = 1 << 16  # A's events per g2 pass: B's searched bins stay in cache
-#                   and the pass's temporaries a few MB (measured fastest)
+_SLICE = 1 << 16  # A's events per g2 pass, split across the usable cores: B's
+#                   searched bins stay in cache and the pass's temporaries a
+#                   few MB on any core count (measured fastest)
 _ENVELOPE_GRID = 61  # log-spaced decay times an envelope fit scans first
 
 
@@ -123,7 +129,7 @@ class EventStream:
         if ts.size:
             if ts[0] < 0 or ts[-1] >= self.duration_ps:
                 raise ValueError("timestamps must lie in [0, duration_ps)")
-            if np.any(np.diff(ts) <= 0):
+            if np.any(ts[1:] <= ts[:-1]):
                 raise ValueError("timestamps must be strictly increasing")
 
     @property
@@ -500,24 +506,23 @@ def _runs(offsets: list[int], pair_work: float, pass_work: int):
         yield first, len(offsets)
 
 
-def _window_sums(bins_a: np.ndarray, bins_b: np.ndarray, counts_b: np.ndarray,
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ranked_sums(bins_a: np.ndarray, bins_b: np.ndarray, counts_b: np.ndarray,
                  first: int, last: int) -> np.ndarray:
-    """Sum over k of c_A[k]*c_B[k+o] for every offset o in first..last, from
-    the sorted bins of A's events, a bin repeated for each of its events,
-    and B's distinct occupied bins with their event counts.
+    """_window_sums over several offsets, for the events of `bins_a`.
 
     Two searchsorted calls bound each A event's window [k+first, k+last] in
-    B's bins.  A one-bin window (first == last) holds the B bin that
-    `start` points at or none, so while B has bins one comparison finds the
-    A events whose window holds one, and the sum is one gather.  Other
-    windows are sorted longest first, so the windows that still hold an
-    r-th B bin are a prefix; rank r visits that bin of every such window at
-    once.
+    B's bins.  The windows are sorted longest first, so the windows that
+    still hold an r-th B bin are a prefix; rank r visits that bin of every
+    such window at once.
     """
     start = np.searchsorted(bins_b, bins_a + first)
-    if first == last and bins_b.size:
-        hit = bins_b.take(start, mode="clip") == bins_a + first
-        return np.array([counts_b[start[hit]].sum()])
     length = np.searchsorted(bins_b, bins_a + last, side="right")
     length -= start
     order = np.argsort(-length)[:np.count_nonzero(length)]
@@ -535,6 +540,53 @@ def _window_sums(bins_a: np.ndarray, bins_b: np.ndarray, counts_b: np.ndarray,
     return sums
 
 
+def _window_sums(bins_a: np.ndarray, bins_b: np.ndarray, counts_b: np.ndarray,
+                 first: int, last: int) -> np.ndarray:
+    """Sum over k of c_A[k]*c_B[k+o] for every offset o in first..last, from
+    the sorted bins of A's events, a bin repeated for each of its events,
+    and B's distinct occupied bins with their event counts.
+
+    A one-bin window (first == last) holds the B bin that searchsorted
+    points at or none, so one comparison finds the A events whose window
+    holds one, and the sum is one gather.  Wider windows split A's events
+    into contiguous parts, one per usable core, each summed by _ranked_sums
+    on its own thread but the first, which runs here; the sums are added
+    once every thread has ended, and a part's exception is raised here.
+    """
+    if not bins_b.size:
+        return np.zeros(last - first + 1, dtype=np.int64)
+    if first == last:
+        start = np.searchsorted(bins_b, bins_a + first)
+        hit = bins_b.take(start, mode="clip") == bins_a + first
+        return np.array([counts_b[start[hit]].sum()])
+    parts = max(1, min(_cores(), bins_a.size))
+    cuts = [p * bins_a.size // parts for p in range(parts + 1)]
+    found = [None] * parts
+
+    def count(p):
+        try:
+            found[p] = _ranked_sums(bins_a[cuts[p]:cuts[p + 1]], bins_b, counts_b,
+                                    first, last)
+        except BaseException as exc:  # raised by the calling thread
+            found[p] = exc
+
+    threads = []
+    try:
+        for p in range(1, parts):
+            thread = threading.Thread(target=count, args=(p,))
+            thread.start()
+            threads.append(thread)
+        sums = _ranked_sums(bins_a[:cuts[1]], bins_b, counts_b, first, last)
+    finally:
+        for thread in threads:
+            thread.join()
+    for part in found[1:]:
+        if isinstance(part, BaseException):
+            raise part
+        sums += part
+    return sums
+
+
 def estimate_g2(stream_a: EventStream, stream_b: EventStream,
                 taus_ps, gate_ps: int) -> G2Curve:
     """Binned coincidence estimate g2(tau) = n_coinc * n_bin / (n_A * n_B).
@@ -547,8 +599,11 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
     occupancy.  A is counted a slice at a time (exact, as the sum is linear
     in c_A), nearby offsets in one pass over its bins and B's within their
     reach: working memory is bounded by the slice and that reach, not by
-    the streams.  The gate is a positive integer.  Empty streams yield NaN
-    values with the counts preserved.
+    the streams.  A pass over several offsets splits the slice's events
+    across the usable cores, one thread per part, which all end before the
+    pass does; working memory stays bounded by one slice, and every count
+    is the same on any number of cores.  The gate is a positive integer.
+    Empty streams yield NaN values with the counts preserved.
     """
     if isinstance(gate_ps, bool) or not isinstance(gate_ps, (int, np.integer)) or gate_ps <= 0:
         raise ValueError("gate must be a positive integer")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import threading
 import time
 import tracemalloc
 import warnings
@@ -321,8 +322,10 @@ def dense_coincidences(ts_a, ts_b, taus, gate, duration_ps):
        st.sampled_from([1, 2, 7, 100, 250, 10_000, 25_000]),
        st.lists(st.integers(-30_000, 30_000), max_size=6),
        st.lists(st.integers(-9, 9), max_size=4),
-       st.sampled_from([1, 2, 7, stochastic._SLICE]))
-def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves, slice_events):
+       st.sampled_from([1, 2, 7, stochastic._SLICE]),
+       st.sampled_from([1, 2, 3]))
+def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves, slice_events,
+                                   cores):
     duration_ps = 10_000
     # multiples of half a gate exercise round-half-to-even; the repeat
     # makes duplicates, and the draws are unsorted and of either sign
@@ -330,9 +333,11 @@ def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves, slice_eve
     a = EventStream("A", np.unique(np.array(ts_a, dtype=np.int64)), duration_ps, 0)
     b = EventStream("B", np.unique(np.array(ts_b, dtype=np.int64)), duration_ps, 0)
     # short slices of A cut bins and runs at their edges, and leave some
-    # slices no B event within reach
+    # slices no B event within reach; splitting a pass over 2 or 3 cores
+    # leaves parts uneven, cut within a bin, or one event each
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stochastic, "_SLICE", slice_events)
+        patch.setattr(stochastic, "_cores", lambda: cores)
         curve = estimate_g2(a, b, taus, gate)
     expected = dense_coincidences(a.timestamps, b.timestamps, taus, gate, duration_ps)
     assert np.array_equal(curve.taus_ps, taus)
@@ -417,9 +422,11 @@ def test_g2_wide_sparse_grid_is_cheap():
                                              gate, duration_ps))
 
 
-def test_g2_memory_is_bounded_by_the_slice():
+@pytest.mark.parametrize("cores", [1, 2])
+def test_g2_memory_is_bounded_by_the_slice(monkeypatch, cores):
     # A is counted a slice at a time, so the working memory of 201 offsets
-    # does not grow with the streams
+    # does not grow with the streams, on one core or split over two
+    monkeypatch.setattr(stochastic, "_cores", lambda: cores)
     duration_ps, gate = 20_000_000_000, 1000
     taus = np.arange(-100, 101) * gate
     peaks = []
@@ -435,6 +442,42 @@ def test_g2_memory_is_bounded_by_the_slice():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0]
+
+
+class PartFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_part", [None, 0, 1, 2])
+def test_g2_parts_end_with_the_call(monkeypatch, failing_part):
+    # one pass of 300 events split over three cores, 100 events a part: the
+    # calling thread counts part 0 and one thread each the others; a part's
+    # exception, the caller's or a worker's, is the one estimate_g2 raises,
+    # and no thread outlives the call either way
+    ts = np.arange(0, 30_000, 100, dtype=np.int64)
+    a, b = (EventStream(d, ts, 30_000, 0) for d in "AB")
+    ranked_sums, ran, raised = stochastic._ranked_sums, {}, []
+
+    def part(bins_a, *args):
+        p = int(bins_a[0]) // 100
+        ran[p] = threading.current_thread()
+        if p == failing_part:
+            raised.append(PartFailed(p))
+            raise raised[-1]
+        return ranked_sums(bins_a, *args)
+
+    monkeypatch.setattr(stochastic, "_cores", lambda: 3)
+    monkeypatch.setattr(stochastic, "_ranked_sums", part)
+    threads = threading.active_count()
+    if failing_part is None:
+        curve = estimate_g2(a, b, [-200, 0, 300], 100)
+        assert curve.n_coincidence.tolist() == [298, 300, 297]
+    else:
+        with pytest.raises(PartFailed) as failed:
+            estimate_g2(a, b, [-200, 0, 300], 100)
+        assert raised == [failed.value]
+    assert threading.active_count() == threads
+    assert ran[0] is threading.current_thread() and len(set(ran.values())) == len(ran) == 3
 
 
 def test_g2_coarse_grid_is_one_pass(monkeypatch):
