@@ -694,21 +694,21 @@ def _minimise(cost, lo: float, hi: float) -> float:
 
 
 def _lstsq(design: np.ndarray, target: np.ndarray, bound: float = math.inf):
-    """(residual sum, coefficients c) of least squares design @ c ~ target, |c| <= bound."""
+    """(residual sum, coefficients c) of least squares design @ c ~ target, |c| <= bound.
+
+    Past the bound c = bound*(cos p, sin p), and with M = D^T D, b = D^T y and z = e^{ip}
+    the sum is stationary in p at the roots of P z^4 + Q z^3 + conj(Q) z + conj(P), where
+    P = bound*(2 m12 + i(m11 - m22)), Q = -2(b2 + i b1); p is the root angle of least sum."""
     def rss(coef):
         return float(np.sum((design @ coef - target) ** 2))
 
     coef = np.linalg.lstsq(design, target, rcond=None)[0]
     if math.hypot(*coef) > bound:
-        # c has two coefficients here; on |c| = bound the best c solves
-        # (D^T D + lam*I) c = D^T y at some lam >= 0 (More & Sorensen, SIAM J. Sci.
-        # Stat. Comput. 4, 553 (1983)); as lam grows, that c turns from the free
-        # c's direction to D^T y's, and no other c on the arc between is stationary
-        lo = math.atan2(*coef[::-1])
-        hi = lo + math.remainder(math.atan2(*(design.T @ target)[::-1]) - lo, 2.0 * math.pi)
-        psi = _minimise(lambda p: rss(bound * np.array([math.cos(p), math.sin(p)])),
-                        min(lo, hi), max(lo, hi))
-        coef = bound * np.array([math.cos(psi), math.sin(psi)])
+        (m11, m12), (_, m22) = design.T @ design
+        b1, b2 = design.T @ target
+        p, q = bound * complex(2.0 * m12, m11 - m22), -2.0 * complex(b2, b1)
+        psi = np.angle(np.roots([p, q, 0.0, q.conjugate(), p.conjugate()]))
+        coef = min(bound * np.column_stack([np.cos(psi), np.sin(psi)]), key=rss)
     return rss(coef), coef
 
 
@@ -738,11 +738,11 @@ def fit_fringe_free_period(xs: np.ndarray, values: np.ndarray
     if peak is None:
         return (math.nan,) * 4
 
-    freq = _profiled_fit(lambda f: _fringe_design(2.0 * math.pi * f * xs), values,
-                         np.fft.rfftfreq(xs.size, d=step)[peak - 1:peak + 2])[0]
+    freq, _, (offset, a, b) = _profiled_fit(
+        lambda f: _fringe_design(2.0 * math.pi * f * xs), values,
+        np.fft.rfftfreq(xs.size, d=step)[peak - 1:peak + 2])
     period = 1.0 / freq if freq else math.inf  # below the first bin lies DC, of infinite period
-    offset, amplitude, phase = fit_fringe(xs, values, period)
-    return offset, amplitude, period, phase
+    return float(offset), math.hypot(a, b), period, math.atan2(-b, a)
 
 
 def fringe_fft(delays_m: np.ndarray, values: np.ndarray

@@ -22,6 +22,7 @@ from chromint.interferometry import (
     time_average_superposition,
 )
 from chromint.scenarios import _write_scan_csv
+from chromint.selftest import check_superposition_reduction
 
 LAM1, LAM2, LAM3 = 1549.800e-9, 863.344e-9, 1949.157e-9
 
@@ -194,15 +195,8 @@ def test_fringe_identity_thousand_geometries():
 
 
 def test_superposition_reduces_to_single_photon():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        geo = random_geometry(rng)
-        amp = amplitudes(geo).with_source_phases(rng.uniform(0, 2 * math.pi),
-                                                 rng.uniform(0, 2 * math.pi))
-        theta = rng.uniform(0.05, 1.5)
-        full = coincidence_superposition(amp, theta, 0.9, (0, 1, 0), (0, 1, 0))
-        single = coincidence_single_photon(amp, theta)
-        assert abs(full.probability - single.probability) < 1e-12
+    ok, detail = check_superposition_reduction()
+    assert ok, detail
 
 
 def test_superposition_first_term_dominates():

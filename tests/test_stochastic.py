@@ -30,7 +30,7 @@ from chromint.scenarios import (
     make_geometry,
     make_sources,
 )
-from chromint.selftest import check_thermal_g2
+from chromint.selftest import check_poisson_independence, check_thermal_g2
 from chromint.stochastic import (
     EventStream,
     G2Curve,
@@ -254,14 +254,8 @@ def test_detector_streams_only_accept(monkeypatch):
 # The g2 estimator.
 
 def test_g2_independent_poisson_streams():
-    rng = substream(314, 0, 0)
-    duration_ps = 5_000_000_000
-    streams = [EventStream(d, np.unique(rng.integers(0, duration_ps, 100_000)
-                                        .astype(np.int64)), duration_ps, 314)
-               for d in "AB"]
-    curve = estimate_g2(streams[0], streams[1], [0, 10_000, 50_000], 1000)
-    for value, nc in zip(curve.values, curve.n_coincidence):
-        assert abs(value - 1.0) < 5.0 / math.sqrt(nc)
+    ok, detail = check_poisson_independence()
+    assert ok, detail
 
 
 def test_g2_duplicated_stream_limit():
@@ -1163,6 +1157,48 @@ def test_fit_g2_envelope_ends_on_the_decay_bound_where_the_sum_falls_to_it(decay
         model = 1.0 + design @ coef
         falls = bool(np.sum((model - values) * taus * (model - 1.0)) < 0)
         assert fit_g2_envelope(taus, values, 25e6)[3] is falls, seed
+
+
+def bounded_lstsq_problem(case):
+    """(design, target) of a two-column fit whose free |c| lies beyond 2."""
+    x, y, w = np.random.default_rng(5).normal(size=(3, 40))
+    q = np.linalg.qr(np.column_stack([x, y]))[0]
+    target = 10.0 * (x + 0.5 * y) + w
+    if case == "isotropic":  # D^T D = 9 I: the quartic's leading coefficient is 0
+        return 3.0 * q, target
+    if case == "near-isotropic":
+        return 3.0 * q * [1.0, 1.0 + 1e-9], target
+    if case == "rank-1":
+        return np.column_stack([x, -2.0 * x]), target
+    if case == "zero-column":
+        return np.column_stack([x, np.zeros_like(x)]), target
+    if case == "hard":
+        # the trust-region hard case's condition: D^T y is orthogonal to the
+        # eigenvector of D^T D's least eigenvalue; with the free |c| only 1e-9
+        # past the bound, three roots of the quartic crowd round angle 0
+        return q * [1.0, 1e-4], 2.0 * (1 + 1e-9) * q[:, 0] + 0.1 * (w - q @ (q.T @ w))
+    # tiny-decay: the envelope's design at the shortest decay time, 1e-3 tau spans
+    taus = np.arange(0, 300e-9, 4e-9)
+    design = np.exp(-taus / (1e-3 * taus[-1]))[:, None] * np.column_stack(
+        [np.cos(2 * math.pi * 25e6 * taus), -np.sin(2 * math.pi * 25e6 * taus)])
+    noise = 0.05 * np.random.default_rng(5).normal(size=taus.size)
+    return design, envelope_model(taus, 25e6, 0.5, 100e-9, 0.3) - 1.0 + noise
+
+
+@pytest.mark.parametrize("case", ["isotropic", "near-isotropic", "rank-1", "zero-column",
+                                  "hard", "tiny-decay"])
+def test_lstsq_bound_is_the_least_sum_on_the_circle(case):
+    # reference: the residual sum at 400 001 angles of c = 2*(cos p, sin p)
+    design, target = bounded_lstsq_problem(case)
+    assert math.hypot(*np.linalg.lstsq(design, target, rcond=None)[0]) > 2.0
+    rss, coef = stochastic._lstsq(design, target, 2.0)
+    angles = np.linspace(-math.pi, math.pi, 400_001)
+    scan = min(np.min(np.sum((design @ (2.0 * np.array([np.cos(p), np.sin(p)]))
+                              - target[:, None]) ** 2, axis=0))
+               for p in np.array_split(angles, 20))
+    assert rss <= scan * (1 + 1e-12)
+    assert math.hypot(*coef) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+    assert rss == np.sum((design @ coef - target) ** 2)
 
 
 # ---------------------------------------------------------------------------
