@@ -48,11 +48,11 @@ def main() -> int:
         cfg = apply_overrides(cfg, overrides)
         suffix = "_pump_off" if "pump_on=false" in extra else ""
         target = out_root / f"{name}{suffix}"
-        started = time.time()
+        started = time.perf_counter()
         manifest = run_scenario(cfg, target)
         keys = ", ".join(f"{k}={v}" for k, v in manifest["results"].items()
                          if isinstance(v, (int, float)))
-        print(f"{target}  [{time.time() - started:.1f}s]  {keys}")
+        print(f"{target}  [{time.perf_counter() - started:.1f}s]  {keys}")
     return 0
 
 

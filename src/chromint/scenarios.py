@@ -571,9 +571,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
     try:
-        started = time.time()
+        started = time.perf_counter()
         results = SCENARIOS[cfg.scenario][0](cfg, staging)
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         (staging / "config.yaml").write_text(serialize_config(cfg))
         data_files = sorted(p.name for p in staging.iterdir() if p.suffix == ".csv")
         manifest = {

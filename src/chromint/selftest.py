@@ -132,7 +132,7 @@ def check_phase_average() -> tuple[bool, str]:
 def check_fft_peak() -> tuple[bool, str]:
     lam3 = 1949.157e-9
     delays = np.linspace(0, 10 * lam3, 64, endpoint=False)
-    values = 1.0 + 0.5 * np.cos(2 * math.pi * delays / lam3)
+    values = 1.0 + 0.5 * np.cos(2 * math.pi * delays / lam3 + 0.4)
     freqs, _, peak = fringe_fft(delays, values)
     bin_hz = freqs[1] - freqs[0]
     target = SPEED_OF_LIGHT / lam3
@@ -232,12 +232,12 @@ def run_selftest(full: bool = False) -> bool:
     checks = FULL_CHECKS if full else FAST_CHECKS
     all_ok = True
     for name, fn in checks:
-        started = time.time()
+        started = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok
         status = "PASS" if ok else "FAIL"
-        print(f"{status} {name:28s} {detail}  [{time.time() - started:.1f}s]")
+        print(f"{status} {name:28s} {detail}  [{time.perf_counter() - started:.1f}s]")
     return all_ok

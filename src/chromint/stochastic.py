@@ -69,18 +69,14 @@ streams at any occupancy (pair counting over sorted time tags: Laurence,
 Fore & Huser, Opt. Lett. 31, 829 (2006); Wahl et al., Opt. Express 11, 3583
 (2003)).  The sum is linear in c_A, so A is counted a slice at a time: working
 memory is bounded by the slice and B's events within its reach, not by the
-streams, and nearby offsets share one walk over a slice's events and B's
-sparse bin counts.  A walk over several offsets splits the slice's events
-into contiguous parts, one per usable core, each counted on its own thread
-and their integer sums added: every count is the same on any number of
-cores, and the parts together still hold one slice.
+streams, and nearby offsets share one pass over a slice's events.  In it,
+one walk on the calling thread counts every offset: each A event steps
+forward through B's events in its window, one pair a round.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -93,9 +89,9 @@ from .interferometry import (SPEED_OF_LIGHT, DetectorSetting, InterferometerGeom
 PS_PER_S = 1_000_000_000_000
 FFT_MIN_POINTS = 16  # shortest delay scan fringe_fft resolves
 _CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
-_SLICE = 1 << 16  # A's events per g2 pass, split across the usable cores: B's
+_SLICE = 1 << 16  # A's events per g2 pass, walked on the calling thread: B's
 #                   searched bins stay in cache and the pass's temporaries a
-#                   few MB on any core count (measured fastest)
+#                   few MB (measured fastest)
 _ENVELOPE_GRID = 61  # log-spaced decay times an envelope fit scans first
 
 
@@ -478,21 +474,6 @@ def simulate_events(pair: SourcePair, geometry: InterferometerGeometry,
 # ---------------------------------------------------------------------------
 # Coincidence counting.
 
-def _collapse(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of the sorted `bins` and how often each occurs."""
-    if not bins.size:
-        return bins, np.zeros(0, np.int64)
-    # the index of each run's last element
-    last = np.empty(bins.size, bool)
-    np.not_equal(bins[1:], bins[:-1], out=last[:-1])
-    last[-1] = True
-    ends = np.flatnonzero(last)
-    counts = np.empty_like(ends)
-    counts[:1] = ends[:1] + 1
-    np.subtract(ends[1:], ends[:-1], out=counts[1:])
-    return bins[ends], counts
-
-
 def _runs(offsets: list[int], pair_work: float, pass_work: int):
     """Split sorted distinct offsets into (first, stop) index runs: a run ends
     where the offsets up to the next one, at pair_work expected pairs and one
@@ -506,84 +487,29 @@ def _runs(offsets: list[int], pair_work: float, pass_work: int):
         yield first, len(offsets)
 
 
-def _cores() -> int:
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _ranked_sums(bins_a: np.ndarray, bins_b: np.ndarray, counts_b: np.ndarray,
-                 first: int, last: int) -> np.ndarray:
-    """_window_sums over several offsets, for the events of `bins_a`.
-
-    Two searchsorted calls bound each A event's window [k+first, k+last] in
-    B's bins.  The windows are sorted longest first, so the windows that
-    still hold an r-th B bin are a prefix; rank r visits that bin of every
-    such window at once.
-    """
-    start = np.searchsorted(bins_b, bins_a + first)
-    length = np.searchsorted(bins_b, bins_a + last, side="right")
-    length -= start
-    order = np.argsort(-length)[:np.count_nonzero(length)]
-    # still_open[r]: number of windows holding at least r B bins
-    still_open = np.cumsum(np.bincount(length)[::-1])[::-1]
-    del length
-    pos = start[order]
-    del start
-    ka = bins_a[order]
-    del order
-    sums = np.zeros(last - first + 1, dtype=np.int64)
-    for m in still_open[1:]:
-        np.add.at(sums, bins_b[pos[:m]] - ka[:m] - first, counts_b[pos[:m]])
-        pos[:m] += 1
-    return sums
-
-
-def _window_sums(bins_a: np.ndarray, bins_b: np.ndarray, counts_b: np.ndarray,
-                 first: int, last: int) -> np.ndarray:
+def _window_sums(bins_a: np.ndarray, bins_b: np.ndarray, first: int,
+                 last: int) -> np.ndarray:
     """Sum over k of c_A[k]*c_B[k+o] for every offset o in first..last, from
-    the sorted bins of A's events, a bin repeated for each of its events,
-    and B's distinct occupied bins with their event counts.
+    the sorted bins of A's events and of B's, a bin repeated for each event.
 
-    A one-bin window (first == last) holds the B bin that searchsorted
-    points at or none, so one comparison finds the A events whose window
-    holds one, and the sum is one gather.  Wider windows split A's events
-    into contiguous parts, one per usable core, each summed by _ranked_sums
-    on its own thread but the first, which runs here; the sums are added
-    once every thread has ended, and a part's exception is raised here.
+    Each A event at bin k walks forward through B's events from the first at
+    or past bin k + first.  A round adds one pair, at its offset, for each
+    event whose B event still lies within bin k + last, steps those events
+    to their next B event and drops the others.
     """
+    sums = np.zeros(last - first + 1, dtype=np.int64)
     if not bins_b.size:
-        return np.zeros(last - first + 1, dtype=np.int64)
-    if first == last:
-        start = np.searchsorted(bins_b, bins_a + first)
-        hit = bins_b.take(start, mode="clip") == bins_a + first
-        return np.array([counts_b[start[hit]].sum()])
-    parts = max(1, min(_cores(), bins_a.size))
-    cuts = [p * bins_a.size // parts for p in range(parts + 1)]
-    found = [None] * parts
-
-    def count(p):
-        try:
-            found[p] = _ranked_sums(bins_a[cuts[p]:cuts[p + 1]], bins_b, counts_b,
-                                    first, last)
-        except BaseException as exc:  # raised by the calling thread
-            found[p] = exc
-
-    threads = []
-    try:
-        for p in range(1, parts):
-            thread = threading.Thread(target=count, args=(p,))
-            thread.start()
-            threads.append(thread)
-        sums = _ranked_sums(bins_a[:cuts[1]], bins_b, counts_b, first, last)
-    finally:
-        for thread in threads:
-            thread.join()
-    for part in found[1:]:
-        if isinstance(part, BaseException):
-            raise part
-        sums += part
+        return sums
+    start = bins_a + first
+    pos = np.searchsorted(bins_b, start)
+    while pos.size:
+        # a pos past B's end reads B's last event, and the pos test drops it
+        offset = bins_b.take(pos, mode="clip")
+        offset -= start
+        live = np.flatnonzero((pos < bins_b.size) & (offset <= last - first))
+        sums += np.bincount(offset[live], minlength=sums.size)
+        pos = pos[live] + 1
+        start = start[live]
     return sums
 
 
@@ -599,10 +525,8 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
     occupancy.  A is counted a slice at a time (exact, as the sum is linear
     in c_A), nearby offsets in one pass over its bins and B's within their
     reach: working memory is bounded by the slice and that reach, not by
-    the streams.  A pass over several offsets splits the slice's events
-    across the usable cores, one thread per part, which all end before the
-    pass does; working memory stays bounded by one slice, and every count
-    is the same on any number of cores.  The gate is a positive integer.
+    the streams.  One walk on the calling thread counts every offset of a
+    pass, one or many.  The gate is a positive integer.
     Empty streams yield NaN values with the counts preserved.
     """
     if isinstance(gate_ps, bool) or not isinstance(gate_ps, (int, np.integer)) or gate_ps <= 0:
@@ -625,8 +549,7 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
             # B's events in bins bins_a[0] + lo .. bins_a[-1] + hi
             j = np.searchsorted(ts_b, (int(bins_a[0]) + lo) * gate)
             k = np.searchsorted(ts_b, (int(bins_a[-1]) + hi + 1) * gate)
-            bins_b, counts_b = _collapse(ts_b[j:k] // gate)
-            sums = _window_sums(bins_a, bins_b, counts_b, lo, hi)
+            sums = _window_sums(bins_a, ts_b[j:k] // gate, lo, hi)
             per_offset[first:stop] += sums[offsets[first:stop] - lo]
     ncoinc = per_offset[where]
     if n_a * n_b > 0:

@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -136,6 +138,39 @@ def test_cli_scenario_is_a_name_from_the_file(tmp_path, capsys, text, override):
     err = capsys.readouterr().err
     assert err.startswith("config error") and "scenario" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["scan", "--scenario", "erasure_overlap_scan", "--param", "overlap_theta=0.4:0.8:0"],
+     "out"),
+    (["scan", "--scenario", "erasure_overlap_scan", "--param", "nope=0:1:2"], "out"),
+    (["run", "list.yaml"], "out"),
+    (["run", "bare.yaml"], "out"),
+    (["run", "cfg.yaml", "--override", "seed={"], "out"),
+    (["run", "cfg.yaml"], "cfg.yaml/out"),
+], ids=["scan-no-points", "scan-unknown-key", "yaml-list", "no-scenario",
+        "unparsed-override", "out-under-a-file"])
+def test_cli_config_errors_create_nothing(tmp_path, capsys, argv, out):
+    files = {"list.yaml": "- scenario: erasure_overlap_scan\n",
+             "bare.yaml": "overlap_mean_photons: [4]\n",
+             "cfg.yaml": "scenario: erasure_overlap_scan\noverlap_mean_photons: [4]\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(files)
+
+
+def test_wall_time_is_nonnegative_when_the_clock_steps_back(tmp_path, monkeypatch):
+    # the wall clock steps back 1000 s at every read, as a clock adjustment can
+    clock = itertools.count(1e9, -1000.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    cfg = apply_overrides(default_config("erasure_overlap_scan"),
+                          ["overlap_mean_photons=4"])
+    manifest = run_scenario(cfg, tmp_path / "run")
+    saved = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["wall_time_s"] >= 0 and saved["wall_time_s"] >= 0
 
 
 def test_config_file_reads_numbers_like_overrides(tmp_path):

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import threading
 import time
 import tracemalloc
 import warnings
@@ -15,7 +14,6 @@ from scipy.stats import chisquare, ks_2samp, kstest
 
 from chromint import scenarios, stochastic
 from chromint.interferometry import (
-    SPEED_OF_LIGHT,
     DetectorSetting,
     InterferometerGeometry,
     SourcePair,
@@ -30,7 +28,7 @@ from chromint.scenarios import (
     make_geometry,
     make_sources,
 )
-from chromint.selftest import check_poisson_independence, check_thermal_g2
+from chromint.selftest import check_fft_peak, check_poisson_independence, check_thermal_g2
 from chromint.stochastic import (
     EventStream,
     G2Curve,
@@ -316,10 +314,13 @@ def dense_coincidences(ts_a, ts_b, taus, gate, duration_ps):
        st.sampled_from([1, 2, 7, 100, 250, 10_000, 25_000]),
        st.lists(st.integers(-30_000, 30_000), max_size=6),
        st.lists(st.integers(-9, 9), max_size=4),
-       st.sampled_from([1, 2, 7, stochastic._SLICE]),
-       st.sampled_from([1, 2, 3]))
-def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves, slice_events,
-                                   cores):
+       st.sampled_from([1, 2, 7, stochastic._SLICE]))
+# B's four events crowded into one bin within two A windows of offsets 0..3;
+# B's last event inside A's window, so the walk steps past B's end; no B
+@example([150, 260], [420, 430, 431, 499], 100, [100, 300], [], stochastic._SLICE)
+@example([500], [520, 610], 100, [0, 200], [], stochastic._SLICE)
+@example([5, 9000], [], 7, [-700, 70], [], 1)
+def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves, slice_events):
     duration_ps = 10_000
     # multiples of half a gate exercise round-half-to-even; the repeat
     # makes duplicates, and the draws are unsorted and of either sign
@@ -327,11 +328,9 @@ def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves, slice_eve
     a = EventStream("A", np.unique(np.array(ts_a, dtype=np.int64)), duration_ps, 0)
     b = EventStream("B", np.unique(np.array(ts_b, dtype=np.int64)), duration_ps, 0)
     # short slices of A cut bins and runs at their edges, and leave some
-    # slices no B event within reach; splitting a pass over 2 or 3 cores
-    # leaves parts uneven, cut within a bin, or one event each
+    # slices no B event within reach
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stochastic, "_SLICE", slice_events)
-        patch.setattr(stochastic, "_cores", lambda: cores)
         curve = estimate_g2(a, b, taus, gate)
     expected = dense_coincidences(a.timestamps, b.timestamps, taus, gate, duration_ps)
     assert np.array_equal(curve.taus_ps, taus)
@@ -416,11 +415,9 @@ def test_g2_wide_sparse_grid_is_cheap():
                                              gate, duration_ps))
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_g2_memory_is_bounded_by_the_slice(monkeypatch, cores):
+def test_g2_memory_is_bounded_by_the_slice():
     # A is counted a slice at a time, so the working memory of 201 offsets
-    # does not grow with the streams, on one core or split over two
-    monkeypatch.setattr(stochastic, "_cores", lambda: cores)
+    # does not grow with the streams
     duration_ps, gate = 20_000_000_000, 1000
     taus = np.arange(-100, 101) * gate
     peaks = []
@@ -438,42 +435,6 @@ def test_g2_memory_is_bounded_by_the_slice(monkeypatch, cores):
     assert peaks[1] < 1.1 * peaks[0]
 
 
-class PartFailed(Exception):
-    pass
-
-
-@pytest.mark.parametrize("failing_part", [None, 0, 1, 2])
-def test_g2_parts_end_with_the_call(monkeypatch, failing_part):
-    # one pass of 300 events split over three cores, 100 events a part: the
-    # calling thread counts part 0 and one thread each the others; a part's
-    # exception, the caller's or a worker's, is the one estimate_g2 raises,
-    # and no thread outlives the call either way
-    ts = np.arange(0, 30_000, 100, dtype=np.int64)
-    a, b = (EventStream(d, ts, 30_000, 0) for d in "AB")
-    ranked_sums, ran, raised = stochastic._ranked_sums, {}, []
-
-    def part(bins_a, *args):
-        p = int(bins_a[0]) // 100
-        ran[p] = threading.current_thread()
-        if p == failing_part:
-            raised.append(PartFailed(p))
-            raise raised[-1]
-        return ranked_sums(bins_a, *args)
-
-    monkeypatch.setattr(stochastic, "_cores", lambda: 3)
-    monkeypatch.setattr(stochastic, "_ranked_sums", part)
-    threads = threading.active_count()
-    if failing_part is None:
-        curve = estimate_g2(a, b, [-200, 0, 300], 100)
-        assert curve.n_coincidence.tolist() == [298, 300, 297]
-    else:
-        with pytest.raises(PartFailed) as failed:
-            estimate_g2(a, b, [-200, 0, 300], 100)
-        assert raised == [failed.value]
-    assert threading.active_count() == threads
-    assert ran[0] is threading.current_thread() and len(set(ran.values())) == len(ran) == 3
-
-
 def test_g2_coarse_grid_is_one_pass(monkeypatch):
     # 76 offsets at a 4-gate step: the three empty offsets between two
     # requested ones cost far less pair work than another pass over the
@@ -482,7 +443,7 @@ def test_g2_coarse_grid_is_one_pass(monkeypatch):
     window_sums = stochastic._window_sums
 
     def counted(*args):
-        passes.append(args[-2:])  # (first, last) after the bins and counts
+        passes.append(args[-2:])  # (first, last) after the bins
         return window_sums(*args)
 
     monkeypatch.setattr(stochastic, "_window_sums", counted)
@@ -998,11 +959,8 @@ def test_g2_decorrelates_beyond_coherence_time():
 # Spectra and fits.
 
 def test_fringe_fft_synthetic_peak():
-    delays = np.linspace(0, 10 * LAM3, 64, endpoint=False)
-    values = 1.0 + 0.5 * np.cos(2 * math.pi * delays / LAM3 + 0.4)
-    freqs, spectrum, peak = fringe_fft(delays, values)
-    target = SPEED_OF_LIGHT / LAM3
-    assert abs(peak - target) <= freqs[1] - freqs[0]
+    ok, detail = check_fft_peak()
+    assert ok, detail
 
 
 def test_fringe_fft_flat_input_no_peak():
