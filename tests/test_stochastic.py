@@ -415,11 +415,13 @@ def test_g2_wide_sparse_grid_is_cheap():
                                              gate, duration_ps))
 
 
-def test_g2_memory_is_bounded_by_the_slice():
+@pytest.mark.parametrize("step", [1, 2])
+def test_g2_memory_is_bounded_by_the_slice(step):
     # A is counted a slice at a time, so the working memory of 201 offsets
-    # does not grow with the streams
+    # does not grow with the streams, on a grid of every gate or of every
+    # other gate, whose walk also passes the empty offsets between
     duration_ps, gate = 20_000_000_000, 1000
-    taus = np.arange(-100, 101) * gate
+    taus = np.arange(-100, 101) * step * gate
     peaks = []
     for n in (200_000, 800_000):
         rng = substream(79, n, 0)
