@@ -63,15 +63,17 @@ collapse to a single count (detector dead-time proxy).
 
 Coincidences are counted over gate bins.  With c_A[k] and c_B[k] the events
 each detector recorded in bin k, n_coinc(tau) = sum_k c_A[k] * c_B[k + o],
-o = round(tau / gate), counts every pair of events, so
-g2 = n_coinc * n_bin / (n_A * n_B) is unbiased for independent Poisson
-streams at any occupancy (pair counting over sorted time tags: Laurence,
-Fore & Huser, Opt. Lett. 31, 829 (2006); Wahl et al., Opt. Express 11, 3583
-(2003)).  The sum is linear in c_A, so A is counted a slice at a time: working
-memory is bounded by the slice and B's events within its reach, not by the
-streams, and nearby offsets share one pass over a slice's events.  In it,
-one walk on the calling thread counts every offset: each A event steps
-forward through B's events in its window, one pair a round.
+o = round(tau / gate), counts every pair of events at any occupancy (pair
+counting over sorted time tags: Laurence, Fore & Huser, Opt. Lett. 31, 829
+(2006); Wahl et al., Opt. Express 11, 3583 (2003)).  For independent Poisson
+streams g2 = n_coinc * n_bin / (n_A * n_B) is 1 in expectation only at
+tau = 0 over whole bins; at offset o it reads 1 - |o|/n_bin (ROADMAP item
+19).  The sum is linear in c_A, so A is counted a slice at a time: working
+memory is bounded by the slice and B's events within its reach, and nearby
+offsets share one pass over a slice's events.  In it, one merge places each
+A event on B's events, and one walk on the calling thread steps each through
+those in its window, counting every offset, until a sentinel bin past every
+window ends B's reach.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ PS_PER_S = 1_000_000_000_000
 FFT_MIN_POINTS = 16  # shortest delay scan fringe_fft resolves
 _CHUNK = 1 << 20  # expected candidates per time batch: bounds a run's memory
 _SLICE = 1 << 16  # A's events per g2 pass, walked on the calling thread: B's
-#                   searched bins stay in cache and the pass's temporaries a
+#                   merged bins stay in cache and the pass's temporaries a
 #                   few MB (measured fastest)
 _ENVELOPE_GRID = 61  # log-spaced decay times an envelope fit scans first
 
@@ -490,23 +492,29 @@ def _runs(offsets: list[int], pair_work: float, pass_work: int):
 def _window_sums(bins_a: np.ndarray, bins_b: np.ndarray, first: int,
                  last: int) -> np.ndarray:
     """Sum over k of c_A[k]*c_B[k+o] for every offset o in first..last, from
-    the sorted bins of A's events and of B's, a bin repeated for each event.
+    the sorted bins of A's events and of B's, a bin repeated for each event
+    and B's ended by a sentinel past every window, bins_a[-1] + last + 1.
 
     Each A event at bin k walks forward through B's events from the first at
-    or past bin k + first.  A round adds one pair, at its offset, for each
-    event whose B event still lies within bin k + last, steps those events
-    to their next B event and drops the others.
+    or past bin k + first, placed by one merge: in the stable sort of the
+    keys 2*(k + first) and 2*bin + 1, both runs already sorted, a start
+    precedes the B events of its own bin, and its rank less its index in A
+    is its position.  A round adds one pair, at its offset, for each event
+    whose B event still lies within bin k + last, steps those events to
+    their next B event and drops the others; the sentinel drops them all.
     """
     sums = np.zeros(last - first + 1, dtype=np.int64)
-    if not bins_b.size:
-        return sums
     start = bins_a + first
-    pos = np.searchsorted(bins_b, start)
+    keys = np.concatenate((2 * start, 2 * bins_b + 1))
+    keys.sort(kind="stable")
+    keys &= 1  # in place: 0 marks a start, 1 a B event
+    pos = np.flatnonzero(keys == 0)
+    del keys  # freed before the walk, which peaks on its own temporaries
+    pos -= np.arange(start.size)
     while pos.size:
-        # a pos past B's end reads B's last event, and the pos test drops it
-        offset = bins_b.take(pos, mode="clip")
+        offset = bins_b.take(pos)
         offset -= start
-        live = np.flatnonzero((pos < bins_b.size) & (offset <= last - first))
+        live = np.flatnonzero(offset <= last - first)
         sums += np.bincount(offset[live], minlength=sums.size)
         pos = pos[live] + 1
         start = start[live]
@@ -520,13 +528,13 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
     Both streams are binned at the gate width, giving per-bin event counts
     c_A[k] and c_B[k].  The coincidences at offset tau are the event pairs
     n_coinc = sum_k c_A[k] * c_B[k + o] with o = round(tau / gate), so
-    every pair of events is counted, however many share a bin; for
-    independent Poisson streams g2 is then 1 in expectation at any
-    occupancy.  A is counted a slice at a time (exact, as the sum is linear
-    in c_A), nearby offsets in one pass over its bins and B's within their
-    reach: working memory is bounded by the slice and that reach, not by
-    the streams.  One walk on the calling thread counts every offset of a
-    pass, one or many.  The gate is a positive integer.
+    every pair of events is counted, however many share a bin.  For
+    independent Poisson streams g2 is 1 in expectation at tau = 0 over
+    whole bins, and 1 - |o|/n_bin at offset o (ROADMAP item 19).  A is
+    counted a slice at a time (exact, as the sum is linear in c_A), nearby
+    offsets in one pass over its bins and B's within their reach, which a
+    sentinel bin ends: working memory is bounded by the slice and that
+    reach, not by the streams.  The gate is a positive integer.
     Empty streams yield NaN values with the counts preserved.
     """
     if isinstance(gate_ps, bool) or not isinstance(gate_ps, (int, np.integer)) or gate_ps <= 0:
@@ -547,9 +555,13 @@ def estimate_g2(stream_a: EventStream, stream_b: EventStream,
         for first, stop in runs:
             lo, hi = wanted[first], wanted[stop - 1]
             # B's events in bins bins_a[0] + lo .. bins_a[-1] + hi
+            end = int(bins_a[-1]) + hi + 1  # the sentinel: past every window
             j = np.searchsorted(ts_b, (int(bins_a[0]) + lo) * gate)
-            k = np.searchsorted(ts_b, (int(bins_a[-1]) + hi + 1) * gate)
-            sums = _window_sums(bins_a, ts_b[j:k] // gate, lo, hi)
+            k = np.searchsorted(ts_b, end * gate)
+            bins_b = np.empty(k - j + 1, dtype=np.int64)
+            np.floor_divide(ts_b[j:k], gate, out=bins_b[:-1])
+            bins_b[-1] = end
+            sums = _window_sums(bins_a, bins_b, lo, hi)
             per_offset[first:stop] += sums[offsets[first:stop] - lo]
     ncoinc = per_offset[where]
     if n_a * n_b > 0:

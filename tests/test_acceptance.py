@@ -44,9 +44,9 @@ def run_default(name, tmp_path_factory, overrides=()):
     if overrides:
         cfg = apply_overrides(cfg, list(overrides))
     out = tmp_path_factory.mktemp(name)
-    started = time.time()
+    started = time.perf_counter()
     manifest = run_scenario(cfg, out)
-    manifest["elapsed_s"] = time.time() - started
+    manifest["elapsed_s"] = time.perf_counter() - started
     manifest["out_dir"] = out
     return manifest
 
@@ -106,9 +106,9 @@ def free_space_same(tmp_path_factory):
 
 
 def test_criterion_01_oracle_equivalence():
-    started = time.time()
+    started = time.perf_counter()
     ok, detail = check_oracle_equivalence()
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     report(1, "oracle-equivalence", ok and elapsed < 60.0,
            f"{detail}, {elapsed:.1f}s < 60s")
 

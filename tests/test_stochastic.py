@@ -316,10 +316,17 @@ def dense_coincidences(ts_a, ts_b, taus, gate, duration_ps):
        st.lists(st.integers(-9, 9), max_size=4),
        st.sampled_from([1, 2, 7, stochastic._SLICE]))
 # B's four events crowded into one bin within two A windows of offsets 0..3;
-# B's last event inside A's window, so the walk steps past B's end; no B
+# B's last event inside A's window, so the walk steps on to the sentinel;
+# no B; an A start in the bin of a B event (the merge's tie); starts below
+# bin 0; B's last event in the reach's last bin, next to the sentinel; a
+# reach of the sentinel alone
 @example([150, 260], [420, 430, 431, 499], 100, [100, 300], [], stochastic._SLICE)
 @example([500], [520, 610], 100, [0, 200], [], stochastic._SLICE)
 @example([5, 9000], [], 7, [-700, 70], [], 1)
+@example([150], [40, 160], 100, [], [], stochastic._SLICE)
+@example([250], [10, 120], 100, [-300, -200], [], stochastic._SLICE)
+@example([150], [350], 100, [100, 200], [], stochastic._SLICE)
+@example([50, 9000], [5000], 100, [], [], 1)
 def test_g2_equals_dense_reference(ts_a, ts_b, gate, raw_taus, halves, slice_events):
     duration_ps = 10_000
     # multiples of half a gate exercise round-half-to-even; the repeat
